@@ -26,7 +26,7 @@ from . import catalog
 from .classify import Classification, Thresholds, classify_report
 from .conformal import apply_conformal, conformal_law_residuals, involution_residual
 from .errors import ContradictionError, SmmsError
-from .profiles import Profile1D, sample_grid
+from .profiles import DEFAULT_CAP, Profile1D, sample_grid
 from .weighted import (
     Instance,
     einstein_residuals,
@@ -108,8 +108,7 @@ def _grid_args(cfg: dict, args) -> tuple:
     k = int(args.points if args.points is not None else grid.get("k", 1000))
     margin = float(args.margin if args.margin is not None
                    else grid.get("margin", 0.05))
-    cap = grid.get("cap")
-    return k, margin, (None if cap is None else float(cap))
+    return k, margin, float(grid.get("cap", DEFAULT_CAP))
 
 
 def _estimate_lambda(instance: Instance, pts) -> float:
@@ -246,7 +245,7 @@ def _cmd_verify(args) -> int:
         result = apply_conformal(inst, u)
         lam_hat = float(expect["lambda_hat"])
         hat = result.instance
-        hat_pts = sample_points(hat.metric, hat.density, k, margin=margin)
+        hat_pts = sample_points(hat.metric, hat.density, k, margin=margin, cap=cap)
         hat_rep = einstein_residuals(hat.metric, hat.density, hat.params,
                                      lam_hat, hat_pts, with_diagnostics=False)
         checks.bound("transformed_schouten_residual", hat_rep.residual_P,
@@ -315,7 +314,7 @@ def _cmd_conformal(args) -> int:
                               inst.metric.interval, var="t")
 
     result = apply_conformal(inst, u)
-    ts = sample_grid(inst.metric.interval, max(8, min(k, 64)), margin=margin)
+    ts = sample_grid(inst.metric.interval, max(8, min(k, 64)), margin=margin, cap=cap)
     laws = conformal_law_residuals(inst, u, result, ts)
     inv = involution_residual(inst, u, ts)
 
@@ -328,7 +327,7 @@ def _cmd_conformal(args) -> int:
     if "lambda_hat" in expect:
         lam_hat = float(expect["lambda_hat"])
         hat = result.instance
-        hat_pts = sample_points(hat.metric, hat.density, k, margin=margin)
+        hat_pts = sample_points(hat.metric, hat.density, k, margin=margin, cap=cap)
         hat_rep = einstein_residuals(hat.metric, hat.density, hat.params,
                                      lam_hat, hat_pts, with_diagnostics=False)
         checks.bound("transformed_schouten_residual", hat_rep.residual_P,

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DomainError, EvalError, UnsupportedError
-from .geometry import PointSpec, WarpedMetric, field_components, hessian_radial, \
-    ricci_blocks_for
+from .errors import DomainError, EvalError, PositivityError, UnsupportedError
+from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, _nan_max, \
+    field_components, hessian_radial, ricci_blocks_for
 from .jets import BiJet2, Jet2
 from .profiles import Interval, sample_grid
 from .weighted import (
@@ -48,12 +48,27 @@ def _quad(fn, a, b):
         return quad(fn, a, b, **_QUAD_KW)
 
 
+def _nearer(xs: list, i: int, x: float) -> int:
+    """Index of the entry of sorted xs nearest x, given i = bisect_left(xs, x).
+
+    Ties go to the lower entry.
+    """
+    lo, hi = max(i - 1, 0), min(i, len(xs) - 1)
+    return hi if abs(xs[hi] - x) < abs(xs[lo] - x) else lo
+
+
 class ConformalMap:
     """Monotone coordinate change Q with Q'(t) = 1/u(t), Q(t_ref) = 0.
 
-    Forward values accumulate as anchors; the inverse runs safeguarded
-    Newton iterations T -> T - (Q(T) - q) u(T) inside an anchor bracket, so
-    image points produced by forward() invert exactly through the cache.
+    Forward values accumulate as anchors, kept as two parallel lists sorted
+    by t; Q is increasing, so the anchor images are sorted too and both the
+    nearest anchor and the bracket of an image coordinate come from a bisect.
+    The inverse runs safeguarded Newton iterations T -> T - (Q(T) - q) u(T)
+    inside that bracket, so image points produced by forward() invert exactly
+    through the anchors.  Each successful inversion is memoized per image
+    coordinate (a DomainError is raised again on every call), and the jet of
+    u is cached per base coordinate, so repeated pullbacks at one image point
+    cost one inversion and one walk of u.
     """
 
     def __init__(self, u, interval: Interval, t_ref: float | None = None,
@@ -65,7 +80,10 @@ class ConformalMap:
             window = sample_grid(interval, 3, margin=0.01)
             t_ref = float(window[1])
         self.t_ref = float(t_ref)
-        self._anchors = [(self.t_ref, 0.0)]  # sorted by t; Q increasing in t
+        self._ts = [self.t_ref]  # anchor coordinates, sorted
+        self._qs = [0.0]         # their images Q(t), sorted alongside
+        self._inverse_memo = {}  # q -> T
+        self._u_jets = {}        # T -> u.jet(T)
         self._image = image
 
     def _integrand(self, x: float) -> float:
@@ -78,15 +96,15 @@ class ConformalMap:
     def forward(self, t: float) -> float:
         t = float(t)
         self.interval.require(t)
-        i = bisect.bisect_left(self._anchors, (t, -math.inf))
-        if i < len(self._anchors) and self._anchors[i][0] == t:
-            return self._anchors[i][1]
-        near = min((a for a in (self._anchors[max(i - 1, 0)],
-                                self._anchors[min(i, len(self._anchors) - 1)])),
-                   key=lambda a: abs(a[0] - t))
-        seg, _ = _quad(self._integrand, near[0], t)
-        q = near[1] + seg
-        bisect.insort(self._anchors, (t, q))
+        ts, qs = self._ts, self._qs
+        i = bisect.bisect_left(ts, t)
+        if i < len(ts) and ts[i] == t:
+            return qs[i]
+        j = _nearer(ts, i, t)
+        seg, _ = _quad(self._integrand, ts[j], t)
+        q = qs[j] + seg
+        ts.insert(i, t)
+        qs.insert(i, q)
         return q
 
     def derivative(self, t: float) -> float:
@@ -94,10 +112,16 @@ class ConformalMap:
 
     def inverse(self, q: float) -> float:
         q = float(q)
+        t = self._inverse_memo.get(q)
+        if t is None:
+            t = self._inverse_memo[q] = self._solve(q)
+        return t
+
+    def _solve(self, q: float) -> float:
         tol = 5e-16 * max(1.0, abs(q))
-        i = min(range(len(self._anchors)), key=lambda j: abs(self._anchors[j][1] - q))
-        if abs(self._anchors[i][1] - q) <= tol:
-            return self._anchors[i][0]
+        j = _nearer(self._qs, bisect.bisect_left(self._qs, q), q)
+        if abs(self._qs[j] - q) <= tol:
+            return self._ts[j]
         lo, hi = self._bracket(q)
         t = 0.5 * (lo + hi)
         for _ in range(80):
@@ -116,17 +140,17 @@ class ConformalMap:
         return t
 
     def _bracket(self, q: float) -> tuple:
-        anchors = self._anchors
-        if anchors[0][1] <= q <= anchors[-1][1]:
-            i = bisect.bisect_left([a[1] for a in anchors], q)
-            lo = anchors[max(i - 1, 0)][0]
-            hi = anchors[min(i, len(anchors) - 1)][0]
+        ts, qs = self._ts, self._qs
+        if qs[0] <= q <= qs[-1]:
+            i = bisect.bisect_left(qs, q)
+            lo = ts[max(i - 1, 0)]
+            hi = ts[min(i, len(ts) - 1)]
             if lo == hi:
                 lo, hi = lo - 1e-12, hi + 1e-12
             return lo, hi
         # expand outward with growing steps, clipped to the interval
-        if q > anchors[-1][1]:
-            t, val = anchors[-1]
+        if q > qs[-1]:
+            t, val = ts[-1], qs[-1]
             step = max(1e-3, abs(t) * 1e-3)
             while val < q:
                 t_next = t + step
@@ -140,7 +164,7 @@ class ConformalMap:
                     raise DomainError(f"image coordinate {q} beyond the mapped interval")
                 t, val = t_next, val_next
                 step *= 2.0
-        t, val = anchors[0]
+        t, val = ts[0], qs[0]
         step = max(1e-3, abs(t) * 1e-3)
         while val > q:
             t_next = t - step
@@ -177,8 +201,10 @@ class ConformalMap:
     def pullback_jet(self, base, q: float) -> Jet2:
         """Jets of (base o T)(q) where T is the inverse coordinate change."""
         t = self.inverse(q)
-        bj = base.jet(t)
-        uv = self.u.jet(t)
+        uv = self._u_jets.get(t)
+        if uv is None:
+            uv = self._u_jets[t] = self.u.jet(t)
+        bj = uv if base is self.u else base.jet(t)
         dT = uv.value
         ddT = uv.d1 * uv.value
         return Jet2(bj.value, bj.d1 * dT, bj.d2 * dT * dT + bj.d1 * ddT)
@@ -203,10 +229,15 @@ class ReparamProfile:
     def jet(self, q: float) -> Jet2:
         self.domain.require(q)
         if self.num is not None and self.den is not None:
-            return self.cmap.pullback_jet(self.num, q) / self.cmap.pullback_jet(self.den, q)
-        if self.num is not None:
-            return self.cmap.pullback_jet(self.num, q)
-        return Jet2.constant(1.0) / self.cmap.pullback_jet(self.den, q)
+            out = self.cmap.pullback_jet(self.num, q) / self.cmap.pullback_jet(self.den, q)
+        elif self.num is not None:
+            out = self.cmap.pullback_jet(self.num, q)
+        else:
+            out = Jet2.constant(1.0) / self.cmap.pullback_jet(self.den, q)
+        if not (math.isfinite(out.value) and math.isfinite(out.d1)
+                and math.isfinite(out.d2)):
+            raise EvalError(f"profile jet not finite at t={q}")
+        return out
 
     def value(self, q: float) -> float:
         return self.jet(q).value
@@ -214,11 +245,12 @@ class ReparamProfile:
     def is_constant(self) -> bool:
         return False
 
-    def check_positive(self, samples: int = 200, margin: float = 0.0):
-        from .errors import PositivityError
-        for q in sample_grid(self.domain, samples, margin=1e-4):
-            if self.value(float(q)) <= margin:
-                raise PositivityError(f"profile {self.name} is not positive")
+    def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
+        """Sampled positivity check; raises PositivityError on failure."""
+        for q in sample_grid(self.domain, samples, margin=margin):
+            val = self.value(float(q))
+            if val <= 0.0:
+                raise PositivityError(f"profile {self.name} is {val} at t={q}")
 
     def to_string(self) -> str:
         parts = []
@@ -273,7 +305,6 @@ def inverse_factor(result: TransformResult) -> ReparamProfile:
 
 def _symmetric_product(structure, a_t, a_s, b_t, b_s, phi):
     """Components of da (x) db + db (x) da against g-unit vectors."""
-    from .geometry import Tensor2Blocks
     if len(structure) == 1:
         return Tensor2Blocks(structure, 2.0 * a_t * b_t, (0.0,), 0.0)
     gs_a = a_s / phi
@@ -327,7 +358,7 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         # transformed-frame direct values, converted to the original frame
         rho_hat = ricci_blocks_for(hat.metric, pt_hat, structure)
         dev = rho_hat.scale_shift(1.0 / uv ** 2).combine(law_rho, 1.0, -1.0)
-        out["ricci"] = max(out["ricci"], dev.sup_dev(0.0))
+        out["ricci"] = _nan_max(out["ricci"], dev.sup_dev(0.0))
 
         # law: modified Ricci via the transformed Hessian of v^ = v/u
         vb = dens.v_bijet(metric, pt)
@@ -342,7 +373,7 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         law_be = law_rho.combine(hes_hat_v, 1.0, -m / vhat)
         be_hat = bakry_emery(hat.metric, hat.density, params, pt_hat, form="v")
         dev = be_hat.scale_shift(1.0 / uv ** 2).combine(law_be, 1.0, -1.0)
-        out["modified_ricci"] = max(out["modified_ricci"], dev.sup_dev(0.0))
+        out["modified_ricci"] = _nan_max(out["modified_ricci"], dev.sup_dev(0.0))
 
         # law: weighted scalar and Schouten
         fb = dens.f_bijet(metric, pt, m)
@@ -358,16 +389,15 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         tau_f_hat = tau_hat + 2.0 * lap_hat_f - ((m + 1.0) / m) * grad_fhat
         if m != 1.0:
             tau_f_hat += m * (m - 1.0) * params.mu * (uv / vb.value) ** 2
-        from .weighted import weighted_scalar
         tau_direct = weighted_scalar(hat.metric, hat.density, params, pt_hat)
-        out["scalar"] = max(out["scalar"], abs(tau_direct - tau_f_hat))
+        out["scalar"] = _nan_max(out["scalar"], abs(tau_direct - tau_f_hat))
 
         j_hat = tau_f_hat / (2.0 * (n + m - 1.0))
         law_p = law_be.scale_shift(1.0 / (n + m - 2.0),
                                    -j_hat / (uv ** 2 * (n + m - 2.0)))
         _, p_hat = weighted_schouten(hat.metric, hat.density, params, pt_hat)
         dev = p_hat.scale_shift(1.0 / uv ** 2).combine(law_p, 1.0, -1.0)
-        out["schouten"] = max(out["schouten"], dev.sup_dev(0.0))
+        out["schouten"] = _nan_max(out["schouten"], dev.sup_dev(0.0))
     return out
 
 
@@ -393,13 +423,13 @@ def involution_residual(instance: Instance, u, ts) -> float:
     shift = qs2[0] - ts[0]
     out = 0.0
     for t, q2 in zip(ts, qs2):
-        out = max(out, abs(q2 - t - shift))
-        out = max(out, abs(second.instance.metric.phi.value(q2)
-                           - instance.metric.phi.value(t)))
+        out = _nan_max(out, abs(q2 - t - shift))
+        out = _nan_max(out, abs(second.instance.metric.phi.value(q2)
+                               - instance.metric.phi.value(t)))
         vd0 = instance.density
         vd2 = second.instance.density
         if isinstance(vd0, RadialDensity):
-            out = max(out, abs(vd2.v.value(q2) - vd0.v.value(t)))
+            out = _nan_max(out, abs(vd2.v.value(q2) - vd0.v.value(t)))
         else:
-            out = max(out, abs(vd2.alpha.value(q2) - vd0.alpha.value(t)))
+            out = _nan_max(out, abs(vd2.alpha.value(q2) - vd0.alpha.value(t)))
     return out

@@ -35,6 +35,11 @@ def _require_s(point: PointSpec, why: str) -> float:
     return point.s
 
 
+def _nan_max(a: float, b: float) -> float:
+    """max(a, b) that propagates NaN; Python's max drops a NaN second argument."""
+    return b if b > a or b != b else a
+
+
 @dataclass(frozen=True)
 class Tensor2Blocks:
     """Symmetric 2-tensor components against g-unit vectors.
@@ -56,8 +61,8 @@ class Tensor2Blocks:
         """Largest componentwise deviation from lam * g."""
         dev = abs(self.tt - lam)
         for b in self.blocks:
-            dev = max(dev, abs(b - lam))
-        return max(dev, abs(self.mixed))
+            dev = _nan_max(dev, abs(b - lam))
+        return _nan_max(dev, abs(self.mixed))
 
     def combine(self, other: "Tensor2Blocks", ca: float, cb: float) -> "Tensor2Blocks":
         if self.structure != other.structure:

@@ -168,3 +168,27 @@ def test_grid_override_flows_into_report(tmp_path):
                      "--points", "64"]) == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["points"] == 64
+
+
+@pytest.mark.parametrize("command", ["verify", "conformal"])
+def test_grid_cap_bounds_base_and_transformed_grids(tmp_path, monkeypatch, command):
+    cfg = cat.make("weighted_euclidean").config(k=16)
+    cfg["grid"]["cap"] = 3.0
+    grids = []  # (cap passed, coordinates) per sampled grid
+
+    def recording(sampler, coord):
+        def sample(*args, **kwargs):
+            out = sampler(*args, **kwargs)
+            grids.append((kwargs.get("cap"), [coord(x) for x in out]))
+            return out
+        return sample
+
+    monkeypatch.setattr(cli, "sample_points",
+                        recording(cli.sample_points, lambda p: p.t))
+    monkeypatch.setattr(cli, "sample_grid", recording(cli.sample_grid, float))
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    # verify: base and transformed grid; conformal: law and transformed grid
+    assert len(grids) == 2
+    for cap, ts in grids:
+        assert cap == 3.0
+        assert max(ts) <= 3.0

@@ -1,20 +1,25 @@
 """Conformal density transforms: maps, pullbacks, transformation laws."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import smmskit.catalog as cat
+import smmskit.cli as cli
+import smmskit.conformal as conformal
 from conftest import draw_positive_factor
 from smmskit.conformal import (
     ConformalMap,
+    ReparamProfile,
     apply_conformal,
     conformal_law_residuals,
     inverse_factor,
     involution_residual,
 )
-from smmskit.errors import PositivityError
+from smmskit.errors import DomainError, EvalError, PositivityError
+from smmskit.geometry import Tensor2Blocks
 from smmskit.profiles import Interval, Profile1D
 from smmskit.weighted import einstein_residuals, sample_points
 
@@ -153,3 +158,108 @@ def test_sphere_pair_factor_constant_hat_density():
     assert rep.v_spread < 1e-10
     assert rep.residual_P < 1e-8
     assert b.pair.lam_hat == pytest.approx(lam_hat, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate inverse on transformed grids
+
+def hat_grid(name: str, k: int = 250):
+    """The paired transform of a catalog family and its distinct grid q's."""
+    b = cat.make(name)
+    cfg = b.config(k=k)
+    iv = b.instance.metric.interval
+    u = Profile1D.from_string(cfg["conformal"]["u"], iv, var="t")
+    res = apply_conformal(b.instance, u)
+    hat = res.instance
+    pts = sample_points(hat.metric, hat.density, k)
+    return b.instance, u, res, sorted({p.t for p in pts})
+
+
+@pytest.mark.parametrize("name", ["weighted_sphere", "neck_warped"])
+def test_inverse_of_shuffled_grid_matches_sorted(name):
+    inst, u, res, qs = hat_grid(name)
+    shuffled = list(qs)
+    np.random.default_rng(7).shuffle(shuffled)
+    fresh = apply_conformal(inst, u).cmap
+    by_q = {q: fresh.inverse(q) for q in shuffled}
+    for q in qs:
+        t = res.cmap.inverse(q)
+        assert abs(by_q[q] - t) <= 1e-14 * max(1.0, abs(t)), (name, q)
+
+
+def test_repeated_inverse_is_bitwise_identical():
+    cmap = ConformalMap(quad_factor(), IV)
+    qs = [cmap.forward(t) + 1e-3 for t in (-1.5, -0.4, 0.7, 1.6)]
+    first = [cmap.inverse(q) for q in qs]
+    for t in np.linspace(-1.9, 1.9, 37):
+        cmap.forward(t)  # new anchors must not move a memoized inverse
+    assert [cmap.inverse(q) for q in qs] == first
+
+
+def test_inverse_beyond_image_raises_every_call():
+    cmap = ConformalMap(quad_factor(), IV)
+    beyond = cmap.image_interval().hi + 0.5
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            cmap.inverse(beyond)
+    # a failure leaves the map usable
+    q = cmap.forward(1.2)
+    assert cmap.inverse(q) == 1.2
+
+
+@pytest.mark.parametrize("name", cat.available())
+def test_catalog_grid_round_trips(name):
+    _, _, res, qs = hat_grid(name)
+    cmap = res.cmap
+    for q in qs:
+        assert abs(cmap.forward(cmap.inverse(q)) - q) <= 1e-14 * max(1.0, abs(q)), q
+
+
+# ---------------------------------------------------------------------------
+# reparameterized profiles and fail-closed sups
+
+def test_reparam_jet_rejects_nonfinite():
+    cmap = ConformalMap(quad_factor(), IV)
+    # at t = 1.9 the t-jet of exp(30000 t - 56311.5) is finite (value 1e299,
+    # d2 9e307), but the chain-rule factor u^2 = 4.3 pushes d2 in q past
+    # the float range
+    prof = ReparamProfile(cmap, num=Profile1D.from_string("exp(30000*t - 56311.5)", IV))
+    with pytest.raises(EvalError):
+        prof.jet(cmap.forward(1.9))
+
+
+def test_reparam_check_positive_margin_is_sampling_margin():
+    cmap = ConformalMap(quad_factor(), IV)
+    small = ReparamProfile(cmap, num=Profile1D.from_string("0.2 + 0*t", IV))
+    small.check_positive(samples=64, margin=0.3)
+    odd = ReparamProfile(cmap, num=Profile1D.from_string("t", IV))
+    with pytest.raises(PositivityError):
+        odd.check_positive(samples=64, margin=0.3)
+
+
+def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
+    """One NaN component at one point must make the law residual NaN."""
+    real = conformal.ricci_blocks_for
+    hat_calls = []
+
+    def poisoned(metric, point, structure):
+        rho = real(metric, point, structure)
+        if isinstance(metric.phi, ReparamProfile):
+            hat_calls.append(point)
+            if len(hat_calls) == 3:
+                return Tensor2Blocks(rho.structure, rho.tt,
+                                     (math.nan,) + tuple(rho.blocks[1:]), rho.mixed)
+        return rho
+
+    monkeypatch.setattr(conformal, "ricci_blocks_for", poisoned)
+    b = cat.make("weighted_sphere")
+    inst = b.instance
+    u = quad_factor_on(inst.metric.interval)
+    laws = conformal_law_residuals(inst, u, apply_conformal(inst, u),
+                                   [0.4, 0.9, 1.4, 1.9, 2.4])
+    assert math.isnan(laws["ricci"])
+
+    hat_calls.clear()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(b.config(k=16)))
+    assert cli.main(["conformal", "--config", str(path)]) == 1
