@@ -30,6 +30,7 @@ spaces are round spheres, so the caller's flags contradict the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ContradictionError
@@ -85,8 +86,9 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
         "modified_schouten_residual": (report.residual_P, thr.residual),
         "scale_spread": (report.kappa_spread, thr.kappa),
     }
-    violated = {name: val / gate for name, (val, gate) in gates.items()
-                if val > gate}
+    # not (val <= gate): a NaN is a violation, and the dominant one
+    violated = {name: val / gate if val == val else math.inf
+                for name, (val, gate) in gates.items() if not (val <= gate)}
     if violated:
         details["dominant_violation"] = max(violated, key=violated.get)
         local = "Indeterminate"

@@ -30,10 +30,10 @@ from .profiles import DEFAULT_CAP, Profile1D, sample_grid
 from .weighted import (
     Instance,
     einstein_residuals,
+    point_fields,
     sample_points,
     solve_mu,
     tau_consistency_residual,
-    weighted_schouten,
 )
 
 DEFAULT_TOLERANCES = {
@@ -71,52 +71,110 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _number(value, where: str, integer: bool = False):
+    """value itself if it is a finite JSON number (an integer if asked)."""
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _section(cfg: dict, key: str) -> dict:
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"\"{key}\" must be an object")
+    return section
+
+
+def _grid_size(k: int) -> int:
+    if k < 2:
+        raise ConfigError(f"grid size must be at least 2, got {k}")
+    return k
+
+
 def _instance_from_config(cfg: dict):
     """Returns (instance, bundle-or-None)."""
     if "family" in cfg:
-        params = cfg.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ConfigError("\"parameters\" must be an object")
+        name = str(cfg["family"])
+        defaults = catalog.defaults_of(name)
         kwargs = {}
-        for key, val in params.items():
+        for key, val in _section(cfg, "parameters").items():
+            where = f"parameters.{key}"
+            default = defaults.get(key)
             if isinstance(val, list):
-                val = tuple(val)
+                val = tuple(_number(x, where) for x in val)
+            elif not (val is None and default is None):
+                _number(val, where, integer=type(default) is int)
             kwargs[key] = val
-        bundle = catalog.make(str(cfg["family"]), **kwargs)
+        bundle = catalog.make(name, **kwargs)
         return bundle.instance, bundle
-    flags = cfg.get("flags", {})
-    inst = catalog.custom_instance(cfg["custom"],
-                                   complete=bool(flags.get("complete", False)),
-                                   compact=bool(flags.get("compact", False)))
+    flags = _section(cfg, "flags")
+    for key, val in flags.items():
+        if not isinstance(val, bool):
+            raise ConfigError(f"flags.{key} must be true or false, got {val!r}")
+    if not isinstance(cfg["custom"], dict):
+        raise ConfigError("\"custom\" must be an object")
+    try:
+        inst = catalog.custom_instance(cfg["custom"],
+                                       complete=flags.get("complete", False),
+                                       compact=flags.get("compact", False))
+    except KeyError as exc:
+        raise ConfigError(f"custom instance needs the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed custom instance: {exc}") from exc
     return inst, None
 
 
 def _tolerances(cfg: dict) -> dict:
     tol = dict(DEFAULT_TOLERANCES)
-    extra = cfg.get("tolerances", {})
-    if not isinstance(extra, dict):
-        raise ConfigError("\"tolerances\" must be an object")
+    extra = _section(cfg, "tolerances")
     unknown = set(extra) - set(tol)
     if unknown:
         raise ConfigError(f"unknown tolerances: {', '.join(sorted(unknown))}")
-    tol.update({k: float(v) for k, v in extra.items()})
+    for key, val in extra.items():
+        tol[key] = float(_number(val, f"tolerances.{key}"))
+        if tol[key] < 0.0:
+            raise ConfigError(f"tolerances.{key} must not be negative, got {val!r}")
     return tol
 
 
+def _expectations(cfg: dict) -> dict:
+    expect = _section(cfg, "expectations")
+    for key in ("lambda", "kappa", "mu", "lambda_hat"):
+        if key in expect:
+            _number(expect[key], f"expectations.{key}")
+    return expect
+
+
 def _grid_args(cfg: dict, args) -> tuple:
-    grid = cfg.get("grid", {})
-    k = int(args.points if args.points is not None else grid.get("k", 1000))
+    grid = _section(cfg, "grid")
+    k = _grid_size(args.points if args.points is not None
+                   else _number(grid.get("k", 1000), "grid.k", integer=True))
     margin = float(args.margin if args.margin is not None
-                   else grid.get("margin", 0.05))
-    return k, margin, float(grid.get("cap", DEFAULT_CAP))
+                   else _number(grid.get("margin", 0.05), "grid.margin"))
+    if not 0.0 <= margin < 0.5:
+        raise ConfigError(f"grid margin must lie in [0, 0.5), got {margin!r}")
+    cap = float(_number(grid.get("cap", DEFAULT_CAP), "grid.cap"))
+    if not cap > 0.0:
+        raise ConfigError(f"grid.cap must be positive, got {cap!r}")
+    return k, margin, cap
+
+
+def _conformal_factor(cfg: dict, inst: Instance):
+    section = cfg["conformal"]
+    if not isinstance(section, dict) or not isinstance(section.get("u"), str):
+        raise ConfigError("\"conformal\" must be an object with a string \"u\"")
+    return Profile1D.from_string(section["u"], inst.metric.interval, var="t")
 
 
 def _estimate_lambda(instance: Instance, pts) -> float:
     step = max(1, len(pts) // 64)
     vals = []
     for p in pts[::step]:
-        _, schouten = weighted_schouten(instance.metric, instance.density,
-                                        instance.params, p)
+        schouten = point_fields(instance.metric, instance.density,
+                                instance.params, p).p
         vals.append(schouten.trace() / instance.params.n)
     return sum(vals) / len(vals)
 
@@ -188,7 +246,7 @@ def _cmd_verify(args) -> int:
     inst, bundle = _instance_from_config(cfg)
     tol = _tolerances(cfg)
     k, margin, cap = _grid_args(cfg, args)
-    expect = cfg.get("expectations", {})
+    expect = _expectations(cfg)
 
     pts = sample_points(inst.metric, inst.density, k, margin=margin, cap=cap)
     lam_known = "lambda" in expect
@@ -240,8 +298,7 @@ def _cmd_verify(args) -> int:
 
     hat_summary = None
     if "conformal" in cfg and "lambda_hat" in expect:
-        u = Profile1D.from_string(str(cfg["conformal"]["u"]),
-                                  inst.metric.interval, var="t")
+        u = _conformal_factor(cfg, inst)
         result = apply_conformal(inst, u)
         lam_hat = float(expect["lambda_hat"])
         hat = result.instance
@@ -307,11 +364,10 @@ def _cmd_conformal(args) -> int:
     inst, bundle = _instance_from_config(cfg)
     tol = _tolerances(cfg)
     k, margin, cap = _grid_args(cfg, args)
-    expect = cfg.get("expectations", {})
+    expect = _expectations(cfg)
     if "conformal" not in cfg:
         raise ConfigError("conformal verification needs a \"conformal\" section")
-    u = Profile1D.from_string(str(cfg["conformal"]["u"]),
-                              inst.metric.interval, var="t")
+    u = _conformal_factor(cfg, inst)
 
     result = apply_conformal(inst, u)
     ts = sample_grid(inst.metric.interval, max(8, min(k, 64)), margin=margin, cap=cap)
@@ -384,7 +440,8 @@ def _cmd_catalog(args) -> int:
             parsed = tuple(parsed)
         overrides[key] = parsed
     bundle = catalog.make(args.name, **overrides)
-    cfg = bundle.config(k=args.points or 1000)
+    k = _grid_size(1000 if args.points is None else args.points)
+    cfg = bundle.config(k=k)
     text = json.dumps(cfg, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -399,7 +456,7 @@ def _cmd_catalog(args) -> int:
 # table
 
 def _cmd_table(args) -> int:
-    k = args.points or 400
+    k = _grid_size(400 if args.points is None else args.points)
     gate = 1e-8
     rows = []
     ok = True

@@ -32,9 +32,7 @@ from .weighted import (
     Instance,
     RadialDensity,
     SplitDensity,
-    bakry_emery,
-    weighted_scalar,
-    weighted_schouten,
+    point_fields,
 )
 
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -196,7 +194,31 @@ class ConformalMap:
             return sign * math.inf
         if not math.isfinite(val) or err > 1e-6 * (1.0 + abs(val)):
             return sign * math.inf
+        if math.isinf(e) and not self._truncations_reach(val, sign):
+            return sign * math.inf
         return val
+
+    def _truncations_reach(self, val: float, sign: int) -> bool:
+        """Whether the integrals of 1/u over [t_ref, t_ref + sign R] reach val.
+
+        On an infinite range quad can return a finite value with a tiny error
+        estimate for a divergent integral (for 1/u = 1 it returns -1.0).  The
+        integrand is positive, so the truncated integrals grow monotonically
+        toward the true value as R doubles.  A truncation that overshoots
+        val, or truncations that never come within tolerance of it, show
+        that val is not the integral, and the endpoint is taken as infinite.
+        """
+        tol = 1e-6 * (1.0 + abs(val))
+        a, r, partial = self.t_ref, 1.0, 0.0
+        for _ in range(64):
+            b = self.t_ref + sign * r
+            partial += _quad(self._integrand, a, b)[0]
+            if sign * (partial - val) > tol:
+                return False
+            if abs(partial - val) <= tol:
+                return True
+            a, r = b, 2.0 * r
+        return False
 
     def pullback_jet(self, base, q: float) -> Jet2:
         """Jets of (base o T)(q) where T is the inverse coordinate change."""
@@ -356,8 +378,8 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
                      .scale_shift(1.0, lap_u / uv - (n - 1.0) * (du / uv) ** 2)
 
         # transformed-frame direct values, converted to the original frame
-        rho_hat = ricci_blocks_for(hat.metric, pt_hat, structure)
-        dev = rho_hat.scale_shift(1.0 / uv ** 2).combine(law_rho, 1.0, -1.0)
+        direct = point_fields(hat.metric, hat.density, params, pt_hat)
+        dev = direct.rho.scale_shift(1.0 / uv ** 2).combine(law_rho, 1.0, -1.0)
         out["ricci"] = _nan_max(out["ricci"], dev.sup_dev(0.0))
 
         # law: modified Ricci via the transformed Hessian of v^ = v/u
@@ -371,8 +393,7 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         hes_hat_v = fc.hess.combine(sym, 1.0, 1.0 / uv) \
                            .scale_shift(1.0, -inner / uv)
         law_be = law_rho.combine(hes_hat_v, 1.0, -m / vhat)
-        be_hat = bakry_emery(hat.metric, hat.density, params, pt_hat, form="v")
-        dev = be_hat.scale_shift(1.0 / uv ** 2).combine(law_be, 1.0, -1.0)
+        dev = direct.be.scale_shift(1.0 / uv ** 2).combine(law_be, 1.0, -1.0)
         out["modified_ricci"] = _nan_max(out["modified_ricci"], dev.sup_dev(0.0))
 
         # law: weighted scalar and Schouten
@@ -389,14 +410,12 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         tau_f_hat = tau_hat + 2.0 * lap_hat_f - ((m + 1.0) / m) * grad_fhat
         if m != 1.0:
             tau_f_hat += m * (m - 1.0) * params.mu * (uv / vb.value) ** 2
-        tau_direct = weighted_scalar(hat.metric, hat.density, params, pt_hat)
-        out["scalar"] = _nan_max(out["scalar"], abs(tau_direct - tau_f_hat))
+        out["scalar"] = _nan_max(out["scalar"], abs(direct.tau_f - tau_f_hat))
 
         j_hat = tau_f_hat / (2.0 * (n + m - 1.0))
         law_p = law_be.scale_shift(1.0 / (n + m - 2.0),
                                    -j_hat / (uv ** 2 * (n + m - 2.0)))
-        _, p_hat = weighted_schouten(hat.metric, hat.density, params, pt_hat)
-        dev = p_hat.scale_shift(1.0 / uv ** 2).combine(law_p, 1.0, -1.0)
+        dev = direct.p.scale_shift(1.0 / uv ** 2).combine(law_p, 1.0, -1.0)
         out["schouten"] = _nan_max(out["schouten"], dev.sup_dev(0.0))
     return out
 

@@ -84,26 +84,6 @@ class Tensor2Blocks:
         )
 
 
-class CurvatureAtPoint(Tensor2Blocks):
-    """Ricci components; ``tau`` is the scalar curvature (the g-trace)."""
-
-    @property
-    def rho_tt(self) -> float:
-        return self.tt
-
-    @property
-    def rho_fiber(self) -> tuple:
-        return self.blocks
-
-    @property
-    def rho_mixed(self) -> float:
-        return self.mixed
-
-    @property
-    def tau(self) -> float:
-        return self.trace()
-
-
 # ---------------------------------------------------------------------------
 # fiber descriptions
 
@@ -351,7 +331,7 @@ class WarpedMetric:
 # ---------------------------------------------------------------------------
 # curvature and Hessians
 
-def ricci(metric: WarpedMetric, point: PointSpec) -> CurvatureAtPoint:
+def ricci(metric: WarpedMetric, point: PointSpec) -> Tensor2Blocks:
     """Ricci components of the warped metric at a point."""
     metric.interval.require(point.t)
     split = metric.fiber.natural_split()
@@ -362,19 +342,19 @@ def ricci(metric: WarpedMetric, point: PointSpec) -> CurvatureAtPoint:
     shared = phi.d2 / phi.value + (d - 1) * (phi.d1 / phi.value) ** 2
     coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
     blocks = tuple(r / phi.value ** 2 - shared for r in coeffs)
-    return CurvatureAtPoint(structure, rho_tt, blocks, 0.0)
+    return Tensor2Blocks(structure, rho_tt, blocks, 0.0)
 
 
 def ricci_blocks_for(metric: WarpedMetric, point: PointSpec,
-                     structure: tuple) -> CurvatureAtPoint:
+                     structure: tuple) -> Tensor2Blocks:
     """Ricci with the per-block layout matching a density's structure."""
     base = ricci(metric, point)
     if base.structure == structure:
         return base
     if len(base.blocks) == 1 and len(structure) == 2:
         # an isotropic fiber block split into probe + orthogonal directions
-        return CurvatureAtPoint(structure, base.tt,
-                                (base.blocks[0], base.blocks[0]), 0.0)
+        return Tensor2Blocks(structure, base.tt,
+                             (base.blocks[0], base.blocks[0]), 0.0)
     raise FormError("cannot adapt Ricci blocks to the requested structure")
 
 
@@ -511,7 +491,7 @@ def sectional_residual(metric: WarpedMetric, point: PointSpec, two_lam: float,
             continue
         if v is None:
             raise UnsupportedError("sectional curvature not determined by fiber data")
-        dev = max(dev, abs(v - two_lam))
+        dev = _nan_max(dev, abs(v - two_lam))
     if data.weyl_norm is None:
         raise UnsupportedError("fiber curvature remainder unknown")
-    return max(dev, data.weyl_norm)
+    return _nan_max(dev, data.weyl_norm)

@@ -3,14 +3,17 @@
 An instance is (M, g, f, m, mu) with density v = exp(-f/m) > 0.  The
 modified Ricci tensor, weighted scalar curvature, weighted Schouten tensor
 and the scale extracted from the trace identity are all evaluated pointwise
-from exact jets.  Two independent computation routes exist for the modified
-Ricci tensor: the v-form (rho - m Hes_v / v, using the displayed Hessian
-decompositions) and the f-form (rho + Hes_f - df (x) df / m, using generic
-covariant assembly of f = -m log v).
+from exact jets.  One kernel, ``point_fields``, computes every field at a
+point once; every caller reads from it.  Two independent computation routes
+exist for the modified Ricci tensor: the v-form of ``point_fields``
+(rho - m Hes_v / v, using the displayed Hessian decompositions) and the
+f-form of ``bakry_emery`` (rho + Hes_f - df (x) df / m, using generic
+covariant assembly of f = -m log v), which is kept as the cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,12 +22,13 @@ from .geometry import (
     PointSpec,
     Tensor2Blocks,
     WarpedMetric,
+    _nan_max,
     field_components,
     hessian_radial,
     hessian_split,
-    ricci,
     ricci_blocks_for,
     sectional_blocks,
+    sectional_residual,
 )
 from .jets import BiJet2, UNARY
 
@@ -157,29 +161,6 @@ class Instance:
     compact: bool = False
 
 
-class FiberLinearExponent(SplitDensity):
-    """Density from f = c0 t + c1 s with s the fiber's conformal coordinate.
-
-    Only c0 = 0 is realizable in split form (the t-factor would have to be
-    the warping itself); the resolved fiber profile must be supplied by the
-    constructor that knows the fiber realization.
-    """
-
-    kind = "fiber_linear_exponent"
-
-    def __init__(self, c0: float, c1: float, v_n, alpha):
-        if c0 != 0.0:
-            raise FormError("fiber-linear exponent supports no base-coordinate term")
-        super().__init__(v_n, alpha)
-        self.c0 = float(c0)
-        self.c1 = float(c1)
-
-    def to_config(self) -> dict:
-        cfg = super().to_config()
-        cfg.update({"kind": "fiber_linear_exponent", "c0": self.c0, "c1": self.c1})
-        return cfg
-
-
 # ---------------------------------------------------------------------------
 # pointwise weighted tensors
 
@@ -192,67 +173,62 @@ def _grad_tensor(structure: tuple, bij: BiJet2, phi_value: float) -> Tensor2Bloc
     return Tensor2Blocks(structure, bij.dt ** 2, blocks, bij.dt * gs)
 
 
-def bakry_emery(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
-                point: PointSpec, form: str = "v") -> Tensor2Blocks:
-    """Modified Ricci tensor rho_f^m at a point.
+@dataclass(frozen=True)
+class PointFields:
+    """The weighted fields at one point, from the v-form route.
 
-    form="v" uses rho - m Hes_v / v; form="f" uses
-    rho + Hes_f - df (x) df / m.  The two agree to rounding.
+    rho is the Ricci tensor, be the modified Ricci tensor rho_f^m, tau_f the
+    weighted scalar curvature tau_f^m, j and p the weighted Schouten scalar
+    J_f^m and tensor P_f^m, and v the density value.
+    """
+
+    rho: Tensor2Blocks
+    be: Tensor2Blocks
+    tau_f: float
+    j: float
+    p: Tensor2Blocks
+    v: float
+
+
+def point_fields(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
+                 point: PointSpec) -> PointFields:
+    """Every weighted field at a point, each ingredient computed once.
+
+    rho_f^m = rho - m Hes_v / v, tau_f^m = tau + 2 L(f) - (m+1)/m |df|^2
+    (+ m (m-1) mu / v^2 when m != 1), J = tau_f^m / (2 (n+m-1)) and
+    P = (rho_f^m - J g) / (n+m-2).
+    """
+    n, m = params.n, params.m
+    structure = density.structure(metric)
+    rho = ricci_blocks_for(metric, point, structure)
+    v = density.v_value(metric, point)
+    if v <= 0.0:
+        raise PositivityError(f"density v = {v} is not positive at {point}")
+    be = rho.combine(density.hessian_v(metric, point), 1.0, -m / v)
+    fc = field_components(metric, density.f_bijet(metric, point, m), point,
+                          structure)
+    tau_f = rho.trace() + 2.0 * fc.laplacian - ((m + 1.0) / m) * fc.grad_sq
+    if m != 1.0:  # a branch, not a zero term: at m = 1 mu never enters
+        tau_f += m * (m - 1.0) * params.mu / (v * v)
+    j = tau_f / (2.0 * (n + m - 1.0))
+    p = be.scale_shift(1.0 / (n + m - 2.0), -j / (n + m - 2.0))
+    return PointFields(rho, be, tau_f, j, p, v)
+
+
+def bakry_emery(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
+                point: PointSpec) -> Tensor2Blocks:
+    """Modified Ricci tensor rho_f^m = rho + Hes_f - df (x) df / m at a point.
+
+    This f-form is the independent cross-check of point_fields(...).be; the
+    two agree to rounding.
     """
     structure = density.structure(metric)
     rho = ricci_blocks_for(metric, point, structure)
     m = params.m
-    if form == "v":
-        v = density.v_value(metric, point)
-        if v <= 0.0:
-            raise PositivityError(f"density v = {v} is not positive at {point}")
-        hv = density.hessian_v(metric, point)
-        return rho.combine(hv, 1.0, -m / v)
-    if form == "f":
-        fb = density.f_bijet(metric, point, m)
-        fc = field_components(metric, fb, point, structure)
-        grad2 = _grad_tensor(structure, fb, metric.phi.value(point.t))
-        return rho.combine(fc.hess, 1.0, 1.0).combine(grad2, 1.0, -1.0 / m)
-    raise ValueError(f"unknown form {form!r}")
-
-
-def weighted_scalar(metric: WarpedMetric, density: DensitySpec,
-                    params: SmmsParams, point: PointSpec) -> float:
-    """Weighted scalar curvature tau_f^m."""
-    structure = density.structure(metric)
-    tau = ricci_blocks_for(metric, point, structure).trace()
-    fb = density.f_bijet(metric, point, params.m)
+    fb = density.f_bijet(metric, point, m)
     fc = field_components(metric, fb, point, structure)
-    m = params.m
-    out = tau + 2.0 * fc.laplacian - ((m + 1.0) / m) * fc.grad_sq
-    if m != 1.0:
-        v = density.v_value(metric, point)
-        out += m * (m - 1.0) * params.mu / (v * v)
-    return out
-
-
-def weighted_schouten(metric: WarpedMetric, density: DensitySpec,
-                      params: SmmsParams, point: PointSpec) -> tuple:
-    """(J_f^m, P_f^m): weighted Schouten scalar and tensor."""
-    n, m = params.n, params.m
-    be = bakry_emery(metric, density, params, point, form="v")
-    tau_f = weighted_scalar(metric, density, params, point)
-    j = tau_f / (2.0 * (n + m - 1.0))
-    p = be.scale_shift(1.0 / (n + m - 2.0), -j / (n + m - 2.0))
-    return j, p
-
-
-def extract_scale(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
-                  lam: float, point: PointSpec) -> float:
-    """Scale kappa at a point from the trace identity.
-
-    For a weighted Einstein instance J = (m+n) lam - m kappa e^{f/m}, so
-    kappa = ((m+n) lam - J) v / m; constancy across points certifies the
-    instance.
-    """
-    j, _ = weighted_schouten(metric, density, params, point)
-    v = density.v_value(metric, point)
-    return ((params.m + params.n) * lam - j) * v / params.m
+    grad2 = _grad_tensor(structure, fb, metric.phi.value(point.t))
+    return rho.combine(fc.hess, 1.0, 1.0).combine(grad2, 1.0, -1.0 / m)
 
 
 def weyl_norm(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
@@ -264,7 +240,7 @@ def weyl_norm(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     Requires the fiber curvature to be fully determined.
     """
     structure = density.structure(metric)
-    _, p = weighted_schouten(metric, density, params, point)
+    p = point_fields(metric, density, params, point).p
     if abs(p.mixed) > 1e-9:
         raise UnsupportedError("Weyl norm needs a block-diagonal Schouten tensor")
     sec = sectional_blocks(metric, point, s_active=len(structure) > 1)
@@ -302,25 +278,38 @@ def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     base = SmmsParams(n, m, 0.0)
     vals = []
     for p in points:
-        be = bakry_emery(metric, density, base, p, form="v")
-        tau0 = weighted_scalar(metric, density, base, p)
-        j_target = be.tt - (n + m - 2.0) * lam
-        v = density.v_value(metric, p)
-        vals.append((2.0 * (n + m - 1.0) * j_target - tau0) * v * v / (m * (m - 1.0)))
-    mean = sum(vals) / len(vals)
-    spread = max(vals) - min(vals)
-    return mean, spread
+        pf = point_fields(metric, density, base, p)
+        j_target = pf.be.tt - (n + m - 2.0) * lam
+        vals.append((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
+                    / (m * (m - 1.0)))
+    return sum(vals) / len(vals), _spread(vals)
 
 
 # ---------------------------------------------------------------------------
 # grid reports
 
+def _sup(values) -> float:
+    """max(values), NaN when any value is NaN."""
+    return functools.reduce(_nan_max, values)
+
+
+def _spread(values) -> float:
+    """max(values) - min(values), NaN when any value is NaN."""
+    return _sup(values) - min(values)
+
+
+def _sup_defined(values) -> float | None:
+    """_sup over the entries that are not None; None when there are none."""
+    vals = [x for x in values if x is not None]
+    return _sup(vals) if vals else None
+
+
 @dataclass
 class WeightedReport:
     """Per-point weighted tensor records plus sup-norm aggregates.
 
-    Reports merge associatively: aggregates are recomputed from the
-    concatenated per-point records.
+    Every aggregate propagates NaN: one NaN record makes it NaN, so it can
+    never pass a gate.
     """
 
     params: SmmsParams
@@ -336,22 +325,21 @@ class WeightedReport:
     j_f: list = field(default_factory=list)
     kappa: list = field(default_factory=list)
     v: list = field(default_factory=list)
-    weyl: list = field(default_factory=list)
     sec_dev: list = field(default_factory=list)
     fiber_flat_dev: list = field(default_factory=list)
     fiber_be_dev: list = field(default_factory=list)
 
     @property
     def residual_P(self) -> float:
-        return max(self.p_dev)
+        return _sup(self.p_dev)
 
     @property
     def residual_QE(self) -> float:
-        return max(self.qe_dev)
+        return _sup(self.qe_dev)
 
     @property
     def residual_Einstein(self) -> float:
-        return max(self.rho_dev)
+        return _sup(self.rho_dev)
 
     @property
     def kappa_mean(self) -> float:
@@ -359,56 +347,23 @@ class WeightedReport:
 
     @property
     def kappa_spread(self) -> float:
-        return max(self.kappa) - min(self.kappa)
+        return _spread(self.kappa)
 
     @property
     def v_spread(self) -> float:
-        return max(self.v) - min(self.v)
+        return _spread(self.v)
 
     @property
     def sec_residual(self) -> float | None:
-        vals = [x for x in self.sec_dev if x is not None]
-        return max(vals) if vals else None
+        return _sup_defined(self.sec_dev)
 
     @property
     def fiber_flat_residual(self) -> float | None:
-        vals = [x for x in self.fiber_flat_dev if x is not None]
-        return max(vals) if vals else None
+        return _sup_defined(self.fiber_flat_dev)
 
     @property
     def fiber_be_residual(self) -> float | None:
-        vals = [x for x in self.fiber_be_dev if x is not None]
-        return max(vals) if vals else None
-
-    def merge(self, other: "WeightedReport") -> "WeightedReport":
-        if other.params != self.params or other.lam != self.lam:
-            raise FormError("cannot merge reports of different instances")
-        out = WeightedReport(self.params, self.lam)
-        for name in ("points", "be_tt", "be_blocks", "be_mixed", "rho_dev",
-                     "qe_dev", "p_dev", "tau_f", "j_f", "kappa", "v", "weyl",
-                     "sec_dev", "fiber_flat_dev", "fiber_be_dev"):
-            setattr(out, name, getattr(self, name) + getattr(other, name))
-        return out
-
-    def summary(self) -> dict:
-        out = {
-            "lambda": self.lam,
-            "points": len(self.points),
-            "residual_P": self.residual_P,
-            "residual_QE": self.residual_QE,
-            "residual_Einstein": self.residual_Einstein,
-            "kappa_mean": self.kappa_mean,
-            "kappa_spread": self.kappa_spread,
-            "v_spread": self.v_spread,
-        }
-        for key, val in (("sectional_residual", self.sec_residual),
-                         ("fiber_ricci_flat_residual", self.fiber_flat_residual),
-                         ("fiber_quasi_einstein_residual", self.fiber_be_residual)):
-            if val is not None:
-                out[key] = val
-        if self.weyl and self.weyl[0] is not None:
-            out["weyl_norm_max"] = max(self.weyl)
-        return out
+        return _sup_defined(self.fiber_be_dev)
 
 
 def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
@@ -424,7 +379,7 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
         coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
     except Exception:
         return None, None
-    flat_dev = max(abs(c) for c in coeffs)
+    flat_dev = _sup(abs(c) for c in coeffs)
     m = params.m
     if isinstance(density, SplitDensity):
         al = density.alpha
@@ -435,8 +390,8 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
         if vn.value <= 0.0:
             return flat_dev, None
         h_orth = metric.fiber.orth_hess_factor(s) * vn.d1
-        dev = max(abs(coeffs[0] - m * vn.d2 / vn.value),
-                  abs(coeffs[1] - m * h_orth / vn.value))
+        dev = _nan_max(abs(coeffs[0] - m * vn.d2 / vn.value),
+                       abs(coeffs[1] - m * h_orth / vn.value))
         return flat_dev, dev
     if isinstance(density, RadialDensity):
         # v proportional to phi means v_N is constant: fiber term is rho_N
@@ -453,44 +408,36 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
 
 def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
                        params: SmmsParams, lam: float, points: list,
-                       with_weyl: bool = False,
                        with_diagnostics: bool = True) -> WeightedReport:
     """Evaluate the weighted Einstein residuals over a grid of points.
 
     residual_P is the sup of |P_f^m - lam g|, residual_QE the sup of
     |rho_f^m - 2(n+m-1) lam g| and residual_Einstein the sup of
-    |rho - 2(n-1) lam g|, all componentwise against g-unit vectors.
+    |rho - 2(n-1) lam g|, all componentwise against g-unit vectors.  The
+    scale comes from the trace identity J = (m+n) lam - m kappa / v, so
+    kappa = ((m+n) lam - J) v / m; its constancy certifies the instance.
     """
     n, m = params.n, params.m
+    structure = density.structure(metric)
     rep = WeightedReport(params, lam)
     for p in points:
-        structure = density.structure(metric)
-        rho = ricci_blocks_for(metric, p, structure)
-        be = bakry_emery(metric, density, params, p, form="v")
-        tau_f = weighted_scalar(metric, density, params, p)
-        j = tau_f / (2.0 * (n + m - 1.0))
-        pt = be.scale_shift(1.0 / (n + m - 2.0), -j / (n + m - 2.0))
-        v = density.v_value(metric, p)
-        kappa = ((m + n) * lam - j) * v / m
+        pf = point_fields(metric, density, params, p)
+        be = pf.be
         rep.points.append(p)
         rep.be_tt.append(be.tt)
         rep.be_blocks.append(be.blocks)
         rep.be_mixed.append(be.mixed)
-        rep.rho_dev.append(rho.sup_dev(2.0 * (n - 1.0) * lam))
+        rep.rho_dev.append(pf.rho.sup_dev(2.0 * (n - 1.0) * lam))
         rep.qe_dev.append(be.sup_dev(2.0 * (n + m - 1.0) * lam))
-        rep.p_dev.append(pt.sup_dev(lam))
-        rep.tau_f.append(tau_f)
-        rep.j_f.append(j)
-        rep.kappa.append(kappa)
-        rep.v.append(v)
-        if with_weyl:
-            rep.weyl.append(weyl_norm(metric, density, params, p))
-        else:
-            rep.weyl.append(None)
+        rep.p_dev.append(pf.p.sup_dev(lam))
+        rep.tau_f.append(pf.tau_f)
+        rep.j_f.append(pf.j)
+        rep.kappa.append(((m + n) * lam - pf.j) * pf.v / m)
+        rep.v.append(pf.v)
         if with_diagnostics:
             try:
-                rep.sec_dev.append(sectional_residual_at(metric, p, 2.0 * lam,
-                                                         len(structure) > 1))
+                rep.sec_dev.append(sectional_residual(metric, p, 2.0 * lam,
+                                                      s_active=len(structure) > 1))
             except UnsupportedError:
                 rep.sec_dev.append(None)
             flat_dev, be_dev = _fiber_diagnostics(metric, density, params, p,
@@ -502,12 +449,6 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
             rep.fiber_flat_dev.append(None)
             rep.fiber_be_dev.append(None)
     return rep
-
-
-def sectional_residual_at(metric: WarpedMetric, point: PointSpec,
-                          two_lam: float, s_active: bool) -> float:
-    from .geometry import sectional_residual
-    return sectional_residual(metric, point, two_lam, s_active=s_active)
 
 
 def sample_points(metric: WarpedMetric, density: DensitySpec, k: int,
@@ -530,5 +471,5 @@ def tau_consistency_residual(report: WeightedReport) -> float:
     out = 0.0
     for tau, v in zip(report.tau_f, report.v):
         pred = 2.0 * (n + m - 1.0) * ((m + n) * report.lam - m * kbar / v)
-        out = max(out, abs(tau - pred))
+        out = _nan_max(out, abs(tau - pred))
     return out

@@ -2,15 +2,18 @@
 
 Deterministic random draws used by several modules: expression trees for the
 jet-vs-finite-difference comparison, positive conformal factors, and random
-warped-product metrics for the coordinate oracle cross-check.
+warped-product metrics for the coordinate oracle cross-check; and a NaN
+injection into the weighted kernel for the fail-closed tests.
 """
 
 import math
 
 import numpy as np
 
+import smmskit.weighted as weighted
+from smmskit.conformal import ReparamProfile
 from smmskit.errors import DomainError, EvalError, PositivityError
-from smmskit.geometry import SpaceForm, WarpedMetric
+from smmskit.geometry import SpaceForm, Tensor2Blocks, WarpedMetric
 from smmskit.profiles import Interval, Profile1D, finite_diff_jet
 
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt", "log")
@@ -128,3 +131,22 @@ def interior_points(interval, k, frac=0.08):
     hi = min(interval.hi, 10.0)
     span = hi - lo
     return [float(t) for t in np.linspace(lo + frac * span, hi - frac * span, k)]
+
+
+def poison_ricci_at(monkeypatch, t, component):
+    """Make the weighted kernel's Ricci input NaN in one component at base point t.
+
+    component 0 is the tt entry, i >= 1 the (i-1)-th fiber block.  Points of
+    conformally transformed metrics are left alone.
+    """
+    real = weighted.ricci_blocks_for
+
+    def poisoned(metric, point, structure):
+        rho = real(metric, point, structure)
+        if point.t != t or isinstance(metric.phi, ReparamProfile):
+            return rho
+        comps = [rho.tt, *rho.blocks]
+        comps[component] = math.nan
+        return Tensor2Blocks(rho.structure, comps[0], tuple(comps[1:]), rho.mixed)
+
+    monkeypatch.setattr(weighted, "ricci_blocks_for", poisoned)

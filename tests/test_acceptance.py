@@ -31,9 +31,9 @@ from smmskit.odes import (
 from smmskit.oracle import CoordinateChart, ricci_fd
 from smmskit.weighted import (
     einstein_residuals,
+    point_fields,
     sample_points,
     solve_mu,
-    weighted_schouten,
 )
 
 ALL_FAMILIES = (
@@ -284,7 +284,7 @@ def test_criterion_07_compact_positive_instances_collapse_to_space_forms():
         assert target > 0.0
         pts = sample_points(hat.metric, hat.density, 48)
         est = float(np.mean([
-            weighted_schouten(hat.metric, hat.density, hat.params, p)[1].trace()
+            point_fields(hat.metric, hat.density, hat.params, p).p.trace()
             / hat.params.n for p in pts[::6]]))
         assert abs(est - target) < 1e-8
         rep = einstein_residuals(hat.metric, hat.density, hat.params,

@@ -1,13 +1,16 @@
 """Local and global branch decisions of the classifier."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 import smmskit.catalog as cat
+from conftest import poison_ricci_at
 from smmskit.classify import Thresholds, classify, classify_report
 from smmskit.errors import ContradictionError
-from smmskit.weighted import einstein_residuals, sample_points
+from smmskit.weighted import einstein_residuals, sample_points, solve_mu
 
 # (family, overrides, expected local branch, expected global branch)
 BRANCH_MATRIX = [
@@ -99,3 +102,29 @@ def test_classify_report_reuses_precomputed_data():
     c = classify_report(inst, b.lam, rep)
     assert (c.local, c.global_branch) == (b.branch_local, b.branch_global)
     assert c.details["residual_P"] == rep.residual_P
+
+
+@pytest.mark.parametrize("name", ["weighted_sphere", "exponential_warped",
+                                  "warping_density", "skew_sphere_density"])
+def test_nan_at_random_grid_position_fails_closed(monkeypatch, name):
+    # one NaN Ricci component at one random grid point makes the Schouten
+    # residual NaN, and a NaN never passes the classifier's gates
+    rng = np.random.default_rng(sum(map(ord, name)))
+    b = cat.make(name)
+    inst = b.instance
+    pts = sample_points(inst.metric, inst.density, 36)
+    for _ in range(4):
+        pt = pts[int(rng.integers(len(pts)))]
+        component = int(rng.integers(1 + len(inst.density.structure(inst.metric))))
+        with monkeypatch.context() as mp:
+            poison_ricci_at(mp, pt.t, component)
+            rep = einstein_residuals(inst.metric, inst.density, inst.params,
+                                     b.lam, pts)
+            mu_spread = solve_mu(inst.metric, inst.density, inst.params,
+                                 b.lam, pts)[1]
+        assert math.isnan(rep.residual_P), (name, pt)
+        assert math.isnan(rep.kappa_spread), (name, pt)
+        assert math.isnan(mu_spread), (name, pt)
+        c = classify_report(inst, b.lam, rep)
+        assert (c.local, c.global_branch) == ("Indeterminate", "NotApplicable")
+        assert c.details["dominant_violation"] == "modified_schouten_residual"

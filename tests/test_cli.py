@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, reports, CSV and failure naming."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 import smmskit.catalog as cat
 import smmskit.cli as cli
+from conftest import poison_ricci_at
+from smmskit.weighted import sample_points
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -134,6 +138,68 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert "error" in err.lower()
 
 
+def _set(path, value):
+    """Config edit that sets the entry at a dotted path."""
+    def edit(cfg):
+        *parents, leaf = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return edit
+
+
+def _drop_custom_m(cfg):
+    cfg.clear()
+    cfg.update({
+        "schema": 1,
+        "custom": {
+            "interval": [0.0, 3.141592653589793],
+            "warping": "sin(t)",
+            "fiber": {"kind": "space_form", "dim": 2, "curvature": 1.0},
+            "density": {"kind": "radial", "v": "2 + cos(t)"},
+            "n": 3,
+        },
+    })
+
+
+# (case id, config edit, extra command-line arguments)
+MALFORMED_CONFIGS = [
+    ("grid_k_one", _set("grid.k", 1), []),
+    ("points_zero", None, ["--points", "0"]),
+    ("margin_too_wide", _set("grid.margin", 0.7), []),
+    ("margin_flag_nan", None, ["--margin", "nan"]),
+    ("cap_negative", _set("grid.cap", -3.0), []),
+    ("parameter_as_string", _set("parameters.n", "4"), []),
+    ("parameter_as_bool", _set("parameters.lam", True), []),
+    ("expected_lambda_null", _set("expectations.lambda", None), []),
+    ("tolerance_as_string", _set("tolerances", {"residual": "abc"}), []),
+    ("tolerance_nan", _set("tolerances", {"residual": math.nan}), []),
+    ("tolerance_negative", _set("tolerances", {"kappa": -1e-9}), []),
+    ("grid_not_object", _set("grid", [16]), []),
+    ("factor_not_string", _set("conformal.u", 1.5), []),
+    ("custom_without_m", _drop_custom_m, []),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "conformal"])
+@pytest.mark.parametrize("case,edit,extra", MALFORMED_CONFIGS,
+                         ids=[c[0] for c in MALFORMED_CONFIGS])
+def test_malformed_config_exits_two(tmp_path, capsys, command, case, edit, extra):
+    cfg = cat.make("weighted_sphere").config(k=16)
+    if edit is not None:
+        edit(cfg)
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path, *extra]) == 2, case
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), (case, err)
+
+
+def test_table_rejects_degenerate_grid(capsys):
+    assert cli.main(["table", "--points", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_tolerance_key_exits_two(tmp_path):
     cfg = cat.make("weighted_sphere").config(k=16)
     cfg["tolerances"] = {"bogus": 1.0}
@@ -192,3 +258,22 @@ def test_grid_cap_bounds_base_and_transformed_grids(tmp_path, monkeypatch, comma
     for cap, ts in grids:
         assert cap == 3.0
         assert max(ts) <= 3.0
+
+
+def test_verify_fails_on_nan_at_random_grid_position(tmp_path, monkeypatch):
+    b = cat.make("weighted_sphere")
+    inst = b.instance
+    pts = sample_points(inst.metric, inst.density, 24)
+    rng = np.random.default_rng(24)
+    path = write_config(tmp_path, b.config(k=24))
+    rep_path = str(tmp_path / "rep.json")
+    for _ in range(3):
+        t = pts[int(rng.integers(len(pts)))].t
+        with monkeypatch.context() as mp:
+            poison_ricci_at(mp, t, int(rng.integers(2)))
+            assert cli.main(["verify", "--config", path, "--out", rep_path]) == 1
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        assert math.isnan(rep["residuals"]["modified_schouten"])
+        assert rep["classification"]["local"] == "Indeterminate"
+        failing = {c["name"] for c in rep["checks"] if not c["passed"]}
+        assert {"modified_schouten_residual", "branch_local"} <= failing

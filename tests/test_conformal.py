@@ -8,7 +8,7 @@ import pytest
 
 import smmskit.catalog as cat
 import smmskit.cli as cli
-import smmskit.conformal as conformal
+import smmskit.weighted as weighted
 from conftest import draw_positive_factor
 from smmskit.conformal import (
     ConformalMap,
@@ -239,7 +239,7 @@ def test_reparam_check_positive_margin_is_sampling_margin():
 
 def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
     """One NaN component at one point must make the law residual NaN."""
-    real = conformal.ricci_blocks_for
+    real = weighted.ricci_blocks_for
     hat_calls = []
 
     def poisoned(metric, point, structure):
@@ -251,7 +251,7 @@ def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
                                      (math.nan,) + tuple(rho.blocks[1:]), rho.mixed)
         return rho
 
-    monkeypatch.setattr(conformal, "ricci_blocks_for", poisoned)
+    monkeypatch.setattr(weighted, "ricci_blocks_for", poisoned)
     b = cat.make("weighted_sphere")
     inst = b.instance
     u = quad_factor_on(inst.metric.interval)
@@ -263,3 +263,30 @@ def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(b.config(k=16)))
     assert cli.main(["conformal", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("u", ["1 + 0*t", "2 + 0.3*t", "sqrt(1 + t)"])
+def test_divergent_image_endpoint_is_infinite(u):
+    # quad returns a finite value with a tiny error estimate for some of these
+    # divergent integrals of 1/u over [t_ref, inf)
+    iv = Interval(0.0, math.inf)
+    cmap = ConformalMap(Profile1D.from_string(u, iv), iv)
+    image = cmap.image_interval()
+    assert math.isfinite(image.lo) and image.hi == math.inf
+
+
+def test_convergent_image_endpoint_keeps_quad_value():
+    iv = Interval(0.0, math.inf)
+    cmap = ConformalMap(Profile1D.from_string("1 + 0.8*t**2", iv), iv)
+    t_ref = cmap.t_ref
+    exact = (math.pi / 2 - math.atan(math.sqrt(0.8) * t_ref)) / math.sqrt(0.8)
+    assert cmap.image_interval().hi == pytest.approx(exact, abs=1e-12)
+
+
+def test_conformal_with_constant_factor_on_half_line(tmp_path):
+    # weighted_euclidean with b = 0 pairs with a constant factor, whose image
+    # of the half line is a half line
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cat.make("weighted_euclidean", b=0.0).config(k=64)))
+    assert cli.main(["conformal", "--config", str(path)]) == 0
+    assert cli.main(["verify", "--config", str(path)]) == 0

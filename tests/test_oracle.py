@@ -27,7 +27,7 @@ from smmskit.oracle import (
     weyl_norm_fd,
 )
 from smmskit.profiles import Interval, Profile1D
-from smmskit.weighted import SplitDensity, weighted_schouten, weyl_norm
+from smmskit.weighted import SplitDensity, point_fields, weyl_norm
 import smmskit.catalog as cat
 
 
@@ -92,7 +92,7 @@ def test_weyl_norm_block_route_matches_oracle():
     b = cat.make("weighted_sphere")
     inst = b.instance
     pt = PointSpec(1.0, 0.9)
-    _, P = weighted_schouten(inst.metric, inst.density, inst.params, pt)
+    P = point_fields(inst.metric, inst.density, inst.params, pt).p
     chart = CoordinateChart(inst.metric)
     x = chart.embed(pt)
     p_axes = np.array([P.tt] + [P.blocks[0]] * (chart.n - 1))

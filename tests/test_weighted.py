@@ -15,12 +15,10 @@ from smmskit.weighted import (
     SmmsParams,
     bakry_emery,
     einstein_residuals,
-    extract_scale,
+    point_fields,
     sample_points,
     solve_mu,
     tau_consistency_residual,
-    weighted_scalar,
-    weighted_schouten,
     weyl_norm,
 )
 
@@ -48,7 +46,7 @@ def test_sphere_example_frozen_values():
     assert rep.kappa_mean == pytest.approx(2.0, abs=1e-12)
     assert rep.kappa_spread < 1e-12
     inst = b.instance
-    _, P = weighted_schouten(inst.metric, inst.density, inst.params, PointSpec(1.0))
+    P = point_fields(inst.metric, inst.density, inst.params, PointSpec(1.0)).p
     assert P.tt == pytest.approx(0.5, abs=1e-12)
     assert all(c == pytest.approx(0.5, abs=1e-12) for c in P.blocks)
 
@@ -57,8 +55,8 @@ def test_bakry_emery_density_and_exponent_routes_agree():
     b = sphere_example()
     inst = b.instance
     for t in (0.4, 1.1, 2.3):
-        a = bakry_emery(inst.metric, inst.density, inst.params, PointSpec(t), form="v")
-        c = bakry_emery(inst.metric, inst.density, inst.params, PointSpec(t), form="f")
+        a = point_fields(inst.metric, inst.density, inst.params, PointSpec(t)).be
+        c = bakry_emery(inst.metric, inst.density, inst.params, PointSpec(t))
         assert a.tt == pytest.approx(c.tt, abs=1e-11)
         for x, y in zip(a.blocks, c.blocks):
             assert x == pytest.approx(y, abs=1e-11)
@@ -72,7 +70,7 @@ def test_exponential_family_radial_identity():
     inst = b.instance
     n, m = inst.params.n, inst.params.m
     for t in (-1.5, 0.0, 1.2):
-        be = bakry_emery(inst.metric, inst.density, inst.params, PointSpec(t))
+        be = point_fields(inst.metric, inst.density, inst.params, PointSpec(t)).be
         v = inst.density.v.value(t)
         expected = 2.0 * (n + m - 1.0) * b.lam - m * b.kappa / v
         assert be.tt == pytest.approx(expected, rel=1e-12)
@@ -84,10 +82,11 @@ def test_unweighted_flat_space_has_zero_tensors():
     density = RadialDensity(Profile1D.constant(1.0, iv, var="t"))
     params = SmmsParams(3, 2.0, 0.0)
     pt = PointSpec(2.0)
-    be = bakry_emery(metric, density, params, pt)
+    fields = point_fields(metric, density, params, pt)
+    be = fields.be
     assert be.tt == 0.0 and all(c == 0.0 for c in be.blocks)
-    assert weighted_scalar(metric, density, params, pt) == 0.0
-    j, P = weighted_schouten(metric, density, params, pt)
+    assert fields.tau_f == 0.0
+    j, P = fields.j, fields.p
     assert j == 0.0
     assert P.tt == 0.0 and all(c == 0.0 for c in P.blocks)
 
@@ -102,13 +101,13 @@ def test_constant_density_shifted_characteristic_constant():
                - m * (m - 1.0) * mu_term / (2.0 * D))
     inst = b.instance
     for pt in sample_points(inst.metric, inst.density, 8):
-        _, P = weighted_schouten(inst.metric, inst.density, inst.params, pt)
+        P = point_fields(inst.metric, inst.density, inst.params, pt).p
         assert P.sup_dev(lam_eff) < 1e-12
     # at m = 1 the density measure is inert: the scale stays lam for any mu
     b1 = cat.make("constant_density", n=n, m=1.0, lam=lam, a=a, mu=mu)
     inst1 = b1.instance
     for pt in sample_points(inst1.metric, inst1.density, 8):
-        _, P1 = weighted_schouten(inst1.metric, inst1.density, inst1.params, pt)
+        P1 = point_fields(inst1.metric, inst1.density, inst1.params, pt).p
         assert P1.sup_dev(lam) < 1e-12
 
 
@@ -187,11 +186,12 @@ def test_tau_consistency_flags_wrong_mu():
     assert tau_consistency_residual(bad) > 1e-3
 
 
-def test_extract_scale_matches_kappa():
+def test_report_scale_matches_kappa():
     b = cat.make("weighted_hyperbolic")
     inst = b.instance
-    for pt in sample_points(inst.metric, inst.density, 8):
-        k = extract_scale(inst.metric, inst.density, inst.params, b.lam, pt)
+    rep = einstein_residuals(inst.metric, inst.density, inst.params, b.lam,
+                             sample_points(inst.metric, inst.density, 8))
+    for k in rep.kappa:
         assert k == pytest.approx(b.kappa, abs=1e-11)
 
 
@@ -202,16 +202,29 @@ def test_sample_points_activates_split_axis():
     assert all(p.s is not None for p in sample_points(split.metric, split.density, 9))
 
 
-def test_report_merge_and_summary():
-    b = sphere_example()
+
+def test_report_aggregates_propagate_nan():
+    # the builtin max drops a NaN unless it comes first; every aggregate of a
+    # report must instead come out NaN whatever the NaN's position
+    b = cat.make("neck_warped")
     inst = b.instance
     pts = sample_points(inst.metric, inst.density, 16)
-    r1 = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts[:8])
-    r2 = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts[8:])
-    merged = r1.merge(r2)
-    assert len(merged.kappa) == 16
-    s = merged.summary()
-    assert s["residual_P"] < 1e-8
-    assert s["points"] == 16
-    assert set(s) >= {"residual_P", "residual_QE", "residual_Einstein",
-                      "kappa_mean", "kappa_spread", "v_spread", "lambda"}
+    rng = np.random.default_rng(5)
+    aggregates = {
+        "p_dev": lambda r: r.residual_P,
+        "qe_dev": lambda r: r.residual_QE,
+        "rho_dev": lambda r: r.residual_Einstein,
+        "kappa": lambda r: r.kappa_spread,
+        "v": lambda r: r.v_spread,
+        "tau_f": tau_consistency_residual,
+        "sec_dev": lambda r: r.sec_residual,
+        "fiber_flat_dev": lambda r: r.fiber_flat_residual,
+        "fiber_be_dev": lambda r: r.fiber_be_residual,
+    }
+    for fieldname, aggregate in aggregates.items():
+        for _ in range(3):
+            rep = einstein_residuals(inst.metric, inst.density, inst.params,
+                                     b.lam, pts)
+            assert not math.isnan(aggregate(rep)), fieldname
+            getattr(rep, fieldname)[int(rng.integers(1, len(pts)))] = math.nan
+            assert math.isnan(aggregate(rep)), fieldname
