@@ -28,7 +28,7 @@ from .geometry import (
     SpaceForm,
     WarpedMetric,
 )
-from .odes import DerivedProfile, neck_profile
+from .odes import neck_profile
 from .profiles import Interval, Profile1D
 from .weighted import (
     Instance,
@@ -360,13 +360,11 @@ def neck_warped(m: float = 3.0, lam: float = -0.5, a: float = 1.0,
     _require(0.0 < lo < hi, "fiber window must satisfy 0 < lo < hi")
     w = math.sqrt(-2.0 * lam)
     omega = neck_profile(m, Interval(0.0, hi), step=step)
-    omega_d = DerivedProfile(
-        omega,
+    om_win = omega.restricted(lo, hi)
+    omp_win = om_win.derivative(
         lambda t, wv, dw: -0.5 * m * (m - 1.0) * wv ** (-m - 1.0) * dw,
         name=f"neck'(m={m})",
     )
-    om_win = omega.restricted(lo, hi)
-    omp_win = omega_d.restricted(lo, hi)
     inner = WarpedMetric(om_win.domain, omp_win, SpaceForm(1, 0.0))
     iv = Interval(-4.0 / w, 4.0 / w)
     phi = Profile1D.from_string(f"{a!r}*exp({w!r}*t)", iv, var="t")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DomainError, EvalError, PositivityError, UnsupportedError
+from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, _nan_max, \
     field_components, hessian_radial, ricci_blocks_for
 from .jets import BiJet2, Jet2
@@ -245,7 +245,6 @@ class ReparamProfile:
         self.num = num
         self.den = den
         self.domain = cmap.image_interval()
-        self.var = "t"
         self.name = name or "reparam"
 
     def jet(self, q: float) -> Jet2:
@@ -268,18 +267,22 @@ class ReparamProfile:
         return False
 
     def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
-        """Sampled positivity check; raises PositivityError on failure."""
-        for q in sample_grid(self.domain, samples, margin=margin):
-            val = self.value(float(q))
-            if val <= 0.0:
-                raise PositivityError(f"profile {self.name} is {val} at t={q}")
+        """Positivity of each part on the base interval.
+
+        T maps the image onto the base interval, so the quotient is positive
+        on the image exactly when num/den is positive on the base; requiring
+        both parts to be positive there is at least as strict.
+        """
+        for part in (self.num, self.den):
+            if part is not None:
+                part.check_positive(samples=samples, margin=margin)
 
     def to_string(self) -> str:
         parts = []
         if self.num is not None:
-            parts.append(getattr(self.num, "to_string", lambda: "?")())
+            parts.append(self.num.to_string())
         if self.den is not None:
-            parts.append("/ " + getattr(self.den, "to_string", lambda: "?")())
+            parts.append("/ " + self.den.to_string())
         return f"reparam({' '.join(parts)})"
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvalError, StepError
+from .errors import DomainError, EvalError, PositivityError, StepError
 from .jets import Jet2
 from .profiles import Interval, Profile1D, parse_expression
 
@@ -59,7 +59,7 @@ class ObataSolution:
     @staticmethod
     def from_coefficients(lam: float, nu: float, a: float, b: float) -> "ObataSolution":
         prof = Profile1D.from_string(_solution_expression(lam, nu, a, b),
-                                     _REAL_LINE, var="t", positive=False)
+                                     _REAL_LINE, var="t")
         j = prof.jet(0.0)
         lam_hat = nu * j.value - lam * j.value ** 2 - 0.5 * j.d1 ** 2
         return ObataSolution(lam, nu, prof, lam_hat)
@@ -93,7 +93,7 @@ class ObataSolution:
             expr = f"{_fmt(a * w)}*sinh({_fmt(w)}*t) + {_fmt(b * w)}*cosh({_fmt(w)}*t)"
         else:
             expr = f"{_fmt(nu)}*t + {_fmt(j.d1)}"
-        return Profile1D.from_string(expr, _REAL_LINE, var="t", positive=False)
+        return Profile1D.from_string(expr, _REAL_LINE, var="t")
 
 
 def ode_residual(sol: ObataSolution, ts) -> float:
@@ -213,18 +213,19 @@ class OdeProfile:
     Stores a fixed-step RK4 trajectory of (w, w'); evaluation at an arbitrary
     point takes a single RK4 substep from the nearest stored node (local
     error O(step^5)), and second derivatives come from the exact relation
-    ddw(w, w', t) so jets satisfy the defining equation identically.
+    ddw(w, w', t) so jets satisfy the defining equation identically.  A
+    derivative view (see ``derivative``) reads w' from the same trajectory.
     """
 
     def __init__(self, ddw, y0, domain: Interval, step: float = 1e-3,
-                 name: str = "ode", var: str = "t"):
+                 name: str = "ode"):
         lo, hi = domain.lo, domain.hi
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("ODE profiles need a bounded domain")
         self.ddw = ddw
+        self.d3 = None  # closed form of w''' on a derivative view
         # the trajectory includes both endpoints, so the domain is closed
         self.domain = Interval(lo, hi, closed_lo=True, closed_hi=True)
-        self.var = var
         self.name = name
         self.step = float(step)
         self._t0 = lo
@@ -249,22 +250,29 @@ class OdeProfile:
         return _rk4_step(self._rhs, self._ts[i], y, h)
 
     def value(self, t: float) -> float:
-        return float(self._state(t)[0])
+        return float(self._state(t)[0 if self.d3 is None else 1])
 
     def jet(self, t: float) -> Jet2:
         w, dw = self._state(t)
-        return Jet2(float(w), float(dw), float(self.ddw(t, float(w), float(dw))))
+        ddw = float(self.ddw(t, float(w), float(dw)))
+        if self.d3 is None:
+            return Jet2(float(w), float(dw), ddw)
+        return Jet2(float(dw), ddw, float(self.d3(t, float(w), float(dw))))
 
     def is_constant(self) -> bool:
         return False
 
-    def check_positive(self, samples: int = 10_000, margin: float = 0.0):
+    def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
+        """Positivity at every stored node of the window and at its ends.
+
+        The nodes are the sample; the closed domain leaves no margin inset.
+        """
         lo, hi = self.domain.lo, self.domain.hi
-        vals = [float(y[0]) for t, y in zip(self._ts, self._ys) if lo <= t <= hi]
+        k = 0 if self.d3 is None else 1
+        vals = [float(y[k]) for t, y in zip(self._ts, self._ys) if lo <= t <= hi]
         vals.extend((self.value(lo), self.value(hi)))
         vmin = min(vals)
-        if vmin <= margin:
-            from .errors import PositivityError
+        if vmin <= 0.0:
             raise PositivityError(f"profile {self.name} reaches {vmin}")
 
     def restricted(self, lo: float, hi: float) -> "OdeProfile":
@@ -275,51 +283,15 @@ class OdeProfile:
         out.domain = Interval(lo, hi, closed_lo=True, closed_hi=True)
         return out
 
-    def to_string(self) -> str:
-        return f"<{self.name}>"
+    def derivative(self, d3, name: str) -> "OdeProfile":
+        """Shallow view of w' on the same trajectory and window.
 
-
-class DerivedProfile:
-    """View of another profile's derivative, with its own closed relations.
-
-    jets are (w', w'', w''') where w'' comes from the parent's relation and
-    w''' from a supplied closed form d3(t, w, w').
-    """
-
-    def __init__(self, parent: OdeProfile, d3, name: str = "ode'"):
-        self.parent = parent
-        self.d3 = d3
-        self.domain = parent.domain
-        self.var = parent.var
-        self.name = name
-
-    def value(self, t: float) -> float:
-        return float(self.parent._state(t)[1])
-
-    def jet(self, t: float) -> Jet2:
-        w, dw = self.parent._state(t)
-        ddw = self.parent.ddw(t, float(w), float(dw))
-        return Jet2(float(dw), float(ddw), float(self.d3(t, float(w), float(dw))))
-
-    def is_constant(self) -> bool:
-        return False
-
-    def check_positive(self, samples: int = 10_000, margin: float = 0.0):
-        lo, hi = self.domain.lo, self.domain.hi
-        vals = [float(y[1]) for t, y in zip(self.parent._ts, self.parent._ys)
-                if lo <= t <= hi]
-        vals.extend((self.value(lo), self.value(hi)))
-        vmin = min(vals)
-        if vmin <= margin:
-            from .errors import PositivityError
-            raise PositivityError(f"profile {self.name} reaches {vmin}")
-
-    def restricted(self, lo: float, hi: float) -> "DerivedProfile":
-        """Shallow view of the same trajectory on a subwindow."""
-        if lo < self.domain.lo or hi > self.domain.hi:
-            raise DomainError("restriction window exceeds the integrated range")
+        Its jets are (w', w'', w''') with w'' from the defining relation and
+        w''' from the closed form d3(t, w, w').
+        """
         out = copy.copy(self)
-        out.domain = Interval(lo, hi, closed_lo=True, closed_hi=True)
+        out.d3 = d3
+        out.name = name
         return out
 
     def to_string(self) -> str:

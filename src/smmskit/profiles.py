@@ -1,9 +1,15 @@
 """One-variable profiles as expression trees, plus sampling utilities.
 
-Profiles describe warping functions, densities and conformal factors along
-an interval.  They are closed expression trees over a small primitive set,
-so second-order jets evaluate exactly via :mod:`smmskit.jets`; a separate
-central-difference routine provides an independent derivative oracle.
+Every profile has a ``domain`` interval, ``value(t)`` and the exact
+second-order ``jet(t)`` (both raise DomainError outside the domain),
+``is_constant()``, ``check_positive(samples=..., margin=...)`` with
+``margin`` the relative inset of the sample from open endpoints, and
+``to_string()``.  The three implementations are the expression tree
+:class:`Profile1D`, whose jets evaluate exactly via :mod:`smmskit.jets`;
+the RK4 trajectory ``odes.OdeProfile`` with its derivative view, which adds
+``restricted``; and the pullback ``conformal.ReparamProfile`` through a
+conformal coordinate change.  A separate central-difference routine
+provides an independent derivative oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ class Interval:
             raise DomainError(f"empty interval ({self.lo}, {self.hi})")
 
     def contains(self, t: float) -> bool:
-        if t < self.lo or t > self.hi:
+        if not (self.lo <= t <= self.hi):  # also rejects NaN
             return False
         if t == self.lo and not self.closed_lo:
             return False
@@ -82,47 +88,9 @@ def sample_grid(domain: Interval, k: int, margin: float = 0.05,
 # expression nodes
 
 class Node:
-    """Base expression node; arithmetic operators build larger trees."""
+    """Base expression node; the parser builds every tree."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return Add(self, as_node(other))
-
-    def __radd__(self, other):
-        return Add(as_node(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_node(other))
-
-    def __rsub__(self, other):
-        return Sub(as_node(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_node(other))
-
-    def __rmul__(self, other):
-        return Mul(as_node(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, as_node(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_node(other), self)
-
-    def __pow__(self, other):
-        return Pow(self, as_node(other))
-
-    def __neg__(self):
-        return Neg(self)
-
-
-def as_node(x) -> Node:
-    if isinstance(x, Node):
-        return x
-    if isinstance(x, (int, float)):
-        return Const(float(x))
-    raise TypeError(f"cannot treat {x!r} as an expression node")
 
 
 class Const(Node):
@@ -319,15 +287,10 @@ class Call(Node):
         return f"{self.fn}({self.a.to_str(0)})"
 
 
-def call(fn: str, a) -> Node:
-    return Call(fn, as_node(a))
-
-
 # ---------------------------------------------------------------------------
 # infix parser
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-KNOWN_VARS = ("t", "x", "theta", "s", "r")
 
 
 class _Tokens:
@@ -481,8 +444,7 @@ def _parse_atom(toks):
 class Profile1D:
     """Expression-tree profile of one variable on a declared interval."""
 
-    def __init__(self, node: Node, domain: Interval, var: str | None = None,
-                 positive: bool = False):
+    def __init__(self, node: Node, domain: Interval, var: str | None = None):
         self.node = node
         self.domain = domain
         inferred = node.free_var()
@@ -491,12 +453,11 @@ class Profile1D:
         elif inferred is not None and inferred != var:
             raise EvalError(f"expression uses {inferred!r}, declared variable is {var!r}")
         self.var = var
-        self.positive = positive
 
     @classmethod
-    def from_string(cls, text: str, domain: Interval, var: str | None = None,
-                    positive: bool = False) -> "Profile1D":
-        return cls(parse_expression(text), domain, var=var, positive=positive)
+    def from_string(cls, text: str, domain: Interval,
+                    var: str | None = None) -> "Profile1D":
+        return cls(parse_expression(text), domain, var=var)
 
     @classmethod
     def constant(cls, c: float, domain: Interval, var: str = "t") -> "Profile1D":
@@ -515,9 +476,6 @@ class Profile1D:
             raise EvalError(f"profile evaluated to {v!r} at t={t}")
         return v
 
-    def __call__(self, t: float) -> float:
-        return self.value(t)
-
     def jet(self, t: float) -> Jet2:
         self.domain.require(t)
         out = self.node.eval(Jet2.variable(float(t)))
@@ -531,13 +489,12 @@ class Profile1D:
     def is_constant(self) -> bool:
         return self.node.free_var() is None
 
-    def check_positive(self, samples: int = 10_000, margin: float = 1e-4,
-                       cap: float = DEFAULT_CAP):
+    def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
         """Sampled positivity check; raises PositivityError on failure."""
-        for t in sample_grid(self.domain, samples, margin=margin, cap=cap):
-            if self.value(float(t)) <= 0.0:
-                raise PositivityError(
-                    f"profile {self.to_string()!r} is {self.value(float(t))} at t={t}")
+        for t in sample_grid(self.domain, samples, margin=margin):
+            val = self.value(float(t))
+            if val <= 0.0:
+                raise PositivityError(f"profile {self.to_string()!r} is {val} at t={t}")
 
 
 def finite_diff_jet(profile, t: float, h: float = 1e-4) -> Jet2:

@@ -207,6 +207,15 @@ def test_inverse_beyond_image_raises_every_call():
     assert cmap.inverse(q) == 1.2
 
 
+def test_forward_rejects_nan_without_new_anchor():
+    cmap = ConformalMap(quad_factor(), IV)
+    cmap.forward(0.9)
+    ts, qs = list(cmap._ts), list(cmap._qs)
+    with pytest.raises(DomainError):
+        cmap.forward(math.nan)
+    assert cmap._ts == ts and cmap._qs == qs
+
+
 @pytest.mark.parametrize("name", cat.available())
 def test_catalog_grid_round_trips(name):
     _, _, res, qs = hat_grid(name)
@@ -235,6 +244,24 @@ def test_reparam_check_positive_margin_is_sampling_margin():
     odd = ReparamProfile(cmap, num=Profile1D.from_string("t", IV))
     with pytest.raises(PositivityError):
         odd.check_positive(samples=64, margin=0.3)
+    odd_den = ReparamProfile(cmap, den=Profile1D.from_string("t", IV))
+    with pytest.raises(PositivityError):
+        odd_den.check_positive(samples=64, margin=0.3)
+
+
+def test_inverse_factor_positivity_is_checked_in_the_base_frame(monkeypatch):
+    b = cat.make("weighted_sphere")
+    first = apply_conformal(b.instance, b.pair.u)
+    real = first.cmap.inverse
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(first.cmap, "inverse", counted)
+    ConformalMap(inverse_factor(first), first.cmap.image_interval())
+    assert calls == []
 
 
 def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):

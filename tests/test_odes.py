@@ -8,7 +8,6 @@ import pytest
 import smmskit.catalog as cat
 from smmskit.errors import DomainError, PositivityError
 from smmskit.odes import (
-    DerivedProfile,
     ObataSolution,
     fiber_obata_residual,
     first_integral_drift,
@@ -119,8 +118,8 @@ def test_neck_energy_is_conserved():
 def test_derived_profile_tracks_parent():
     m = 3.0
     prof = neck_profile(m, Interval(0.0, 6.0))
-    dprof = DerivedProfile(
-        prof, lambda t, w, dw: -0.5 * m * (m - 1.0) * w ** (-m - 1.0) * dw)
+    dprof = prof.derivative(
+        lambda t, w, dw: -0.5 * m * (m - 1.0) * w ** (-m - 1.0) * dw, "neck'")
     for t in (0.5, 1.7, 4.2):
         j = prof.jet(t)
         dj = dprof.jet(t)
@@ -138,8 +137,7 @@ def test_restricted_windows():
         win.value(5.5)
     with pytest.raises(DomainError):
         prof.restricted(0.2, 9.0)
-    dprof = DerivedProfile(
-        prof, lambda t, w, dw: -3.0 * w ** (-4.0) * dw)
+    dprof = prof.derivative(lambda t, w, dw: -3.0 * w ** (-4.0) * dw, "neck'")
     dwin = dprof.restricted(0.2, 5.0)
     dwin.check_positive()
     # the unrestricted derivative vanishes at 0 and is not positive there

@@ -1,11 +1,15 @@
-"""Expression parsing, domain handling, grids and finite differences."""
+"""Expression parsing, domain handling, grids, finite differences and the
+profile protocol."""
 
 import math
 
 import numpy as np
 import pytest
 
+import smmskit.catalog as cat
+from smmskit.conformal import ConformalMap, ReparamProfile
 from smmskit.errors import DomainError, EvalError, PositivityError
+from smmskit.odes import neck_profile
 from smmskit.profiles import (
     Interval,
     Profile1D,
@@ -77,6 +81,8 @@ def test_interval_membership_and_closed_endpoints():
     assert inf.contains(1e9)
     with pytest.raises(DomainError):
         inf.require(-1.0)
+    for iv in (open_iv, closed, inf, Interval(-math.inf, math.inf)):
+        assert not iv.contains(math.nan)
 
 
 def test_value_outside_domain_raises():
@@ -130,3 +136,39 @@ def test_finite_diff_jet_frozen_cases():
     assert j3.value == pytest.approx(8.0, abs=1e-5)
     assert j3.d1 == pytest.approx(12.0, abs=1e-5)
     assert j3.d2 == pytest.approx(12.0, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the profile protocol, shared by every implementation
+
+def _neck_fiber_warping():
+    # a restricted derivative view: w' of the neck on the window [0.2, 6.0]
+    return cat.make("neck_warped").instance.metric.fiber.metric.phi
+
+
+def _reparam():
+    u = Profile1D.from_string("1 + 0.3*t**2", IV)
+    num = Profile1D.from_string("2 + sin(t)", IV)
+    return ReparamProfile(ConformalMap(u, IV), num=num, den=u)
+
+
+# name -> (factory, a point inside the domain, a point outside it)
+PROTOCOL_CASES = {
+    "expression": (lambda: Profile1D.from_string("2 + sin(t)", IV), 0.7, 3.5),
+    "ode": (lambda: neck_profile(3.0, Interval(0.0, 6.0)), 1.3, 6.5),
+    "derivative_view": (_neck_fiber_warping, 1.3, 0.1),
+    "reparam": (_reparam, 0.5, 3.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROTOCOL_CASES))
+def test_profile_protocol(case):
+    make, inside, outside = PROTOCOL_CASES[case]
+    prof = make()
+    assert prof.value(inside) == prof.jet(inside).value
+    for t in (outside, math.nan):
+        for method in (prof.value, prof.jet):
+            with pytest.raises(DomainError):
+                method(t)
+    prof.check_positive(samples=64)
+    assert isinstance(prof.to_string(), str)
