@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AdmissibilityError, FormError, PositivityError
 from .geometry import (

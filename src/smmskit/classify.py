@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 from .errors import ContradictionError
 from .weighted import (
-    DensitySpec,
     Instance,
     WeightedReport,
     einstein_residuals,

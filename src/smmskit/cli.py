@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import catalog
-from .classify import Classification, Thresholds, classify_report
+from .classify import Thresholds, classify_report
 from .conformal import apply_conformal, conformal_law_residuals, involution_residual
 from .errors import ContradictionError, SmmsError
 from .profiles import DEFAULT_CAP, Profile1D, sample_grid

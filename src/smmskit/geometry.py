@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, FormError, NestingError, UnsupportedError
-from .jets import BiJet2, Jet2
+from .jets import BiJet2
 from .profiles import DEFAULT_CAP, Interval, sample_grid
 
 

@@ -6,6 +6,9 @@ chain rules), so no symbolic differentiation or finite differencing is
 involved.  ``BiJet2`` is the two-variable analogue used for densities that
 depend on the base coordinate and one fiber coordinate: it carries the
 gradient pair and the symmetric 2x2 block of second partials.
+
+``JET_SOURCE`` and ``UNARY_SOURCE`` state the same rules as Python source on
+floats; compiled profiles are built from them, and so is ``UNARY``.
 """
 
 from __future__ import annotations
@@ -128,6 +131,46 @@ class Jet2:
         return self.chain(x ** p, p * x ** (p - 1), p * (p - 1) * x ** (p - 2))
 
 
+# Each Jet2 rule above as straight-line statements on floats, with the same
+# operands in the same order, for the compiled profiles of ``profiles``.  A jet
+# operand ``a`` is the three names ``a0, a1, a2`` (value, d1, d2) and ``r0, r1,
+# r2`` name the result; ``chain`` reads the outer ``u, du, ddu``.
+_CHAIN = (
+    "{r0} = _check(u)",
+    "{r1} = du * {a1}",
+    "{r2} = ddu * {a1} * {a1} + du * {a2}",
+)
+JET_SOURCE = {
+    "add": ("{r0} = {a0} + {b0}", "{r1} = {a1} + {b1}", "{r2} = {a2} + {b2}"),
+    "sub": ("{r0} = {a0} - {b0}", "{r1} = {a1} - {b1}", "{r2} = {a2} - {b2}"),
+    "neg": ("{r0} = -{a0}", "{r1} = -{a1}", "{r2} = -{a2}"),
+    "mul": (
+        "{r0} = {a0} * {b0}",
+        "{r1} = {a1} * {b0} + {a0} * {b1}",
+        "{r2} = {a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
+    ),
+    "div": (
+        "if {b0} == 0.0: raise EvalError('division by zero')",
+        "{r0} = {a0} / {b0}",
+        "{r1} = ({a1} - {r0} * {b1}) / {b0}",
+        "{r2} = ({a2} - {r0} * {b2} - 2.0 * {r1} * {b1}) / {b0}",
+        "_check({r0})",
+    ),
+    "chain": _CHAIN,
+    # __pow__ with a constant exponent p
+    "pow": (
+        "if {a0} == 0.0 and {p} < 2: "
+        "raise EvalError('power of zero with exponent < 2 has no 2-jet')",
+        "if {a0} < 0.0 and {p} != round({p}): "
+        "raise EvalError('fractional power of a negative base')",
+        "u = {a0} ** {p}",
+        "du = {p} * {a0} ** ({p} - 1)",
+        "ddu = {p} * ({p} - 1) * {a0} ** ({p} - 2)",
+        *_CHAIN,
+    ),
+}
+
+
 class BiJet2:
     """Second-order jet in two variables (t, s).
 
@@ -236,49 +279,35 @@ class BiJet2:
         return o / self
 
 
-def _unary(name, fn, dfn, ddfn, guard=None):
-    def apply(j):
-        if isinstance(j, (int, float)):
-            j = Jet2.constant(j)
-        x = j.value
-        if guard is not None:
-            guard(x)
-        return j.chain(fn(x), dfn(x), ddfn(x))
-
-    apply.__name__ = name
-    return apply
-
-
-def _need_positive(x):
-    if x <= 0.0:
-        raise EvalError(f"argument must be positive, got {x!r}")
-
-
-def _exp_guard(x):
-    if x > 700.0:
-        raise EvalError("exp overflow")
-
-
-exp = _unary("exp", math.exp, math.exp, math.exp, _exp_guard)
-log = _unary("log", math.log, lambda x: 1.0 / x, lambda x: -1.0 / x ** 2, _need_positive)
-sin = _unary("sin", math.sin, math.cos, lambda x: -math.sin(x))
-cos = _unary("cos", math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x))
-sinh = _unary("sinh", math.sinh, math.cosh, math.sinh, _exp_guard)
-cosh = _unary("cosh", math.cosh, math.sinh, math.cosh, _exp_guard)
-sqrt = _unary(
-    "sqrt",
-    math.sqrt,
-    lambda x: 0.5 / math.sqrt(x),
-    lambda x: -0.25 / x ** 1.5,
-    _need_positive,
-)
-
-UNARY = {
-    "exp": exp,
-    "log": log,
-    "sin": sin,
-    "cos": cos,
-    "sinh": sinh,
-    "cosh": cosh,
-    "sqrt": sqrt,
+# Each unary rule as Python source in the argument value ``x``: a guard (or
+# None), then the outer function u and its derivatives du and ddu.  UNARY below
+# and the compiled jets of ``profiles`` are both generated from this table.
+_POSITIVE = "if {x} <= 0.0: raise EvalError('argument must be positive, got ' + repr({x}))"
+_EXP_OVERFLOW = "if {x} > 700.0: raise EvalError('exp overflow')"
+UNARY_SOURCE = {
+    "exp": (_EXP_OVERFLOW, "math.exp({x})", "math.exp({x})", "math.exp({x})"),
+    "log": (_POSITIVE, "math.log({x})", "1.0 / {x}", "-1.0 / {x} ** 2"),
+    "sin": (None, "math.sin({x})", "math.cos({x})", "-math.sin({x})"),
+    "cos": (None, "math.cos({x})", "-math.sin({x})", "-math.cos({x})"),
+    "sinh": (_EXP_OVERFLOW, "math.sinh({x})", "math.cosh({x})", "math.sinh({x})"),
+    "cosh": (_EXP_OVERFLOW, "math.cosh({x})", "math.sinh({x})", "math.cosh({x})"),
+    "sqrt": (_POSITIVE, "math.sqrt({x})", "0.5 / math.sqrt({x})", "-0.25 / {x} ** 1.5"),
 }
+
+
+def _unary(name, guard, *outer):
+    """Jet function of one rule; a plain number is taken as a constant jet."""
+    src = [f"def {name}(j):",
+           "    if isinstance(j, (int, float)):",
+           "        j = Jet2.constant(j)",
+           "    x = j.value"]
+    if guard is not None:
+        src.append("    " + guard.format(x="x"))
+    src.append(f"    return j.chain({', '.join(e.format(x='x') for e in outer)})")
+    namespace = {"math": math, "EvalError": EvalError, "Jet2": Jet2, "__name__": __name__}
+    exec("\n".join(src), namespace)
+    return namespace[name]
+
+
+UNARY = {name: _unary(name, *rule) for name, rule in UNARY_SOURCE.items()}
+exp, log, sin, cos, sinh, cosh, sqrt = (UNARY[name] for name in UNARY_SOURCE)

@@ -6,8 +6,9 @@ Solutions carry the conserved quantity lam_hat of the first integral
 (u')^2 = -2 lam u^2 + 2 nu u - 2 lam_hat, and the paired warping phi = u'
 satisfies the constant identity 2 lam phi^2 + (phi')^2 = nu^2 - 4 lam lam_hat.
 
-A fixed-step RK4 integrator builds profiles for warpings that have no
-closed form but satisfy known derivative relations.
+A fixed-step RK4 integrator for w'' = ddw(t, w, w') builds profiles for
+warpings that have no closed form but satisfy known derivative relations; it
+steps the pair (w, w') as Python floats.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EvalError, PositivityError, StepError
 from .jets import Jet2
-from .profiles import Interval, Profile1D, parse_expression
+from .profiles import Interval, Profile1D
 
 _REAL_LINE = Interval(-math.inf, math.inf)
 
@@ -176,35 +177,41 @@ def fiber_obata_residual(fiber, k: int = 64) -> float:
 # ---------------------------------------------------------------------------
 # fixed-step RK4
 
-def rk4_integrate(f, y0, t0: float, t1: float, step: float):
-    """Classical RK4 with fixed step; returns (ts, ys) including endpoints.
+def rk4_integrate(ddw, w0: float, dw0: float, t0: float, t1: float, step: float):
+    """Classical RK4 with fixed step for w'' = ddw(t, w, w').
 
-    f(t, y) -> dy/dt with y a numpy vector.  Raises StepError when the state
-    stops being finite.
+    Returns (ts, ys) including endpoints, with ys[:, 0] = w and ys[:, 1] = w'.
+    Raises StepError when the state stops being finite.
     """
     if step <= 0.0:
         raise StepError("step must be positive")
     n_steps = int(math.ceil((t1 - t0) / step - 1e-12))
+    w, dw = float(w0), float(dw0)
     ts = [t0]
-    ys = [np.asarray(y0, dtype=float)]
-    t, y = t0, np.asarray(y0, dtype=float)
+    ys = [(w, dw)]
+    t = t0
     for i in range(n_steps):
         h = min(step, t1 - t)
-        y = _rk4_step(f, t, y, h)
+        w, dw = _rk4_step(ddw, t, w, dw, h)
         t = t0 + (i + 1) * step if i + 1 < n_steps else t1
-        if not np.all(np.isfinite(y)):
+        if not (math.isfinite(w) and math.isfinite(dw)):
             raise StepError(f"integration left the finite range at t = {t}")
         ts.append(t)
-        ys.append(y)
+        ys.append((w, dw))
     return np.array(ts), np.array(ys)
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(ddw, t, w, dw, h):
+    """One RK4 step of the first-order system (w, w')' = (w', ddw(t, w, w'))."""
+    k1, l1 = dw, ddw(t, w, dw)
+    w2, dw2 = w + 0.5 * h * k1, dw + 0.5 * h * l1
+    k2, l2 = dw2, ddw(t + 0.5 * h, w2, dw2)
+    w3, dw3 = w + 0.5 * h * k2, dw + 0.5 * h * l2
+    k3, l3 = dw3, ddw(t + 0.5 * h, w3, dw3)
+    w4, dw4 = w + h * k3, dw + h * l3
+    k4, l4 = dw4, ddw(t + h, w4, dw4)
+    return (w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            dw + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
 
 
 class OdeProfile:
@@ -229,25 +236,20 @@ class OdeProfile:
         self.name = name
         self.step = float(step)
         self._t0 = lo
+        ts, ys = rk4_integrate(ddw, y0[0], y0[1], lo, hi, self.step)
+        self._ts, self._ys = ts.tolist(), ys.tolist()
 
-        def rhs(t, y):
-            return np.array([y[1], ddw(t, y[0], y[1])])
-
-        self._ts, self._ys = rk4_integrate(rhs, np.asarray(y0, float), lo, hi,
-                                           self.step)
-        self._rhs = rhs
-
-    def _state(self, t: float) -> np.ndarray:
+    def _state(self, t: float) -> tuple:
         self.domain.require(t)
         i = int((t - self._t0) / self.step)
         i = min(max(i, 0), len(self._ts) - 1)
         if i > 0 and self._ts[i] > t:
             i -= 1
         h = t - self._ts[i]
-        y = self._ys[i]
+        w, dw = self._ys[i]
         if h == 0.0:
-            return y
-        return _rk4_step(self._rhs, self._ts[i], y, h)
+            return w, dw
+        return _rk4_step(self.ddw, self._ts[i], w, dw, h)
 
     def value(self, t: float) -> float:
         return float(self._state(t)[0 if self.d3 is None else 1])
@@ -269,7 +271,7 @@ class OdeProfile:
         """
         lo, hi = self.domain.lo, self.domain.hi
         k = 0 if self.d3 is None else 1
-        vals = [float(y[k]) for t, y in zip(self._ts, self._ys) if lo <= t <= hi]
+        vals = [y[k] for t, y in zip(self._ts, self._ys) if lo <= t <= hi]
         vals.extend((self.value(lo), self.value(hi)))
         vmin = min(vals)
         if vmin <= 0.0:

@@ -5,8 +5,10 @@ second-order ``jet(t)`` (both raise DomainError outside the domain),
 ``is_constant()``, ``check_positive(samples=..., margin=...)`` with
 ``margin`` the relative inset of the sample from open endpoints, and
 ``to_string()``.  The three implementations are the expression tree
-:class:`Profile1D`, whose jets evaluate exactly via :mod:`smmskit.jets`;
-the RK4 trajectory ``odes.OdeProfile`` with its derivative view, which adds
+:class:`Profile1D`, compiled once, at construction, into straight-line
+Python functions for the value and for the exact jet (the rules of
+:mod:`smmskit.jets`, with the guards of the tree in tree order); the RK4
+trajectory ``odes.OdeProfile`` with its derivative view, which adds
 ``restricted``; and the pullback ``conformal.ReparamProfile`` through a
 conformal coordinate change.  A separate central-difference routine
 provides an independent derivative oracle.
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvalError, PositivityError
-from .jets import Jet2, UNARY
+from .jets import JET_SOURCE as _JET_SOURCE, UNARY_SOURCE as _UNARY_SOURCE
+from .jets import UNARY, Jet2, _check
 
 DEFAULT_CAP = 10.0
 
@@ -99,9 +102,6 @@ class Const(Node):
     def __init__(self, c: float):
         self.c = float(c)
 
-    def eval(self, x):
-        return self.c if isinstance(x, float) else type(x).constant(self.c)
-
     def free_var(self):
         return None
 
@@ -117,9 +117,6 @@ class Var(Node):
 
     def __init__(self, name: str):
         self.name = name
-
-    def eval(self, x):
-        return x
 
     def free_var(self):
         return self.name
@@ -159,44 +156,20 @@ class Add(_Binary):
     __slots__ = ()
     op, prec = "+", 1
 
-    def eval(self, x):
-        return self.l.eval(x) + self.r.eval(x)
-
 
 class Sub(_Binary):
     __slots__ = ()
     op, prec = "-", 1
-
-    def eval(self, x):
-        return self.l.eval(x) - self.r.eval(x)
 
 
 class Mul(_Binary):
     __slots__ = ()
     op, prec = "*", 2
 
-    def eval(self, x):
-        return self.l.eval(x) * self.r.eval(x)
-
 
 class Div(_Binary):
     __slots__ = ()
     op, prec = "/", 2
-
-    def eval(self, x):
-        num = self.l.eval(x)
-        den = self.r.eval(x)
-        if isinstance(den, float):
-            if den == 0.0:
-                raise EvalError("division by zero")
-            return num / den
-        return num / den
-
-    def to_str(self, prec=0):
-        left = self.l.to_str(self.prec)
-        right = self.r.to_str(self.prec + 1)
-        s = f"{left} / {right}"
-        return f"({s})" if prec > self.prec else s
 
 
 class Neg(Node):
@@ -204,9 +177,6 @@ class Neg(Node):
 
     def __init__(self, a: Node):
         self.a = a
-
-    def eval(self, x):
-        return -self.a.eval(x)
 
     def free_var(self):
         return self.a.free_var()
@@ -223,42 +193,12 @@ class Pow(Node):
         self.base = base
         self.expo = expo
 
-    def eval(self, x):
-        b = self.base.eval(x)
-        if isinstance(self.expo, Const):
-            p = self.expo.c
-            if isinstance(b, float):
-                if b == 0.0 and p < 0:
-                    raise EvalError("zero base with negative exponent")
-                if b < 0.0 and p != round(p):
-                    raise EvalError("fractional power of a negative base")
-            return b ** p
-        e = self.expo.eval(x)
-        if isinstance(b, float):
-            if b <= 0.0:
-                raise EvalError("general power needs a positive base")
-            log_b = math.log(b)
-        else:
-            log_b = UNARY["log"](b)
-        prod = e * log_b
-        if isinstance(prod, float):
-            if prod > 700.0:
-                raise EvalError("exp overflow in general power")
-            return math.exp(prod)
-        return UNARY["exp"](prod)
-
     def free_var(self):
         return _merge_vars(self.base.free_var(), self.expo.free_var())
 
     def to_str(self, prec=0):
         s = f"{self.base.to_str(4)}^{self.expo.to_str(4)}"
         return f"({s})" if prec > 3 else s
-
-
-_MATH_FN = {
-    "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
-    "sinh": math.sinh, "cosh": math.cosh, "sqrt": math.sqrt,
-}
 
 
 class Call(Node):
@@ -269,16 +209,6 @@ class Call(Node):
             raise EvalError(f"unknown function {fn!r}")
         self.fn = fn
         self.a = a
-
-    def eval(self, x):
-        v = self.a.eval(x)
-        if isinstance(v, float):
-            if self.fn in ("log", "sqrt") and v <= 0.0:
-                raise EvalError(f"{self.fn} of nonpositive value {v!r}")
-            if self.fn in ("exp", "sinh", "cosh") and v > 700.0:
-                raise EvalError(f"{self.fn} overflow")
-            return _MATH_FN[self.fn](v)
-        return UNARY[self.fn](v)
 
     def free_var(self):
         return self.a.free_var()
@@ -439,6 +369,121 @@ def _parse_atom(toks):
 
 
 # ---------------------------------------------------------------------------
+# compiling a tree to straight-line code
+
+_JET_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
+
+
+class _Emitter:
+    """Straight-line statements for one tree, one temporary per result.
+
+    Constants are read by index from the tuple ``_c`` and the free variable
+    is the parameter ``x``, so no input text reaches the source; function
+    names come from the parser's whitelist.  Children are emitted left to
+    right before their parent, so the guards fire in tree-walk order.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.consts = []
+        self.n = 0
+
+    def const(self, c: float) -> str:
+        self.consts.append(c)
+        return f"_c[{len(self.consts) - 1}]"
+
+    def temp(self) -> str:
+        self.n += 1
+        return f"v{self.n}"
+
+    def value(self, node: Node) -> str:
+        """Name of the tree's float value, with the guards of the float walk."""
+        if isinstance(node, Const):
+            return self.const(node.c)
+        if isinstance(node, Var):
+            return "x"
+        out, emit = self.temp(), self.lines.append
+        if isinstance(node, Neg):
+            emit(f"{out} = -{self.value(node.a)}")
+        elif isinstance(node, Call):
+            a = self.value(node.a)
+            if node.fn in ("log", "sqrt"):
+                emit(f"if {a} <= 0.0: raise EvalError("
+                     f"'{node.fn} of nonpositive value ' + repr({a}))")
+            elif node.fn in ("exp", "sinh", "cosh"):
+                emit(f"if {a} > 700.0: raise EvalError('{node.fn} overflow')")
+            emit(f"{out} = math.{node.fn}({a})")
+        elif isinstance(node, Pow) and isinstance(node.expo, Const):
+            b, p = self.value(node.base), self.const(node.expo.c)
+            emit(f"if {b} == 0.0 and {p} < 0: "
+                 f"raise EvalError('zero base with negative exponent')")
+            emit(f"if {b} < 0.0 and {p} != round({p}): "
+                 f"raise EvalError('fractional power of a negative base')")
+            emit(f"{out} = {b} ** {p}")
+        elif isinstance(node, Pow):
+            b, e = self.value(node.base), self.value(node.expo)
+            emit(f"if {b} <= 0.0: raise EvalError('general power needs a positive base')")
+            emit(f"{out} = {e} * math.log({b})")
+            emit(f"if {out} > 700.0: raise EvalError('exp overflow in general power')")
+            emit(f"{out} = math.exp({out})")
+        else:
+            a, b = self.value(node.l), self.value(node.r)
+            if isinstance(node, Div):
+                emit(f"if {b} == 0.0: raise EvalError('division by zero')")
+            emit(f"{out} = {a} {node.op} {b}")
+        return out
+
+    def jet(self, node: Node) -> tuple:
+        """Names of the tree's (value, d1, d2), by the rules of ``Jet2``."""
+        if isinstance(node, Const):
+            return (self.const(node.c), "0.0", "0.0")
+        if isinstance(node, Var):
+            return ("x", "1.0", "0.0")
+        if isinstance(node, Neg):
+            return self.rule("neg", self.jet(node.a))
+        if isinstance(node, Call):
+            return self.unary(node.fn, self.jet(node.a))
+        if isinstance(node, Pow) and isinstance(node.expo, Const):
+            return self.rule("pow", self.jet(node.base), p=self.const(node.expo.c))
+        if isinstance(node, Pow):
+            # Jet2.__pow__ with a jet exponent: exp(e * log b)
+            b, e = self.jet(node.base), self.jet(node.expo)
+            return self.unary("exp", self.rule("mul", e, self.unary("log", b)))
+        a, b = self.jet(node.l), self.jet(node.r)
+        return self.rule(_JET_OPS[type(node)], a, b)
+
+    def unary(self, fn: str, a: tuple) -> tuple:
+        guard, *outer = _UNARY_SOURCE[fn]
+        if guard is not None:
+            self.lines.append(guard.format(x=a[0]))
+        self.lines += [f"{name} = {expr.format(x=a[0])}"
+                       for name, expr in zip(("u", "du", "ddu"), outer)]
+        return self.rule("chain", a)
+
+    def rule(self, op: str, a: tuple, b: tuple = ("", "", ""), **names) -> tuple:
+        out = (self.temp(), self.temp(), self.temp())
+        for part, jet in (("a", a), ("b", b), ("r", out)):
+            names.update({f"{part}{k}": jet[k] for k in range(3)})
+        self.lines += [line.format(**names) for line in _JET_SOURCE[op]]
+        return out
+
+
+def _compile(node: Node):
+    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree as Python functions."""
+    em = _Emitter()
+    result = em.value(node)
+    src = ["def value(x):", *(f"    {s}" for s in em.lines), f"    return {result}"]
+    em.lines = []
+    result = em.jet(node)
+    src += ["def jet(x):", *(f"    {s}" for s in em.lines),
+            f"    return ({', '.join(result)})"]
+    namespace = {"math": math, "EvalError": EvalError, "_check": _check,
+                 "_c": tuple(em.consts)}
+    exec(compile("\n".join(src), "<profile>", "exec"), namespace)
+    return namespace["value"], namespace["jet"]
+
+
+# ---------------------------------------------------------------------------
 # profiles
 
 class Profile1D:
@@ -448,11 +493,9 @@ class Profile1D:
         self.node = node
         self.domain = domain
         inferred = node.free_var()
-        if var is None:
-            var = inferred if inferred is not None else "t"
-        elif inferred is not None and inferred != var:
+        if var is not None and inferred is not None and inferred != var:
             raise EvalError(f"expression uses {inferred!r}, declared variable is {var!r}")
-        self.var = var
+        self._value, self._jet = _compile(node)
 
     @classmethod
     def from_string(cls, text: str, domain: Interval,
@@ -471,20 +514,23 @@ class Profile1D:
 
     def value(self, t: float) -> float:
         self.domain.require(t)
-        v = self.node.eval(float(t))
+        try:
+            v = self._value(float(t))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"profile arithmetic failed at t={t}: {exc}") from exc
         if not math.isfinite(v):
             raise EvalError(f"profile evaluated to {v!r} at t={t}")
         return v
 
     def jet(self, t: float) -> Jet2:
         self.domain.require(t)
-        out = self.node.eval(Jet2.variable(float(t)))
-        if not isinstance(out, Jet2):
-            out = Jet2.constant(out)
-        if not (math.isfinite(out.value) and math.isfinite(out.d1)
-                and math.isfinite(out.d2)):
+        try:
+            v, d1, d2 = self._jet(float(t))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"profile jet arithmetic failed at t={t}: {exc}") from exc
+        if not (math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2)):
             raise EvalError(f"profile jet not finite at t={t}")
-        return out
+        return Jet2(v, d1, d2)
 
     def is_constant(self) -> bool:
         return self.node.free_var() is None

@@ -188,8 +188,7 @@ def test_criterion_05_density_ode_closed_forms_and_integrator_drift():
 
     lam, nu, u0, du0 = 0.5, 1.0, 2.2, 0.4
     ts, ys = rk4_integrate(
-        lambda t, y: np.array([y[1], nu - 2.0 * lam * y[0]]),
-        np.array([u0, du0]), 0.0, 10.0, 1e-3)
+        lambda t, w, dw: nu - 2.0 * lam * w, u0, du0, 0.0, 10.0, 1e-3)
     level = 0.5 * (2.0 * nu * ys[:, 0] - ys[:, 1] ** 2 - 2.0 * lam * ys[:, 0] ** 2)
     drift = float(np.max(np.abs(level - level[0])))
     assert drift < 1e-6

@@ -123,6 +123,24 @@ def test_custom_config_estimates_lambda(tmp_path):
     assert rep["lambda"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_profile_overflow_exits_two(tmp_path, capsys):
+    # cosh overflows at t < -710, which the guard on large arguments misses
+    cfg = {
+        "schema": 1,
+        "custom": {
+            "interval": [-900.0, -1.0],
+            "warping": "cosh(t)",
+            "fiber": {"kind": "space_form", "dim": 2, "curvature": 1.0},
+            "density": {"kind": "radial", "v": "2 + cos(t)"},
+            "n": 3, "m": 2.0, "mu": -3.0,
+        },
+        "grid": {"k": 24},
+    }
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t=" in err
+
+
 def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -70,8 +70,7 @@ def test_rk4_first_integral_drift_frozen():
     lam, nu = 0.5, 1.0
     u0, du0 = 2.2, 0.4
     ts, ys = rk4_integrate(
-        lambda t, y: np.array([y[1], nu - 2.0 * lam * y[0]]),
-        np.array([u0, du0]), 0.0, 10.0, 1e-3)
+        lambda t, w, dw: nu - 2.0 * lam * w, u0, du0, 0.0, 10.0, 1e-3)
     inv = 0.5 * (2.0 * nu * ys[:, 0] - ys[:, 1] ** 2 - 2.0 * lam * ys[:, 0] ** 2)
     drift = float(np.max(np.abs(inv - inv[0])))
     assert drift < 1e-6
@@ -106,6 +105,22 @@ def test_neck_profile_closed_form_m3():
     # defining relation holds exactly on jets
     j = prof.jet(2.3)
     assert j.d2 == pytest.approx(1.0 * j.value ** (-3.0), rel=1e-13)
+
+
+def test_neck_profile_frozen_values():
+    # recorded from the vector RK4 stepper the scalar one replaced
+    prof = neck_profile(3.0, Interval(0.0, 6.0))
+    frozen = {
+        0.0: (1.0, 0.0, 1.0),
+        0.7: (1.2206555615733543, 0.573462344363323, 0.5498200808852837),
+        1.2345: (1.5887071001288864, 0.7770469458466114, 0.24938394491867952),
+        4.0004: (4.1234936837589355, 0.9701482060603648, 0.014262773945670675),
+        6.0: (6.0827625302982, 0.986393923832145, 0.0044432158731178084),
+    }
+    for t, (w, dw, ddw) in frozen.items():
+        j = prof.jet(t)
+        assert prof.value(t) == w
+        assert (j.value, j.d1, j.d2) == (w, dw, ddw)
 
 
 def test_neck_energy_is_conserved():

@@ -2,13 +2,17 @@
 profile protocol."""
 
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 
 import smmskit.catalog as cat
+import smmskit.profiles as P
 from smmskit.conformal import ConformalMap, ReparamProfile
 from smmskit.errors import DomainError, EvalError, PositivityError
+from smmskit.jets import UNARY, Jet2
 from smmskit.odes import neck_profile
 from smmskit.profiles import (
     Interval,
@@ -100,6 +104,26 @@ def test_eval_error_propagates_from_log():
         p.value(1.0)
 
 
+# (expression, point, method): each raised OverflowError or ZeroDivisionError
+ARITHMETIC_FAILURES = [
+    ("cosh(t)", -900.0, "value"),   # the overflow guards test only t > 700
+    ("cosh(t)", -900.0, "jet"),
+    ("sinh(t)", -900.0, "value"),
+    ("log(t)", 1e-300, "jet"),      # d2 divides by t**2, which underflows
+    ("sqrt(t)", 1e-300, "jet"),     # d2 divides by t**1.5, which underflows
+    ("t^-2", 1e-300, "jet"),
+    ("t^t", 1e-300, "jet"),
+    ("t^0.5", 1e-300, "jet"),       # t**-1.5 overflows
+]
+
+
+@pytest.mark.parametrize("expr, t, method", ARITHMETIC_FAILURES)
+def test_arithmetic_errors_raise_eval_error_naming_t(expr, t, method):
+    prof = Profile1D.from_string(expr, Interval(-1000.0, 1000.0))
+    with pytest.raises(EvalError, match=re.escape(f"t={t}:")):
+        getattr(prof, method)(t)
+
+
 def test_sample_grid_caps_infinite_windows():
     # half line: points fall in [margin * cap, cap], strictly interior
     g = sample_grid(Interval(0.0, math.inf), 5)
@@ -172,3 +196,130 @@ def test_profile_protocol(case):
                 method(t)
     prof.check_positive(samples=64)
     assert isinstance(prof.to_string(), str)
+
+
+# ---------------------------------------------------------------------------
+# compiled profiles against a reference tree walk
+
+def _walk(node, x):
+    """The tree walk compiled profiles replace: floats, or Jet2 from Jet2.variable."""
+    if isinstance(node, P.Const):
+        return node.c if isinstance(x, float) else Jet2.constant(node.c)
+    if isinstance(node, P.Var):
+        return x
+    if isinstance(node, P.Neg):
+        return -_walk(node.a, x)
+    if isinstance(node, P.Call):
+        v = _walk(node.a, x)
+        if isinstance(v, Jet2):
+            return UNARY[node.fn](v)
+        if node.fn in ("log", "sqrt") and v <= 0.0:
+            raise EvalError(f"{node.fn} of nonpositive value {v!r}")
+        if node.fn in ("exp", "sinh", "cosh") and v > 700.0:
+            raise EvalError(f"{node.fn} overflow")
+        return getattr(math, node.fn)(v)
+    if isinstance(node, P.Pow):
+        b = _walk(node.base, x)
+        if isinstance(node.expo, P.Const):
+            p = node.expo.c
+            if isinstance(b, float):
+                if b == 0.0 and p < 0:
+                    raise EvalError("zero base with negative exponent")
+                if b < 0.0 and p != round(p):
+                    raise EvalError("fractional power of a negative base")
+            return b ** p
+        e = _walk(node.expo, x)
+        if isinstance(b, Jet2):
+            return UNARY["exp"](e * UNARY["log"](b))
+        if b <= 0.0:
+            raise EvalError("general power needs a positive base")
+        prod = e * math.log(b)
+        if prod > 700.0:
+            raise EvalError("exp overflow in general power")
+        return math.exp(prod)
+    a, b = _walk(node.l, x), _walk(node.r, x)
+    if isinstance(node, P.Add):
+        return a + b
+    if isinstance(node, P.Sub):
+        return a - b
+    if isinstance(node, P.Mul):
+        return a * b
+    if isinstance(b, float) and b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _expected(node, t, jet):
+    """What Profile1D.value/.jet should give: repr, or (type, message)."""
+    try:
+        out = _walk(node, Jet2.variable(t) if jet else t)
+    except (OverflowError, ZeroDivisionError):
+        return EvalError, None  # the message names t
+    except Exception as exc:
+        return type(exc), str(exc)
+    if jet and not all(map(math.isfinite, (out.value, out.d1, out.d2))):
+        return EvalError, f"profile jet not finite at t={t}"
+    if not jet and not math.isfinite(out):
+        return EvalError, f"profile evaluated to {out!r} at t={t}"
+    return repr(out)
+
+
+def _observed(method, t):
+    try:
+        return repr(method(t))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+FUNCTIONS = tuple(UNARY)
+CONSTANTS = (-2.5, -0.5, 0.0, 1e999, 0.5, 2.0, 750.0)
+EXPONENTS = (-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e999)
+PARITY_POINTS = (0.0, -0.0, 1e-300, 800.0, -800.0, 0.5, -1.3, 2.7)
+
+
+def _random_tree(rng, depth, seen):
+    kind = rng.randrange(10) if depth > 0 else rng.randrange(2)
+    if kind == 0:
+        seen.add("Const")
+        return P.Const(rng.choice(CONSTANTS))
+    if kind == 1:
+        seen.add("Var")
+        return P.Var("t")
+    a = _random_tree(rng, depth - 1, seen)
+    if kind < 6:
+        cls = (P.Add, P.Sub, P.Mul, P.Div)[kind - 2]
+        seen.add(cls.__name__)
+        return cls(a, _random_tree(rng, depth - 1, seen))
+    if kind == 6:
+        seen.add("Neg")
+        return P.Neg(a)
+    if kind == 7:
+        seen.add("Pow const")
+        return P.Pow(a, P.Const(rng.choice(EXPONENTS)))
+    if kind == 8:
+        seen.add("Pow general")
+        return P.Pow(a, _random_tree(rng, depth - 1, seen))
+    fn = rng.choice(FUNCTIONS)
+    seen.add(fn)
+    return P.Call(fn, a)
+
+
+def test_compiled_profiles_match_the_tree_walk_bitwise():
+    rng = random.Random(20251)
+    seen = set()
+    whole_line = Interval(-math.inf, math.inf)
+    outcomes = set()
+    for _ in range(400):
+        node = _random_tree(rng, rng.randrange(1, 5), seen)
+        prof = Profile1D(node, whole_line)
+        for t in PARITY_POINTS:
+            for jet, method in ((False, prof.value), (True, prof.jet)):
+                want, got = _expected(node, t, jet), _observed(method, t)
+                if want == (EvalError, None):
+                    assert got[0] is EvalError and f"t={t}:" in got[1], node.to_str()
+                else:
+                    assert got == want, (node.to_str(), t, jet)
+                outcomes.add("ok" if isinstance(want, str) else want[0].__name__)
+    assert seen >= {"Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow const",
+                    "Pow general", *FUNCTIONS}
+    assert {"ok", "EvalError"} <= outcomes
