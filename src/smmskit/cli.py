@@ -238,6 +238,19 @@ def _write_csv(path: str, rep):
                              rep.kappa[i], rep.v[i], rep.tau_f[i]])
 
 
+def _transformed_residuals(result, lam_hat: float, k: int, margin: float,
+                           cap: float):
+    """Transformed residuals at the predicted scale, with their report summary."""
+    hat = result.instance
+    hat_pts = sample_points(hat.metric, hat.density, k, margin=margin, cap=cap)
+    hat_rep = einstein_residuals(hat.metric, hat.density, hat.params, lam_hat,
+                                 hat_pts, with_diagnostics=False)
+    return hat_rep, {"lambda_hat": lam_hat,
+                     "residual_P": hat_rep.residual_P,
+                     "kappa_mean": hat_rep.kappa_mean,
+                     "kappa_spread": hat_rep.kappa_spread}
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -298,23 +311,15 @@ def _cmd_verify(args) -> int:
 
     hat_summary = None
     if "conformal" in cfg and "lambda_hat" in expect:
-        u = _conformal_factor(cfg, inst)
-        result = apply_conformal(inst, u)
-        lam_hat = float(expect["lambda_hat"])
-        hat = result.instance
-        hat_pts = sample_points(hat.metric, hat.density, k, margin=margin, cap=cap)
-        hat_rep = einstein_residuals(hat.metric, hat.density, hat.params,
-                                     lam_hat, hat_pts, with_diagnostics=False)
+        result = apply_conformal(inst, _conformal_factor(cfg, inst))
+        hat_rep, hat_summary = _transformed_residuals(
+            result, float(expect["lambda_hat"]), k, margin, cap)
         checks.bound("transformed_schouten_residual", hat_rep.residual_P,
                      tol["residual"],
                      note="the conformally transformed instance misses its "
                           "predicted constant")
         checks.bound("transformed_scale_spread", hat_rep.kappa_spread,
                      tol["kappa"])
-        hat_summary = {"lambda_hat": lam_hat,
-                       "residual_P": hat_rep.residual_P,
-                       "kappa_mean": hat_rep.kappa_mean,
-                       "kappa_spread": hat_rep.kappa_spread}
 
     report = {
         "schema": 1,
@@ -381,17 +386,10 @@ def _cmd_conformal(args) -> int:
 
     hat_summary = None
     if "lambda_hat" in expect:
-        lam_hat = float(expect["lambda_hat"])
-        hat = result.instance
-        hat_pts = sample_points(hat.metric, hat.density, k, margin=margin, cap=cap)
-        hat_rep = einstein_residuals(hat.metric, hat.density, hat.params,
-                                     lam_hat, hat_pts, with_diagnostics=False)
+        hat_rep, hat_summary = _transformed_residuals(
+            result, float(expect["lambda_hat"]), k, margin, cap)
         checks.bound("transformed_schouten_residual", hat_rep.residual_P,
                      tol["residual"])
-        hat_summary = {"lambda_hat": lam_hat,
-                       "residual_P": hat_rep.residual_P,
-                       "kappa_mean": hat_rep.kappa_mean,
-                       "kappa_spread": hat_rep.kappa_spread}
 
     report = {
         "schema": 1,

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
-from scipy.integrate import IntegrationWarning, quad
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, _nan_max, \
@@ -35,38 +35,61 @@ from .weighted import (
     point_fields,
 )
 
-_QUAD_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+_NODES, _WEIGHTS = (x.tolist() for x in leggauss(10))
 
 
-def _quad(fn, a, b):
-    # reparameterized integrands carry rounding noise near the endpoints
-    # that trips the convergence heuristics; the error estimate still governs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(fn, a, b, **_QUAD_KW)
+def _rule(fn, a: float, b: float) -> float:
+    """10-point Gauss-Legendre value of the integral of fn from a to b."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * sum(w * fn(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
 
 
-def _nearer(xs: list, i: int, x: float) -> int:
-    """Index of the entry of sorted xs nearest x, given i = bisect_left(xs, x).
+def quad(fn, a: float, b: float):
+    """Adaptive Gauss-Legendre integral of fn from a to b (b < a allowed).
 
-    Ties go to the lower entry.
+    A panel is halved until the rules on its halves agree with the rule on
+    the whole to 1e-13 (absolute below 1), at most 200 times in all, since
+    noisy integrands never settle, and never below a width of 1e-13 times
+    its largest end, so that no node rounds onto an end.  Returns the ends
+    of the accepted halves from a to b, the signed integrals between
+    consecutive ends and the summed disagreement, the error estimate.
     """
-    lo, hi = max(i - 1, 0), min(i, len(xs) - 1)
-    return hi if abs(xs[hi] - x) < abs(xs[lo] - x) else lo
+    ends, values, err, budget = [a], [], 0.0, 200
+    todo = [(a, b, _rule(fn, a, b))]
+    while todo:
+        lo, hi, whole = todo.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = _rule(fn, lo, mid), _rule(fn, mid, hi)
+        diff = abs(left + right - whole)
+        if (budget and not diff <= 1e-13 * max(1.0, abs(left + right))
+                and abs(hi - lo) > 1e-13 * max(abs(lo), abs(hi))):
+            budget -= 1
+            todo += [(mid, hi, right), (lo, mid, left)]
+        else:
+            ends += [mid, hi]
+            values += [left, right]
+            err += diff
+    return ends, values, err
 
 
 class ConformalMap:
     """Monotone coordinate change Q with Q'(t) = 1/u(t), Q(t_ref) = 0.
 
-    Forward values accumulate as anchors, kept as two parallel lists sorted
-    by t; Q is increasing, so the anchor images are sorted too and both the
-    nearest anchor and the bracket of an image coordinate come from a bisect.
-    The inverse runs safeguarded Newton iterations T -> T - (Q(T) - q) u(T)
-    inside that bracket, so image points produced by forward() invert exactly
-    through the anchors.  Each successful inversion is memoized per image
-    coordinate (a DomainError is raised again on every call), and the jet of
-    u is cached per base coordinate, so repeated pullbacks at one image point
-    cost one inversion and one walk of u.
+    Q is tabulated at panel ends in two sorted lists, starting from
+    (t_ref, 0) and laid outward on demand by one ``quad`` call per panel:
+    toward a finite end each panel halves the distance left, toward an
+    infinite end each doubles the reach.  forward(t) is the table entry
+    below t plus one Gauss-Legendre rule up to t; inverse(q) bisects for
+    the panel holding q and runs safeguarded Newton steps
+    T -> T - (Q(T) - q) u(T) inside it.  The panels do not depend on the
+    order of queries, so neither do the results.  Inverses are cached per
+    image coordinate with the jet of u there.
+
+    The growth decides the image endpoints with the tolerance 1e-6 (1 + |Q|).
+    A finite end is closed by a last panel from within 1e-13 of it, and its
+    image is infinite when that panel's error estimate exceeds the
+    tolerance.  Toward an infinite end the image is finite once a doubling
+    panel leaves Q unchanged, or the 64th one adds at most the tolerance.
     """
 
     def __init__(self, u, interval: Interval, t_ref: float | None = None,
@@ -78,10 +101,10 @@ class ConformalMap:
             window = sample_grid(interval, 3, margin=0.01)
             t_ref = float(window[1])
         self.t_ref = float(t_ref)
-        self._ts = [self.t_ref]  # anchor coordinates, sorted
-        self._qs = [0.0]         # their images Q(t), sorted alongside
-        self._inverse_memo = {}  # q -> T
-        self._u_jets = {}        # T -> u.jet(T)
+        self._ts = [self.t_ref]  # panel ends, sorted
+        self._qs = [0.0]         # Q at the panel ends, sorted alongside
+        self._ends = {-1: None, 1: None}  # image endpoints once decided
+        self._pulled = {}        # q -> (T, u.jet(T))
         self._image = image
 
     def _integrand(self, x: float) -> float:
@@ -90,142 +113,112 @@ class ConformalMap:
         except EvalError:
             # overflow guard of the factor fired far out; 1/u is negligible
             return 0.0
+        except ZeroDivisionError:
+            # u underflowed next to an end where it vanishes
+            return math.inf
+
+    def _grow(self, side: int):
+        """Lays the next panel outward on side (+1 up, -1 down)."""
+        ts, qs = self._ts, self._qs
+        t0, q0 = (ts[-1], qs[-1]) if side > 0 else (ts[0], qs[0])
+        e = self.interval.hi if side > 0 else self.interval.lo
+        reach = max(1.0, 2.0 * abs(t0 - self.t_ref))
+        if math.isinf(e):
+            b = self.t_ref + side * reach
+        elif abs(e - t0) <= 1e-13 * max(1.0, abs(e)):
+            b = e
+        else:
+            b = t0 + 0.5 * (e - t0)
+        ends, values, err = quad(self._integrand, t0, b)
+        new_q = list(accumulate(values, initial=q0))
+        if side > 0:
+            ts.extend(ends[1:])
+            qs.extend(new_q[1:])
+        else:
+            ts[:0] = ends[:0:-1]
+            qs[:0] = new_q[:0:-1]
+        q = new_q[-1]
+        if self._ends[side] is not None:
+            return
+        tol = 1e-6 * (1.0 + abs(q))
+        if b == e:
+            finite = math.isfinite(q) and err <= tol
+        elif math.isinf(e) and (q == q0 or reach >= 2.0 ** 64):
+            finite = abs(q - q0) <= tol
+        else:
+            return
+        self._ends[side] = q if finite else side * math.inf
+
+    def _cover(self, x: float, table: list):
+        """Lays panels until x lies within table, which is _ts or _qs."""
+        while not table[0] <= x <= table[-1]:  # NaN grows down to a decided end
+            side = 1 if x > table[-1] else -1
+            if table is self._qs and self._ends[side] is not None:
+                raise DomainError(f"image coordinate {x} beyond the mapped interval")
+            self._grow(side)
+
+    def _at(self, i: int, t: float) -> float:
+        """Q(t) for t in the panel that starts at table entry i."""
+        return self._qs[i] + _rule(self._integrand, self._ts[i], t)
 
     def forward(self, t: float) -> float:
         t = float(t)
         self.interval.require(t)
-        ts, qs = self._ts, self._qs
-        i = bisect.bisect_left(ts, t)
-        if i < len(ts) and ts[i] == t:
-            return qs[i]
-        j = _nearer(ts, i, t)
-        seg, _ = _quad(self._integrand, ts[j], t)
-        q = qs[j] + seg
-        ts.insert(i, t)
-        qs.insert(i, q)
-        return q
+        self._cover(t, self._ts)
+        i = bisect.bisect_right(self._ts, t) - 1
+        return self._qs[i] if self._ts[i] == t else self._at(i, t)
 
     def derivative(self, t: float) -> float:
         return self._integrand(t)
 
     def inverse(self, q: float) -> float:
         q = float(q)
-        t = self._inverse_memo.get(q)
-        if t is None:
-            t = self._inverse_memo[q] = self._solve(q)
-        return t
+        hit = self._pulled.get(q)
+        if hit is None:
+            t = self._invert(q)
+            hit = self._pulled[q] = (t, self.u.jet(t))
+        return hit[0]
 
-    def _solve(self, q: float) -> float:
-        tol = 5e-16 * max(1.0, abs(q))
-        j = _nearer(self._qs, bisect.bisect_left(self._qs, q), q)
-        if abs(self._qs[j] - q) <= tol:
-            return self._ts[j]
-        lo, hi = self._bracket(q)
-        t = 0.5 * (lo + hi)
+    def _invert(self, q: float) -> float:
+        self._cover(q, self._qs)
+        ts, qs = self._ts, self._qs
+        i = bisect.bisect_right(qs, q) - 1
+        if qs[i] == q:
+            return ts[i]
+        lo, hi = ts[i], ts[i + 1]
+        t = lo + (hi - lo) * ((q - qs[i]) / (qs[i + 1] - qs[i]))
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        tol = 1e-15 * max(1.0, abs(q)) + 1e-15
         for _ in range(80):
-            resid = self.forward(t) - q
-            if abs(resid) <= 1e-15 * max(1.0, abs(q)) + 1e-15:
-                return t
+            resid = self._at(i, t) - q
+            if abs(resid) <= tol:
+                break
             if resid > 0.0:
                 hi = t
             else:
                 lo = t
-            step = resid * self.u.value(t)
-            t_new = t - step
-            if not (lo < t_new < hi):
+            t_new = t - resid * self.u.value(t)
+            if not lo < t_new < hi:
                 t_new = 0.5 * (lo + hi)
             t = t_new
         return t
 
-    def _bracket(self, q: float) -> tuple:
-        ts, qs = self._ts, self._qs
-        if qs[0] <= q <= qs[-1]:
-            i = bisect.bisect_left(qs, q)
-            lo = ts[max(i - 1, 0)]
-            hi = ts[min(i, len(ts) - 1)]
-            if lo == hi:
-                lo, hi = lo - 1e-12, hi + 1e-12
-            return lo, hi
-        # expand outward with growing steps, clipped to the interval
-        if q > qs[-1]:
-            t, val = ts[-1], qs[-1]
-            step = max(1e-3, abs(t) * 1e-3)
-            while val < q:
-                t_next = t + step
-                if t_next >= self.interval.hi:
-                    t_next = self.interval.hi - 1e-12 * max(1.0, abs(self.interval.hi)) \
-                        if math.isfinite(self.interval.hi) else t + step
-                val_next = self.forward(t_next)
-                if val_next >= q:
-                    return t, t_next
-                if math.isfinite(self.interval.hi) and t_next >= self.interval.hi - 1e-9:
-                    raise DomainError(f"image coordinate {q} beyond the mapped interval")
-                t, val = t_next, val_next
-                step *= 2.0
-        t, val = ts[0], qs[0]
-        step = max(1e-3, abs(t) * 1e-3)
-        while val > q:
-            t_next = t - step
-            if t_next <= self.interval.lo:
-                t_next = self.interval.lo + 1e-12 * max(1.0, abs(self.interval.lo)) \
-                    if math.isfinite(self.interval.lo) else t - step
-            val_next = self.forward(t_next)
-            if val_next <= q:
-                return t_next, t
-            if math.isfinite(self.interval.lo) and t_next <= self.interval.lo + 1e-9:
-                raise DomainError(f"image coordinate {q} beyond the mapped interval")
-            t, val = t_next, val_next
-            step *= 2.0
-        raise DomainError(f"could not bracket image coordinate {q}")
-
     def image_interval(self) -> Interval:
         if self._image is None:
-            lo = self._image_endpoint(self.interval.lo, -1)
-            hi = self._image_endpoint(self.interval.hi, +1)
+            for side in (1, -1):
+                while self._ends[side] is None:
+                    self._grow(side)
+            lo, hi = self._ends[-1], self._ends[1]
             self._image = Interval(
                 lo, hi, closed_lo=self.interval.closed_lo and math.isfinite(lo),
                 closed_hi=self.interval.closed_hi and math.isfinite(hi))
         return self._image
 
-    def _image_endpoint(self, e: float, sign: int) -> float:
-        try:
-            val, err = _quad(self._integrand, self.t_ref, e)
-        except Exception:
-            return sign * math.inf
-        if not math.isfinite(val) or err > 1e-6 * (1.0 + abs(val)):
-            return sign * math.inf
-        if math.isinf(e) and not self._truncations_reach(val, sign):
-            return sign * math.inf
-        return val
-
-    def _truncations_reach(self, val: float, sign: int) -> bool:
-        """Whether the integrals of 1/u over [t_ref, t_ref + sign R] reach val.
-
-        On an infinite range quad can return a finite value with a tiny error
-        estimate for a divergent integral (for 1/u = 1 it returns -1.0).  The
-        integrand is positive, so the truncated integrals grow monotonically
-        toward the true value as R doubles.  A truncation that overshoots
-        val, or truncations that never come within tolerance of it, show
-        that val is not the integral, and the endpoint is taken as infinite.
-        """
-        tol = 1e-6 * (1.0 + abs(val))
-        a, r, partial = self.t_ref, 1.0, 0.0
-        for _ in range(64):
-            b = self.t_ref + sign * r
-            partial += _quad(self._integrand, a, b)[0]
-            if sign * (partial - val) > tol:
-                return False
-            if abs(partial - val) <= tol:
-                return True
-            a, r = b, 2.0 * r
-        return False
-
     def pullback_jet(self, base, q: float) -> Jet2:
         """Jets of (base o T)(q) where T is the inverse coordinate change."""
         t = self.inverse(q)
-        uv = self._u_jets.get(t)
-        if uv is None:
-            uv = self._u_jets[t] = self.u.jet(t)
+        uv = self._pulled[float(q)][1]
         bj = uv if base is self.u else base.jet(t)
         dT = uv.value
         ddT = uv.d1 * uv.value
@@ -300,7 +293,7 @@ def apply_conformal(instance: Instance, u, t_ref: float | None = None,
     u must be a positive radial profile on the base interval.  The fiber is
     untouched; only the base coordinate, warping and density change.  When
     the image interval is known exactly (for example when undoing an earlier
-    change), pass it to bypass the quadrature heuristics at the endpoints.
+    change), pass it, and the map lays panels only as far as it is queried.
     """
     metric = instance.metric
     cmap = ConformalMap(u, metric.interval, t_ref=t_ref, image=image)

@@ -516,7 +516,7 @@ class Profile1D:
         self.domain.require(t)
         try:
             v = self._value(float(t))
-        except (OverflowError, ZeroDivisionError) as exc:
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
             raise EvalError(f"profile arithmetic failed at t={t}: {exc}") from exc
         if not math.isfinite(v):
             raise EvalError(f"profile evaluated to {v!r} at t={t}")
@@ -526,7 +526,7 @@ class Profile1D:
         self.domain.require(t)
         try:
             v, d1, d2 = self._jet(float(t))
-        except (OverflowError, ZeroDivisionError) as exc:
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
             raise EvalError(f"profile jet arithmetic failed at t={t}: {exc}") from exc
         if not (math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2)):
             raise EvalError(f"profile jet not finite at t={t}")

@@ -139,6 +139,11 @@ def test_profile_overflow_exits_two(tmp_path, capsys):
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "t=" in err
+    # sin of an infinite intermediate is a math domain error
+    cfg["custom"]["warping"] = "2 + sin(1e999*t)"
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t=" in err
 
 
 def test_malformed_inputs_exit_two(tmp_path, capsys):

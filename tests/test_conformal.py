@@ -17,6 +17,7 @@ from smmskit.conformal import (
     conformal_law_residuals,
     inverse_factor,
     involution_residual,
+    quad,
 )
 from smmskit.errors import DomainError, EvalError, PositivityError
 from smmskit.geometry import Tensor2Blocks
@@ -292,18 +293,49 @@ def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
     assert cli.main(["conformal", "--config", str(path)]) == 1
 
 
-@pytest.mark.parametrize("u", ["1 + 0*t", "2 + 0.3*t", "sqrt(1 + t)"])
-def test_divergent_image_endpoint_is_infinite(u):
-    # quad returns a finite value with a tiny error estimate for some of these
-    # divergent integrals of 1/u over [t_ref, inf)
-    iv = Interval(0.0, math.inf)
+HALF_LINE = Interval(0.0, math.inf)
+UNIT = Interval(0.0, 1.0, closed_hi=True)
+
+
+@pytest.mark.parametrize("u, iv", [
+    pytest.param("1 + 0*t", HALF_LINE, id="1 + 0*t"),
+    pytest.param("2 + 0.3*t", HALF_LINE, id="2 + 0.3*t"),
+    pytest.param("sqrt(1 + t)", HALF_LINE, id="sqrt(1 + t)"),
+    # an adaptive rule once accepted a finite value, with a small error
+    # estimate, for the divergent integrals of 1/t**2 and 1/t**5 toward 0
+    pytest.param("t**2", UNIT, id="t**2 on (0, 1]"),
+    pytest.param("t**5", UNIT, id="t**5 on (0, 1]"),
+    pytest.param("t", UNIT, id="t on (0, 1]"),
+    # u underflows to 0 at nodes next to 0
+    pytest.param("t**30", UNIT, id="t**30 on (0, 1]"),
+])
+def test_divergent_image_endpoint_is_infinite(u, iv):
     cmap = ConformalMap(Profile1D.from_string(u, iv), iv)
     image = cmap.image_interval()
-    assert math.isfinite(image.lo) and image.hi == math.inf
+    if math.isinf(iv.hi):
+        assert math.isfinite(image.lo) and image.hi == math.inf
+    else:
+        assert image.lo == -math.inf and math.isfinite(image.hi)
+
+
+def test_convergent_finite_endpoint_keeps_its_value():
+    cmap = ConformalMap(Profile1D.from_string("sqrt(t)", UNIT), UNIT)
+    exact = -2.0 * math.sqrt(cmap.t_ref)
+    assert abs(cmap.image_interval().lo - exact) <= 1e-9
+
+
+def test_slowly_convergent_tail_has_a_finite_image():
+    # 1/u decays like t**-1.5, so the 64th doubling still changes Q; what it
+    # adds is far below the tolerance, and the tail it leaves out is small
+    cmap = ConformalMap(Profile1D.from_string("1 + t**1.5", HALF_LINE), HALF_LINE)
+    # t = x**-2 turns the tail into the integral of 2/(1 + x**3) over a
+    # finite range, which has no singularity
+    _, values, _ = quad(lambda x: 2.0 / (1.0 + x ** 3), 0.0, cmap.t_ref ** -0.5)
+    assert abs(cmap.image_interval().hi - sum(values)) <= 1e-9
 
 
 def test_convergent_image_endpoint_keeps_quad_value():
-    iv = Interval(0.0, math.inf)
+    iv = HALF_LINE
     cmap = ConformalMap(Profile1D.from_string("1 + 0.8*t**2", iv), iv)
     t_ref = cmap.t_ref
     exact = (math.pi / 2 - math.atan(math.sqrt(0.8) * t_ref)) / math.sqrt(0.8)

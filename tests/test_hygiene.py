@@ -1,9 +1,14 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "smmskit"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "smmskit"
 
 
 def _unused_imports(path: Path) -> list:
@@ -32,3 +37,23 @@ def test_no_unused_module_imports():
     assert files
     unused = [hit for path in files for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _third_party_imports() -> set:
+    """Top-level modules outside the standard library that the package imports."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"smmskit"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["project"]["dependencies"]}
+    assert _third_party_imports() == declared

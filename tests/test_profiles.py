@@ -104,7 +104,8 @@ def test_eval_error_propagates_from_log():
         p.value(1.0)
 
 
-# (expression, point, method): each raised OverflowError or ZeroDivisionError
+# (expression, point, method): each raised OverflowError, ZeroDivisionError
+# or, for sin and cos of an infinite intermediate, ValueError
 ARITHMETIC_FAILURES = [
     ("cosh(t)", -900.0, "value"),   # the overflow guards test only t > 700
     ("cosh(t)", -900.0, "jet"),
@@ -114,6 +115,10 @@ ARITHMETIC_FAILURES = [
     ("t^-2", 1e-300, "jet"),
     ("t^t", 1e-300, "jet"),
     ("t^0.5", 1e-300, "jet"),       # t**-1.5 overflows
+    ("sin(1e999*t)", 0.5, "value"),
+    ("sin(1e999*t)", 0.5, "jet"),
+    ("cos(1e999*t)", 0.5, "value"),
+    ("cos(1e999*t)", 0.5, "jet"),
 ]
 
 
@@ -253,7 +258,7 @@ def _expected(node, t, jet):
     """What Profile1D.value/.jet should give: repr, or (type, message)."""
     try:
         out = _walk(node, Jet2.variable(t) if jet else t)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):
         return EvalError, None  # the message names t
     except Exception as exc:
         return type(exc), str(exc)
