@@ -27,7 +27,9 @@ from .geometry import (
     NestedFiber,
     SpaceForm,
     WarpedMetric,
+    grid_point,
 )
+from .jets import power
 from .odes import neck_profile
 from .profiles import Interval, Profile1D
 from .weighted import (
@@ -362,7 +364,7 @@ def neck_warped(m: float = 3.0, lam: float = -0.5, a: float = 1.0,
     omega = neck_profile(m, Interval(0.0, hi), step=step)
     om_win = omega.restricted(lo, hi)
     omp_win = om_win.derivative(
-        lambda t, wv, dw: -0.5 * m * (m - 1.0) * wv ** (-m - 1.0) * dw,
+        lambda t, wv, dw: -0.5 * m * (m - 1.0) * power(wv, -m - 1.0) * dw,
         name=f"neck'(m={m})",
     )
     inner = WarpedMetric(om_win.domain, omp_win, SpaceForm(1, 0.0))
@@ -456,10 +458,10 @@ def skew_sphere_density(m: float = 2.0, lam: float = 0.5, fiber_amp: float = 0.2
         f"{base_amp!r}*cos({w!r}*t) + {kappa / (2.0 * lam)!r}", iv, var="t")
     density = SplitDensity(v_n, alpha)
     # sampled positivity of the combined density over the product window
-    for p in metric.grid(400, margin=0.01, s_active=True):
-        if density.v_value(metric, p) <= 0.0:
-            raise AdmissibilityError(
-                "density is not positive on the sphere; increase kappa or shrink amplitudes")
+    window = grid_point(metric.grid(400, margin=0.01, s_active=True))
+    if (density.v_value(metric, window) <= 0.0).any():
+        raise AdmissibilityError(
+            "density is not positive on the sphere; increase kappa or shrink amplitudes")
     mu = fiber_amp ** 2 + 2.0 * lam * base_amp ** 2 - kappa ** 2 / (2.0 * lam)
     params = SmmsParams(3, m, mu)
     inst = Instance(metric, density, params, complete=True, compact=True)

@@ -14,18 +14,23 @@ order above, which prefers the stronger statement about the metric.
 
 Global branches (meaningful only for complete instances):
 
-* ``ExpQuasiEinstein``  lam < 0, kappa = 0 and the fiber data satisfies the
-                        fiber quasi Einstein equation
-* ``ExpEinstein``       lam < 0, Ricci-flat fiber and an Einstein metric
+* ``ExpQuasiEinstein``  lam < 0, exponential warping, kappa = 0 and the fiber
+                        data satisfies the fiber quasi Einstein equation
+* ``ExpEinstein``       lam < 0, exponential warping, Ricci-flat fiber and an
+                        Einstein metric
 * ``SpaceForm``         sectional curvature constant equal to 2 lam
 * ``Unclassified``      complete but matching no certified global model
 * ``NotApplicable``     incomplete instance, or local verification failed
 
 Exponential-warping detection runs before the space-form test: the
 exponentially warped models are space forms in disguise, and the more
-specific branch wins.  A compact instance whose verdict is not a positively
-curved space form raises ContradictionError: closed weighted Einstein
-spaces are round spheres, so the caller's flags contradict the data.
+specific branch wins.  The warping is exponential when phi'/phi is constant
+over the report's base coordinates (``warping_rate_spread``); without that
+test a circle fiber (n = 2), which is always flat, would make every
+negatively curved Einstein instance ExpEinstein.  A compact instance whose
+verdict is not a positively curved space form raises ContradictionError:
+closed weighted Einstein spaces are round spheres, so the caller's flags
+contradict the data.
 """
 
 from __future__ import annotations
@@ -33,7 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContradictionError
+from .geometry import WarpedMetric
 from .weighted import (
     Instance,
     WeightedReport,
@@ -56,12 +64,30 @@ class Thresholds:
     sectional: float = 1e-8      # space-form gate on sectional curvature
 
 
+# gate on warping_rate_spread for the exponential branches
+EXPONENTIAL_SPREAD = 1e-8
+
+
 @dataclass(frozen=True)
 class Classification:
     local: str
     global_branch: str
     lam: float
     details: dict = field(default_factory=dict)
+
+
+def warping_rate_spread(metric: WarpedMetric, points: list) -> float:
+    """Spread of phi'/phi over the points' base coordinates, relative to
+    its largest size; zero exactly for an exponential warping a e^{w t}.
+
+    NaN when phi'/phi is not finite somewhere, so it never passes a gate.
+    """
+    phi = metric.phi.jet(np.array([p.t for p in points], dtype=float))
+    with np.errstate(all="ignore"):
+        rate = phi.d1 / phi.value
+        spread = float(rate.max() - rate.min())  # NaN-propagating
+        level = float(np.abs(rate).max())
+    return spread / level if level > 0.0 else spread
 
 
 def classify_report(instance: Instance, lam: float, report: WeightedReport,
@@ -78,6 +104,7 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
         "sectional_residual": report.sec_residual,
         "fiber_ricci_flat_residual": report.fiber_flat_residual,
         "fiber_quasi_einstein_residual": report.fiber_be_residual,
+        "warping_rate_spread": warping_rate_spread(instance.metric, report.points),
     }
 
     # precondition: modified Schouten tensor equals lam g with constant scale
@@ -112,10 +139,11 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
         fiber_be = report.fiber_be_residual
         fiber_flat = report.fiber_flat_residual
         sec = report.sec_residual
-        if (lam < 0.0 and kappa_zero and fiber_be is not None
+        exponential = details["warping_rate_spread"] <= EXPONENTIAL_SPREAD
+        if (lam < 0.0 and exponential and kappa_zero and fiber_be is not None
                 and fiber_be <= thr.residual):
             global_branch = "ExpQuasiEinstein"
-        elif (lam < 0.0 and fiber_flat is not None
+        elif (lam < 0.0 and exponential and fiber_flat is not None
                 and fiber_flat <= thr.residual
                 and report.residual_Einstein <= thr.residual):
             global_branch = "ExpEinstein"

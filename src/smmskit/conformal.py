@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+from numpy import ndarray
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvalError, UnsupportedError
@@ -228,7 +230,8 @@ class ConformalMap:
 class ReparamProfile:
     """Profile (num o T) / (den o T) on the image of a conformal map.
 
-    Either part may be omitted (treated as the constant 1).
+    Either part may be omitted (treated as the constant 1).  On a 1-D array
+    of points the jets are the scalar pullbacks, point by point, stacked.
     """
 
     def __init__(self, cmap: ConformalMap, num=None, den=None, name: str = ""):
@@ -240,8 +243,12 @@ class ReparamProfile:
         self.domain = cmap.image_interval()
         self.name = name or "reparam"
 
-    def jet(self, q: float) -> Jet2:
+    def jet(self, q) -> Jet2:
         self.domain.require(q)
+        if isinstance(q, ndarray):
+            jets = [self.jet(x) for x in q.tolist()]
+            return Jet2(*(np.array([getattr(j, part) for j in jets], dtype=float)
+                          for part in ("value", "d1", "d2")))
         if self.num is not None and self.den is not None:
             out = self.cmap.pullback_jet(self.num, q) / self.cmap.pullback_jet(self.den, q)
         elif self.num is not None:
@@ -253,7 +260,7 @@ class ReparamProfile:
             raise EvalError(f"profile jet not finite at t={q}")
         return out
 
-    def value(self, q: float) -> float:
+    def value(self, q):
         return self.jet(q).value
 
     def is_constant(self) -> bool:

@@ -9,6 +9,13 @@ returned number is accurate to rounding.
 Components of symmetric 2-tensors are reported against unit vectors of g:
 the tt value, one value per fiber block, and the (t, s) mixed value when a
 second coordinate is active.
+
+A point may carry a whole grid at once (``grid_point``): its coordinates are
+then equal-length 1-D arrays, and so is every number computed from them.
+The formulas are the same statements either way; powers and
+transcendentals go through ``jets.power`` and ``jets.fmap``, so array
+results are bitwise equal to scalar ones, and tests of a value hold when
+they hold at any point (``jets._any``).
 """
 
 from __future__ import annotations
@@ -16,17 +23,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy import ndarray
+
 from .errors import DomainError, FormError, NestingError, UnsupportedError
-from .jets import BiJet2
+from .jets import BiJet2, _any, fmap, power
 from .profiles import DEFAULT_CAP, Interval, sample_grid
 
 
 @dataclass(frozen=True)
 class PointSpec:
-    """Evaluation point: base coordinate t, optional fiber probe coordinate s."""
+    """Evaluation point: base coordinate t, optional fiber probe coordinate s.
+
+    Both are floats, or equal-length 1-D arrays for a grid of points.
+    """
 
     t: float
     s: float | None = None
+
+    def at(self, i: int) -> "PointSpec":
+        """Point i of a grid point, with float coordinates."""
+        return PointSpec(float(self.t[i]), None if self.s is None else float(self.s[i]))
+
+
+def grid_point(points: list) -> PointSpec:
+    """One point holding the coordinates of a list of points as arrays."""
+    ss = [p.s for p in points]
+    if None in ss:
+        if any(s is not None for s in ss):
+            raise FormError("grid mixes points with and without a fiber coordinate")
+        ss = None
+    return PointSpec(np.array([p.t for p in points], dtype=float),
+                     None if ss is None else np.array(ss, dtype=float))
 
 
 def _require_s(point: PointSpec, why: str) -> float:
@@ -35,8 +63,13 @@ def _require_s(point: PointSpec, why: str) -> float:
     return point.s
 
 
-def _nan_max(a: float, b: float) -> float:
-    """max(a, b) that propagates NaN; Python's max drops a NaN second argument."""
+def _nan_max(a, b):
+    """max(a, b) that propagates NaN; Python's max drops a NaN second argument.
+
+    Entry by entry when either is an array.
+    """
+    if isinstance(a, ndarray) or isinstance(b, ndarray):
+        return np.where((b > a) | (b != b), b, a)
     return b if b > a or b != b else a
 
 
@@ -46,7 +79,9 @@ class Tensor2Blocks:
 
     ``structure`` names the fiber blocks with their dimensions; ``blocks``
     holds the per-block coefficient, ``mixed`` the (t, s) component (zero
-    unless two coordinates are active).
+    unless two coordinates are active).  Components are floats, or arrays
+    over a grid point; a component that is the same everywhere may stay a
+    float.
     """
 
     structure: tuple
@@ -129,10 +164,10 @@ def _space_form_warping(c: float, s: float) -> tuple:
     """Canonical radial warping (psi, psi') of a space form of curvature c."""
     if c > 0.0:
         rc = math.sqrt(c)
-        return math.sin(rc * s) / rc, math.cos(rc * s)
+        return fmap(math.sin, rc * s) / rc, fmap(math.cos, rc * s)
     if c < 0.0:
         rc = math.sqrt(-c)
-        return math.sinh(rc * s) / rc, math.cosh(rc * s)
+        return fmap(math.sinh, rc * s) / rc, fmap(math.cosh, rc * s)
     return s, 1.0
 
 
@@ -170,7 +205,7 @@ class SpaceForm(FiberDesc):
 
     def orth_hess_factor(self, s: float) -> float:
         psi, dpsi = _space_form_warping(self.curvature, s)
-        if psi == 0.0:
+        if _any(psi == 0.0):
             raise DomainError("probe coordinate at a polar point of the fiber")
         return dpsi / psi
 
@@ -230,7 +265,7 @@ class EinsteinFiber(FiberDesc):
         if self.obata is None:
             raise UnsupportedError("Einstein fiber carries no radial density data")
         j = self.obata.v_n.jet(s)
-        if j.d1 == 0.0:
+        if _any(j.d1 == 0.0):
             raise DomainError("fiber density has a critical point at the probe coordinate")
         return -(self.obata.xi + self.obata.c * j.value) / j.d1
 
@@ -291,10 +326,11 @@ class NestedFiber(FiberDesc):
         q = self.dim - 1
         k_cross = -psi.d2 / psi.value
         if q >= 2:
-            k_within = None if c_inner is None else (c_inner - psi.d1 ** 2) / psi.value ** 2
+            k_within = (None if c_inner is None
+                        else (c_inner - power(psi.d1, 2)) / power(psi.value, 2))
         else:
             k_within = None
-        wn = None if inner_wn is None else inner_wn / psi.value ** 2
+        wn = None if inner_wn is None else inner_wn / power(psi.value, 2)
         return {(0, 0): None, (0, 1): k_cross, (1, 1): k_within}, wn
 
 
@@ -339,9 +375,9 @@ def ricci(metric: WarpedMetric, point: PointSpec) -> Tensor2Blocks:
     phi = metric.phi.jet(point.t)
     d = metric.n - 1
     rho_tt = -d * phi.d2 / phi.value
-    shared = phi.d2 / phi.value + (d - 1) * (phi.d1 / phi.value) ** 2
+    shared = phi.d2 / phi.value + (d - 1) * power(phi.d1 / phi.value, 2)
     coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
-    blocks = tuple(r / phi.value ** 2 - shared for r in coeffs)
+    blocks = tuple(r / power(phi.value, 2) - shared for r in coeffs)
     return Tensor2Blocks(structure, rho_tt, blocks, 0.0)
 
 
@@ -380,20 +416,20 @@ def field_components(metric: WarpedMetric, bij: BiJet2, point: PointSpec,
     phi = metric.phi.jet(point.t)
     h_tt = bij.dtt
     if len(structure) == 1:
-        if bij.ds != 0.0 or bij.dss != 0.0 or bij.dts != 0.0:
+        if _any(bij.ds != 0.0) or _any(bij.dss != 0.0) or _any(bij.dts != 0.0):
             raise FormError("field depends on s but the structure has one block")
         h_fib = (phi.d1 / phi.value) * bij.dt
         hess = Tensor2Blocks(structure, h_tt, (h_fib,), 0.0)
-        grad_sq = bij.dt ** 2
+        grad_sq = power(bij.dt, 2)
     else:
         s = _require_s(point, "a two-coordinate field")
         orth_l = metric.fiber.orth_hess_factor(s)
-        p2 = phi.value ** 2
+        p2 = power(phi.value, 2)
         h_ts = (bij.dts - (phi.d1 / phi.value) * bij.ds) / phi.value
         h_ss = (bij.dss + phi.value * phi.d1 * bij.dt) / p2
         h_orth = (phi.d1 / phi.value) * bij.dt + orth_l * bij.ds / p2
         hess = Tensor2Blocks(structure, h_tt, (h_ss, h_orth), h_ts)
-        grad_sq = bij.dt ** 2 + bij.ds ** 2 / p2
+        grad_sq = power(bij.dt, 2) + power(bij.ds, 2) / p2
     lap = hess.trace()
     return FieldComponents(hess, lap, grad_sq, bij.value, bij.dt, bij.ds)
 
@@ -421,7 +457,7 @@ def hessian_split(metric: WarpedMetric, v_n, alpha, point: PointSpec) -> Tensor2
     phi = metric.phi.jet(point.t)
     vn = v_n.jet(s)
     al = alpha.jet(point.t)
-    common = (vn.value * phi.d1 ** 2 + al.d1 * phi.d1) / phi.value
+    common = (vn.value * power(phi.d1, 2) + al.d1 * phi.d1) / phi.value
     h_tt = phi.d2 * vn.value + al.d2
     h_s = common + vn.d2 / phi.value
     h_orth = common + metric.fiber.orth_hess_factor(s) * vn.d1 / phi.value
@@ -436,7 +472,7 @@ def laplacian(metric: WarpedMetric, w, point: PointSpec) -> float:
 def grad_norm_sq(metric: WarpedMetric, w, point: PointSpec) -> float:
     """Squared gradient norm of a radial function w(t)."""
     metric.interval.require(point.t)
-    return w.jet(point.t).d1 ** 2
+    return power(w.jet(point.t).d1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +503,7 @@ def sectional_blocks(metric: WarpedMetric, point: PointSpec,
     split = s_active or metric.fiber.natural_split()
     fiber_blocks = metric.fiber.blocks(split)
     phi = metric.phi.jet(point.t)
-    p2 = phi.value ** 2
+    p2 = power(phi.value, 2)
     k_rad = -phi.d2 / phi.value
     fiber_k, fiber_wn = metric.fiber.sectional(point.s, split)
     blocks = (("t", 1),) + fiber_blocks
@@ -475,7 +511,7 @@ def sectional_blocks(metric: WarpedMetric, point: PointSpec,
     for idx in range(len(fiber_blocks)):
         k[(0, idx + 1)] = k_rad
     for (i, j), kn in fiber_k.items():
-        k[(i + 1, j + 1)] = None if kn is None else (kn - phi.d1 ** 2) / p2
+        k[(i + 1, j + 1)] = None if kn is None else (kn - power(phi.d1, 2)) / p2
     wn = None if fiber_wn is None else fiber_wn / p2
     return SectionalData(blocks, k, wn)
 

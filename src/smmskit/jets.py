@@ -7,23 +7,72 @@ involved.  ``BiJet2`` is the two-variable analogue used for densities that
 depend on the base coordinate and one fiber coordinate: it carries the
 gradient pair and the symmetric 2x2 block of second partials.
 
+Every part of a jet is a float, or an equal-length 1-D array holding the
+same part at many points at once; the arithmetic is the same statements
+either way.  Array arithmetic is IEEE-exact like float arithmetic, but
+numpy's own exp, log, sinh, cosh and ``**`` can differ from libm and CPython
+in the last bits, so on arrays every transcendental and every power goes
+through ``fmap`` and ``power``, which call the scalar functions entry by
+entry.  Array results are therefore bitwise equal to scalar ones.
+
 ``JET_SOURCE`` and ``UNARY_SOURCE`` state the same rules as Python source on
-floats; compiled profiles are built from them, and so is ``UNARY``.
+floats; compiled profiles are built from them.  ``array_rule`` rewrites one
+such statement for arrays, and ``UNARY`` is generated from the rewritten
+table, so it takes jets of either kind.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+
+import numpy as np
+from numpy import ndarray
 
 from .errors import EvalError
 
 _FINITE_CAP = 1e300
 
 
-def _check(x: float) -> float:
-    if not math.isfinite(x) or abs(x) > _FINITE_CAP:
-        raise EvalError(f"non-finite intermediate value: {x!r}")
-    return x
+# Scalar calls stay as cheap as before arrays: each helper tests for an
+# array first with one isinstance, and the jet constructors skip it when
+# every part is already a float.
+
+def _check(x):
+    """x itself when every entry is finite and at most 1e300 in size."""
+    if not isinstance(x, ndarray):
+        if math.isfinite(x) and abs(x) <= _FINITE_CAP:
+            return x
+    else:
+        bad = ~(np.abs(x) <= _FINITE_CAP)  # NaN included
+        if not bad.any():
+            return x
+        x = float(x[bad.argmax()])
+    raise EvalError(f"non-finite intermediate value: {x!r}")
+
+
+def _any(test) -> bool:
+    """A test on floats, or whether it holds at any entry of a bool array."""
+    return bool(test.any()) if isinstance(test, ndarray) else test
+
+
+def fmap(fn, x):
+    """fn(x) on a float; fn mapped over the entries of a 1-D array."""
+    if isinstance(x, ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
+def power(x, p):
+    """x ** p by CPython's float power, entry by entry on an array."""
+    if isinstance(x, ndarray):
+        return np.fromiter((a ** p for a in x.tolist()), float, x.size)
+    return x ** p
+
+
+def _part(x):
+    return x if isinstance(x, ndarray) else float(x)
 
 
 class Jet2:
@@ -31,10 +80,12 @@ class Jet2:
 
     __slots__ = ("value", "d1", "d2")
 
-    def __init__(self, value: float, d1: float = 0.0, d2: float = 0.0):
-        self.value = float(value)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
+    def __init__(self, value, d1=0.0, d2=0.0):
+        if not (type(value) is float and type(d1) is float and type(d2) is float):
+            value, d1, d2 = _part(value), _part(d1), _part(d2)
+        self.value = value
+        self.d1 = d1
+        self.d2 = d2
 
     @staticmethod
     def variable(t: float) -> "Jet2":
@@ -95,7 +146,7 @@ class Jet2:
         o = Jet2._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.value == 0.0:
+        if _any(o.value == 0.0):
             raise EvalError("division by zero")
         q = self.value / o.value
         qd = (self.d1 - q * o.d1) / o.value
@@ -124,11 +175,11 @@ class Jet2:
                 # general exponent: x**y = exp(y*log x), requires x > 0
                 return exp(p * log(self))
         x = self.value
-        if x == 0.0 and p < 2:
+        if _any(x == 0.0) and p < 2:
             raise EvalError("power of zero with exponent < 2 has no 2-jet")
-        if x < 0.0 and p != round(p):
+        if _any(x < 0.0) and p != round(p):
             raise EvalError("fractional power of a negative base")
-        return self.chain(x ** p, p * x ** (p - 1), p * (p - 1) * x ** (p - 2))
+        return self.chain(power(x, p), p * power(x, p - 1), p * (p - 1) * power(x, p - 2))
 
 
 # Each Jet2 rule above as straight-line statements on floats, with the same
@@ -181,12 +232,15 @@ class BiJet2:
     __slots__ = ("value", "dt", "ds", "dtt", "dts", "dss")
 
     def __init__(self, value, dt=0.0, ds=0.0, dtt=0.0, dts=0.0, dss=0.0):
-        self.value = float(value)
-        self.dt = float(dt)
-        self.ds = float(ds)
-        self.dtt = float(dtt)
-        self.dts = float(dts)
-        self.dss = float(dss)
+        if not (type(value) is float and type(dt) is float and type(ds) is float
+                and type(dtt) is float and type(dts) is float and type(dss) is float):
+            value, dt, ds, dtt, dts, dss = map(_part, (value, dt, ds, dtt, dts, dss))
+        self.value = value
+        self.dt = dt
+        self.ds = ds
+        self.dtt = dtt
+        self.dts = dts
+        self.dss = dss
 
     @staticmethod
     def lift_t(j: Jet2) -> "BiJet2":
@@ -267,9 +321,9 @@ class BiJet2:
         o = BiJet2._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.value == 0.0:
+        if _any(o.value == 0.0):
             raise EvalError("division by zero")
-        inv = o.chain(1.0 / o.value, -1.0 / o.value ** 2, 2.0 / o.value ** 3)
+        inv = o.chain(1.0 / o.value, -1.0 / power(o.value, 2), 2.0 / power(o.value, 3))
         return self * inv
 
     def __rtruediv__(self, other):
@@ -295,6 +349,73 @@ UNARY_SOURCE = {
 }
 
 
+class _ArrayRewrite(ast.NodeTransformer):
+    """The statement on floats as one on floats or arrays (see ``array_rule``)."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return _call("_pow", node.left, node.right)
+        return node
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        fn = node.func
+        if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+                and fn.value.id == "math"):
+            return _call("_map", fn, *node.args)
+        return node
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        test = node.test
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+            # a and b: _any(a) and _any(a & b), so that b is evaluated only
+            # when a holds somewhere, as on floats (round(inf) raises)
+            both, tests = None, []
+            for part in test.values:
+                both = part if both is None else ast.BinOp(both, ast.BitAnd(), part)
+                tests.append(_call("_any", both))
+            node.test = ast.BoolOp(ast.And(), tests)
+        else:
+            node.test = _call("_any", test)
+        return node
+
+
+def _call(name: str, *args) -> ast.Call:
+    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
+
+
+def array_rule(rule: str) -> str:
+    """One rule statement (a template in ``{name}`` fields) for arrays.
+
+    ``math.f(a)`` becomes ``_map(math.f, a)``, ``a ** b`` becomes
+    ``_pow(a, b)`` and a guard ``if test: raise ...`` fires when the test
+    holds at any entry (``_any``).  The result runs on floats too, where it
+    computes what the rule does.
+    """
+    fields = set(re.findall(r"\{(\w+)\}", rule))
+    tree = ast.parse(rule.format(**{f: f"__{f}__" for f in fields}))
+    stmt = _ArrayRewrite().visit(tree).body[0]
+    if isinstance(stmt, ast.If):  # a guard keeps its one-line form
+        out = f"if {ast.unparse(stmt.test)}: {ast.unparse(stmt.body[0])}"
+    else:
+        out = ast.unparse(stmt)
+    for f in fields:
+        out = out.replace(f"__{f}__", f"{{{f}}}")
+    return out
+
+
+ARRAY_NAMESPACE = {"math": math, "EvalError": EvalError, "_check": _check,
+                   "_map": fmap, "_pow": power, "_any": _any}
+
+ARRAY_JET_SOURCE = {op: tuple(map(array_rule, rule)) for op, rule in JET_SOURCE.items()}
+ARRAY_UNARY_SOURCE = {
+    name: (None if guard is None else array_rule(guard), *map(array_rule, outer))
+    for name, (guard, *outer) in UNARY_SOURCE.items()
+}
+
+
 def _unary(name, guard, *outer):
     """Jet function of one rule; a plain number is taken as a constant jet."""
     src = [f"def {name}(j):",
@@ -304,10 +425,10 @@ def _unary(name, guard, *outer):
     if guard is not None:
         src.append("    " + guard.format(x="x"))
     src.append(f"    return j.chain({', '.join(e.format(x='x') for e in outer)})")
-    namespace = {"math": math, "EvalError": EvalError, "Jet2": Jet2, "__name__": __name__}
+    namespace = {**ARRAY_NAMESPACE, "Jet2": Jet2, "__name__": __name__}
     exec("\n".join(src), namespace)
     return namespace[name]
 
 
-UNARY = {name: _unary(name, *rule) for name, rule in UNARY_SOURCE.items()}
+UNARY = {name: _unary(name, *rule) for name, rule in ARRAY_UNARY_SOURCE.items()}
 exp, log, sin, cos, sinh, cosh, sqrt = (UNARY[name] for name in UNARY_SOURCE)

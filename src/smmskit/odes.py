@@ -8,7 +8,9 @@ satisfies the constant identity 2 lam phi^2 + (phi')^2 = nu^2 - 4 lam lam_hat.
 
 A fixed-step RK4 integrator for w'' = ddw(t, w, w') builds profiles for
 warpings that have no closed form but satisfy known derivative relations; it
-steps the pair (w, w') as Python floats.
+steps the pair (w, w') as Python floats.  The same step, on arrays, evaluates
+an ``OdeProfile`` at a whole grid at once; ddw must then take arrays too
+(write its powers with ``jets.power``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvalError, PositivityError, StepError
-from .jets import Jet2
+from .jets import Jet2, power
 from .profiles import Interval, Profile1D
 
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -222,6 +224,8 @@ class OdeProfile:
     error O(step^5)), and second derivatives come from the exact relation
     ddw(w, w', t) so jets satisfy the defining equation identically.  A
     derivative view (see ``derivative``) reads w' from the same trajectory.
+    ``value`` and ``jet`` take a float or a 1-D array of points; on an array
+    every point takes its substep at once, from the node a float would use.
     """
 
     def __init__(self, ddw, y0, domain: Interval, step: float = 1e-3,
@@ -238,9 +242,12 @@ class OdeProfile:
         self._t0 = lo
         ts, ys = rk4_integrate(ddw, y0[0], y0[1], lo, hi, self.step)
         self._ts, self._ys = ts.tolist(), ys.tolist()
+        self._nodes = (ts, ys[:, 0], ys[:, 1])  # the same trajectory as arrays
 
-    def _state(self, t: float) -> tuple:
+    def _state(self, t) -> tuple:
         self.domain.require(t)
+        if isinstance(t, np.ndarray):
+            return self._states(t)
         i = int((t - self._t0) / self.step)
         i = min(max(i, 0), len(self._ts) - 1)
         if i > 0 and self._ts[i] > t:
@@ -251,15 +258,25 @@ class OdeProfile:
             return w, dw
         return _rk4_step(self.ddw, self._ts[i], w, dw, h)
 
-    def value(self, t: float) -> float:
-        return float(self._state(t)[0 if self.d3 is None else 1])
+    def _states(self, t: np.ndarray) -> tuple:
+        """_state at every entry of t, by the same node arithmetic."""
+        ts, ws, dws = self._nodes
+        i = np.clip(((t - self._t0) / self.step).astype(int), 0, len(ts) - 1)
+        i = np.where((i > 0) & (ts[i] > t), i - 1, i)
+        h = t - ts[i]
+        w, dw = _rk4_step(self.ddw, ts[i], ws[i], dws[i], h)
+        at_node = h == 0.0  # exactly the stored state there
+        return np.where(at_node, ws[i], w), np.where(at_node, dws[i], dw)
 
-    def jet(self, t: float) -> Jet2:
+    def value(self, t):
+        return self._state(t)[0 if self.d3 is None else 1]
+
+    def jet(self, t) -> Jet2:
         w, dw = self._state(t)
-        ddw = float(self.ddw(t, float(w), float(dw)))
+        ddw = self.ddw(t, w, dw)
         if self.d3 is None:
-            return Jet2(float(w), float(dw), ddw)
-        return Jet2(float(dw), ddw, float(self.d3(t, float(w), float(dw))))
+            return Jet2(w, dw, ddw)
+        return Jet2(dw, ddw, self.d3(t, w, dw))
 
     def is_constant(self) -> bool:
         return False
@@ -310,7 +327,7 @@ def neck_profile(m: float, domain: Interval, step: float = 1e-3) -> OdeProfile:
         raise DomainError("neck profile needs m > 1")
 
     def ddw(t, w, dw):
-        return 0.5 * (m - 1.0) * w ** (-m)
+        return 0.5 * (m - 1.0) * power(w, -m)
 
     if domain.lo < 0.0:
         raise DomainError("neck profile lives on t >= 0")

@@ -4,14 +4,19 @@ Every profile has a ``domain`` interval, ``value(t)`` and the exact
 second-order ``jet(t)`` (both raise DomainError outside the domain),
 ``is_constant()``, ``check_positive(samples=..., margin=...)`` with
 ``margin`` the relative inset of the sample from open endpoints, and
-``to_string()``.  The three implementations are the expression tree
-:class:`Profile1D`, compiled once, at construction, into straight-line
-Python functions for the value and for the exact jet (the rules of
-:mod:`smmskit.jets`, with the guards of the tree in tree order); the RK4
-trajectory ``odes.OdeProfile`` with its derivative view, which adds
-``restricted``; and the pullback ``conformal.ReparamProfile`` through a
-conformal coordinate change.  A separate central-difference routine
-provides an independent derivative oracle.
+``to_string()``.  ``value`` and ``jet`` take a float, or a 1-D array of
+points, for which they return arrays (a jet of arrays) bitwise equal to
+the results point by point; a failure on an array is the error the first
+failing point raises on its own.  The three implementations are the
+expression tree :class:`Profile1D`, compiled once, at construction, into
+straight-line Python functions for the value and for the exact jet (the
+rules of :mod:`smmskit.jets`, with the guards of the tree in tree order),
+and on the first array call into the same functions for arrays (the rules
+rewritten by ``jets.array_rule``); the RK4 trajectory ``odes.OdeProfile``
+with its derivative view, which adds ``restricted``; and the pullback
+``conformal.ReparamProfile`` through a conformal coordinate change.  A
+separate central-difference routine provides an independent derivative
+oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import ndarray
 
 from .errors import DomainError, EvalError, PositivityError
+from .jets import ARRAY_JET_SOURCE, ARRAY_NAMESPACE, ARRAY_UNARY_SOURCE
 from .jets import JET_SOURCE as _JET_SOURCE, UNARY_SOURCE as _UNARY_SOURCE
-from .jets import UNARY, Jet2, _check
+from .jets import UNARY, Jet2, array_rule
 
 DEFAULT_CAP = 10.0
 
@@ -52,9 +59,23 @@ class Interval:
             return False
         return True
 
-    def require(self, t: float):
-        if not self.contains(t):
-            raise DomainError(f"point {t} outside interval ({self.lo}, {self.hi})")
+    def require(self, t):
+        """Raises DomainError unless t (a float, or every entry of a 1-D
+        array) lies in the interval; NaN never does, and the first point
+        outside is named."""
+        if type(t) is not ndarray:
+            if self.contains(t):
+                return
+        else:
+            inside = (self.lo <= t) & (t <= self.hi)
+            if not self.closed_lo:
+                inside &= t != self.lo
+            if not self.closed_hi:
+                inside &= t != self.hi
+            if inside.all():
+                return
+            t = float(t[inside.argmin()])
+        raise DomainError(f"point {t} outside interval ({self.lo}, {self.hi})")
 
 
 def sample_grid(domain: Interval, k: int, margin: float = 0.05,
@@ -373,6 +394,36 @@ def _parse_atom(toks):
 
 _JET_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
 
+# The float walk of each node kind as statements: ``a`` and ``b`` name the
+# operands, ``r`` the result, ``p`` a constant exponent and ``fn`` a function.
+VALUE_SOURCE = {
+    "add": ("{r} = {a} + {b}",),
+    "sub": ("{r} = {a} - {b}",),
+    "mul": ("{r} = {a} * {b}",),
+    "div": ("if {b} == 0.0: raise EvalError('division by zero')", "{r} = {a} / {b}"),
+    "neg": ("{r} = -{a}",),
+    "positive": ("if {a} <= 0.0: raise EvalError('{fn} of nonpositive value ' + repr({a}))",),
+    "overflow": ("if {a} > 700.0: raise EvalError('{fn} overflow')",),
+    "call": ("{r} = math.{fn}({a})",),
+    "pow": (
+        "if {a} == 0.0 and {p} < 0: raise EvalError('zero base with negative exponent')",
+        "if {a} < 0.0 and {p} != round({p}): "
+        "raise EvalError('fractional power of a negative base')",
+        "{r} = {a} ** {p}",
+    ),
+    # a ** b for a general exponent b
+    "general_pow": (
+        "if {a} <= 0.0: raise EvalError('general power needs a positive base')",
+        "{r} = {b} * math.log({a})",
+        "if {r} > 700.0: raise EvalError('exp overflow in general power')",
+        "{r} = math.exp({r})",
+    ),
+}
+_ARRAY_VALUE_SOURCE = {kind: tuple(map(array_rule, rule))
+                       for kind, rule in VALUE_SOURCE.items()}
+_SCALAR = (VALUE_SOURCE, _JET_SOURCE, _UNARY_SOURCE)
+_ARRAY = (_ARRAY_VALUE_SOURCE, ARRAY_JET_SOURCE, ARRAY_UNARY_SOURCE)
+
 
 class _Emitter:
     """Straight-line statements for one tree, one temporary per result.
@@ -380,10 +431,13 @@ class _Emitter:
     Constants are read by index from the tuple ``_c`` and the free variable
     is the parameter ``x``, so no input text reaches the source; function
     names come from the parser's whitelist.  Children are emitted left to
-    right before their parent, so the guards fire in tree-walk order.
+    right before their parent, so the guards fire in tree-walk order.  The
+    statements come from one set of rule tables: the float rules, or the
+    same rules rewritten by ``array_rule``.
     """
 
-    def __init__(self):
+    def __init__(self, tables: tuple):
+        self.value_source, self.jet_source, self.unary_source = tables
         self.lines = []
         self.consts = []
         self.n = 0
@@ -396,41 +450,34 @@ class _Emitter:
         self.n += 1
         return f"v{self.n}"
 
+    def emit(self, kind: str, **names):
+        self.lines += [line.format(**names) for line in self.value_source[kind]]
+
     def value(self, node: Node) -> str:
         """Name of the tree's float value, with the guards of the float walk."""
         if isinstance(node, Const):
             return self.const(node.c)
         if isinstance(node, Var):
             return "x"
-        out, emit = self.temp(), self.lines.append
+        out = self.temp()
         if isinstance(node, Neg):
-            emit(f"{out} = -{self.value(node.a)}")
+            self.emit("neg", r=out, a=self.value(node.a))
         elif isinstance(node, Call):
             a = self.value(node.a)
             if node.fn in ("log", "sqrt"):
-                emit(f"if {a} <= 0.0: raise EvalError("
-                     f"'{node.fn} of nonpositive value ' + repr({a}))")
+                self.emit("positive", a=a, fn=node.fn)
             elif node.fn in ("exp", "sinh", "cosh"):
-                emit(f"if {a} > 700.0: raise EvalError('{node.fn} overflow')")
-            emit(f"{out} = math.{node.fn}({a})")
+                self.emit("overflow", a=a, fn=node.fn)
+            self.emit("call", r=out, a=a, fn=node.fn)
         elif isinstance(node, Pow) and isinstance(node.expo, Const):
-            b, p = self.value(node.base), self.const(node.expo.c)
-            emit(f"if {b} == 0.0 and {p} < 0: "
-                 f"raise EvalError('zero base with negative exponent')")
-            emit(f"if {b} < 0.0 and {p} != round({p}): "
-                 f"raise EvalError('fractional power of a negative base')")
-            emit(f"{out} = {b} ** {p}")
+            b = self.value(node.base)
+            self.emit("pow", r=out, a=b, p=self.const(node.expo.c))
         elif isinstance(node, Pow):
             b, e = self.value(node.base), self.value(node.expo)
-            emit(f"if {b} <= 0.0: raise EvalError('general power needs a positive base')")
-            emit(f"{out} = {e} * math.log({b})")
-            emit(f"if {out} > 700.0: raise EvalError('exp overflow in general power')")
-            emit(f"{out} = math.exp({out})")
+            self.emit("general_pow", r=out, a=b, b=e)
         else:
             a, b = self.value(node.l), self.value(node.r)
-            if isinstance(node, Div):
-                emit(f"if {b} == 0.0: raise EvalError('division by zero')")
-            emit(f"{out} = {a} {node.op} {b}")
+            self.emit(_JET_OPS[type(node)], r=out, a=a, b=b)
         return out
 
     def jet(self, node: Node) -> tuple:
@@ -453,7 +500,7 @@ class _Emitter:
         return self.rule(_JET_OPS[type(node)], a, b)
 
     def unary(self, fn: str, a: tuple) -> tuple:
-        guard, *outer = _UNARY_SOURCE[fn]
+        guard, *outer = self.unary_source[fn]
         if guard is not None:
             self.lines.append(guard.format(x=a[0]))
         self.lines += [f"{name} = {expr.format(x=a[0])}"
@@ -464,21 +511,24 @@ class _Emitter:
         out = (self.temp(), self.temp(), self.temp())
         for part, jet in (("a", a), ("b", b), ("r", out)):
             names.update({f"{part}{k}": jet[k] for k in range(3)})
-        self.lines += [line.format(**names) for line in _JET_SOURCE[op]]
+        self.lines += [line.format(**names) for line in self.jet_source[op]]
         return out
 
 
-def _compile(node: Node):
-    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree as Python functions."""
-    em = _Emitter()
+def _compile(node: Node, tables: tuple = _SCALAR):
+    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree as Python functions.
+
+    With the array tables both take a 1-D array x as well as a float; a
+    part that does not depend on x stays a float.
+    """
+    em = _Emitter(tables)
     result = em.value(node)
     src = ["def value(x):", *(f"    {s}" for s in em.lines), f"    return {result}"]
     em.lines = []
     result = em.jet(node)
     src += ["def jet(x):", *(f"    {s}" for s in em.lines),
             f"    return ({', '.join(result)})"]
-    namespace = {"math": math, "EvalError": EvalError, "_check": _check,
-                 "_c": tuple(em.consts)}
+    namespace = {**ARRAY_NAMESPACE, "_c": tuple(em.consts)}
     exec(compile("\n".join(src), "<profile>", "exec"), namespace)
     return namespace["value"], namespace["jet"]
 
@@ -496,6 +546,7 @@ class Profile1D:
         if var is not None and inferred is not None and inferred != var:
             raise EvalError(f"expression uses {inferred!r}, declared variable is {var!r}")
         self._value, self._jet = _compile(node)
+        self._arrays = None  # (value, jet) on arrays, compiled on first use
 
     @classmethod
     def from_string(cls, text: str, domain: Interval,
@@ -512,35 +563,74 @@ class Profile1D:
     def to_string(self) -> str:
         return self.node.to_str()
 
-    def value(self, t: float) -> float:
-        self.domain.require(t)
+    def value(self, t):
+        if type(t) is ndarray:
+            return self._on_array(t, 0)[0]
+        if not self.domain.contains(t):  # the scalar hot path calls contains only
+            self.domain.require(t)
         try:
             v = self._value(float(t))
+        except EvalError as exc:  # a guard of the tree
+            raise EvalError(f"{exc} at t={t}") from None
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
             raise EvalError(f"profile arithmetic failed at t={t}: {exc}") from exc
         if not math.isfinite(v):
             raise EvalError(f"profile evaluated to {v!r} at t={t}")
         return v
 
-    def jet(self, t: float) -> Jet2:
-        self.domain.require(t)
+    def jet(self, t) -> Jet2:
+        if type(t) is ndarray:
+            return Jet2(*self._on_array(t, 1))
+        if not self.domain.contains(t):
+            self.domain.require(t)
         try:
             v, d1, d2 = self._jet(float(t))
+        except EvalError as exc:
+            raise EvalError(f"{exc} at t={t}") from None
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
             raise EvalError(f"profile jet arithmetic failed at t={t}: {exc}") from exc
         if not (math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2)):
             raise EvalError(f"profile jet not finite at t={t}")
         return Jet2(v, d1, d2)
 
+    def _on_array(self, ts: np.ndarray, which: int) -> tuple:
+        """The compiled array value (0) or jet (1) at every entry of ts.
+
+        A failure raises the error that a loop of scalar calls over ts
+        raises first, by running that loop.
+        """
+        self.domain.require(ts)
+        if self._arrays is None:
+            self._arrays = _compile(self.node, _ARRAY)
+        try:
+            with np.errstate(all="ignore"):  # floats overflow to inf silently too
+                out = self._arrays[which](ts)
+        except (EvalError, OverflowError, ZeroDivisionError, ValueError) as exc:
+            self._scalar_failure(ts, which, exc)
+        parts = [p if isinstance(p, np.ndarray) else np.full(ts.shape, p)
+                 for p in (out if which else (out,))]
+        if not all(np.isfinite(p).all() for p in parts):
+            self._scalar_failure(ts, which, "not finite")
+        return tuple(parts)
+
+    def _scalar_failure(self, ts: np.ndarray, which: int, why):
+        for t in ts.tolist():
+            (self.value, self.jet)[which](t)
+        raise EvalError(f"profile failed on an array at no single point: {why}")
+
     def is_constant(self) -> bool:
         return self.node.free_var() is None
 
     def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
-        """Sampled positivity check; raises PositivityError on failure."""
-        for t in sample_grid(self.domain, samples, margin=margin):
-            val = self.value(float(t))
-            if val <= 0.0:
-                raise PositivityError(f"profile {self.to_string()!r} is {val} at t={t}")
+        """Sampled positivity check, in one array evaluation; raises
+        PositivityError naming the first sample that is not positive."""
+        ts = sample_grid(self.domain, samples, margin=margin)
+        vals = self.value(ts)
+        bad = vals <= 0.0
+        if bad.any():
+            i = int(bad.argmax())
+            raise PositivityError(f"profile {self.to_string()!r} is {float(vals[i])} "
+                                  f"at t={float(ts[i])}")
 
 
 def finite_diff_jet(profile, t: float, h: float = 1e-4) -> Jet2:

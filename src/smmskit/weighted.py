@@ -4,7 +4,11 @@ An instance is (M, g, f, m, mu) with density v = exp(-f/m) > 0.  The
 modified Ricci tensor, weighted scalar curvature, weighted Schouten tensor
 and the scale extracted from the trace identity are all evaluated pointwise
 from exact jets.  One kernel, ``point_fields``, computes every field at a
-point once; every caller reads from it.  Two independent computation routes
+point once; every caller reads from it.  The point is one point with float
+coordinates, or a whole grid whose coordinates are 1-D arrays
+(``geometry.grid_point``): ``einstein_residuals`` and ``solve_mu`` evaluate
+their grid in one such call, with results bitwise equal to a loop over the
+points.  Two independent computation routes
 exist for the modified Ricci tensor: the v-form of ``point_fields``
 (rho - m Hes_v / v, using the displayed Hessian decompositions) and the
 f-form of ``bakry_emery`` (rho + Hes_f - df (x) df / m, using generic
@@ -17,6 +21,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import FormError, PositivityError, UnsupportedError
 from .geometry import (
     PointSpec,
@@ -24,13 +30,14 @@ from .geometry import (
     WarpedMetric,
     _nan_max,
     field_components,
+    grid_point,
     hessian_radial,
     hessian_split,
     ricci_blocks_for,
     sectional_blocks,
     sectional_residual,
 )
-from .jets import BiJet2, UNARY
+from .jets import BiJet2, UNARY, _any
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,19 @@ class SmmsParams:
             raise FormError("need dimension n >= 2")
         if not self.m > 0.0:
             raise FormError("weight parameter m must be positive")
+
+
+def _require_positive(v, point: PointSpec):
+    """Raises PositivityError naming the first point where v <= 0."""
+    bad = v <= 0.0
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        i = int(bad.argmax())
+        v, point = float(v[i]), point.at(i)
+    elif not bad:
+        return
+    raise PositivityError(f"density v = {v} is not positive at {point}")
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +95,7 @@ class DensitySpec:
     def f_bijet(self, metric: WarpedMetric, point: PointSpec, m: float) -> BiJet2:
         """Coordinate jets of f = -m log v (independent chain-rule route)."""
         v = self.v_bijet(metric, point)
-        if v.value <= 0.0:
-            raise PositivityError(f"density v = {v.value} is not positive at {point}")
+        _require_positive(v.value, point)
         return -m * UNARY["log"](v)
 
     def hessian_v(self, metric: WarpedMetric, point: PointSpec) -> Tensor2Blocks:
@@ -179,7 +198,8 @@ class PointFields:
 
     rho is the Ricci tensor, be the modified Ricci tensor rho_f^m, tau_f the
     weighted scalar curvature tau_f^m, j and p the weighted Schouten scalar
-    J_f^m and tensor P_f^m, and v the density value.
+    J_f^m and tensor P_f^m, and v the density value.  At a grid point each
+    number is an array over the grid.
     """
 
     rho: Tensor2Blocks
@@ -192,7 +212,7 @@ class PointFields:
 
 def point_fields(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
                  point: PointSpec) -> PointFields:
-    """Every weighted field at a point, each ingredient computed once.
+    """Every weighted field at a point (or a grid point), each computed once.
 
     rho_f^m = rho - m Hes_v / v, tau_f^m = tau + 2 L(f) - (m+1)/m |df|^2
     (+ m (m-1) mu / v^2 when m != 1), J = tau_f^m / (2 (n+m-1)) and
@@ -202,8 +222,7 @@ def point_fields(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     structure = density.structure(metric)
     rho = ricci_blocks_for(metric, point, structure)
     v = density.v_value(metric, point)
-    if v <= 0.0:
-        raise PositivityError(f"density v = {v} is not positive at {point}")
+    _require_positive(v, point)
     be = rho.combine(density.hessian_v(metric, point), 1.0, -m / v)
     fc = field_components(metric, density.f_bijet(metric, point, m), point,
                           structure)
@@ -269,28 +288,29 @@ def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
              lam: float, points: list) -> tuple:
     """Solve the trace identity for mu assuming P_f^m = lam g.
 
-    Returns (mean, spread) of the pointwise solution over the grid; a small
-    spread certifies that a single mu makes the instance weighted Einstein.
+    Returns (mean, spread) of the pointwise solution over the grid, from one
+    kernel pass at mu = 0; a small spread certifies that a single mu makes
+    the instance weighted Einstein.
     """
     n, m = params.n, params.m
     if m == 1.0:
         raise UnsupportedError("mu does not enter the m = 1 equations")
     base = SmmsParams(n, m, 0.0)
-    vals = []
-    for p in points:
-        pf = point_fields(metric, density, base, p)
+    with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
+        pf = point_fields(metric, density, base, grid_point(points))
         j_target = pf.be.tt - (n + m - 2.0) * lam
-        vals.append((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
-                    / (m * (m - 1.0)))
+        vals = _column((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
+                       / (m * (m - 1.0)), len(points))
     return sum(vals) / len(vals), _spread(vals)
 
 
 # ---------------------------------------------------------------------------
 # grid reports
 
-def _sup(values) -> float:
+def _sup(values: list) -> float:
     """max(values), NaN when any value is NaN."""
-    return functools.reduce(_nan_max, values)
+    top = max(values)  # the first largest, as a chain of _nan_max would give
+    return math.nan if np.isnan(values).any() else top
 
 
 def _spread(values) -> float:
@@ -366,33 +386,57 @@ class WeightedReport:
         return _sup_defined(self.fiber_be_dev)
 
 
+def _column(x, k: int) -> list:
+    """The k per-point entries of a grid quantity as Python floats.
+
+    x is None (undefined everywhere), an array, a float that holds at every
+    point, or already a list.
+    """
+    if x is None:
+        return [None] * k
+    if isinstance(x, list):
+        return x
+    return np.broadcast_to(x, (k,)).tolist()
+
+
+def _defined(ok, value):
+    """value where ok holds and None elsewhere, point by point on a grid."""
+    if not isinstance(ok, np.ndarray):
+        return value if ok else None
+    if ok.all():
+        return value
+    if not ok.any():
+        return None
+    return [x if keep else None
+            for x, keep in zip(_column(value, ok.size), ok.tolist())]
+
+
 def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
                        params: SmmsParams, point: PointSpec, structure: tuple):
     """(fiber Ricci-flatness deviation, fiber modified-Ricci deviation).
 
-    The second is only defined when the density restricts to the fiber as
+    The second is only defined where the density restricts to the fiber as
     v_N (split form with vanishing alpha, or radial v proportional to phi);
-    None otherwise.
+    None elsewhere.  On a grid point either may also be a list holding None
+    at the points where it is undefined.
     """
     split = len(structure) > 1
     try:
         coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
     except Exception:
         return None, None
-    flat_dev = _sup(abs(c) for c in coeffs)
+    flat_dev = functools.reduce(_nan_max, (abs(c) for c in coeffs))
     m = params.m
     if isinstance(density, SplitDensity):
         al = density.alpha
-        if not (al.is_constant() and al.value(point.t) == 0.0):
+        if not (al.is_constant() and not _any(al.value(point.t) != 0.0)):
             return flat_dev, None
         s = point.s
         vn = density.v_n.jet(s)
-        if vn.value <= 0.0:
-            return flat_dev, None
         h_orth = metric.fiber.orth_hess_factor(s) * vn.d1
         dev = _nan_max(abs(coeffs[0] - m * vn.d2 / vn.value),
                        abs(coeffs[1] - m * h_orth / vn.value))
-        return flat_dev, dev
+        return flat_dev, _defined(vn.value > 0.0, dev)
     if isinstance(density, RadialDensity):
         # v proportional to phi means v_N is constant: fiber term is rho_N
         vj = density.v.jet(point.t)
@@ -400,9 +444,8 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
         ratio = vj.value / pj.value
         d_ratio = (vj.d1 - ratio * pj.d1) / pj.value
         scale = abs(vj.value) + abs(vj.d1)
-        if abs(d_ratio) <= 1e-10 * max(1.0, scale):
-            return flat_dev, flat_dev
-        return flat_dev, None
+        level = np.where(scale > 1.0, scale, 1.0)  # max(1.0, scale)
+        return flat_dev, _defined(abs(d_ratio) <= 1e-10 * level, flat_dev)
     return flat_dev, None
 
 
@@ -416,38 +459,41 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
     |rho - 2(n-1) lam g|, all componentwise against g-unit vectors.  The
     scale comes from the trace identity J = (m+n) lam - m kappa / v, so
     kappa = ((m+n) lam - J) v / m; its constancy certifies the instance.
+    The kernel runs once on the whole grid; the report keeps one float (or
+    None) per point.
     """
     n, m = params.n, params.m
     structure = density.structure(metric)
-    rep = WeightedReport(params, lam)
-    for p in points:
-        pf = point_fields(metric, density, params, p)
+    k = len(points)
+    grid = grid_point(points)
+    sec_dev = flat_dev = be_dev = None
+    with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
+        pf = point_fields(metric, density, params, grid)
         be = pf.be
-        rep.points.append(p)
-        rep.be_tt.append(be.tt)
-        rep.be_blocks.append(be.blocks)
-        rep.be_mixed.append(be.mixed)
-        rep.rho_dev.append(pf.rho.sup_dev(2.0 * (n - 1.0) * lam))
-        rep.qe_dev.append(be.sup_dev(2.0 * (n + m - 1.0) * lam))
-        rep.p_dev.append(pf.p.sup_dev(lam))
-        rep.tau_f.append(pf.tau_f)
-        rep.j_f.append(pf.j)
-        rep.kappa.append(((m + n) * lam - pf.j) * pf.v / m)
-        rep.v.append(pf.v)
+        rep = WeightedReport(
+            params, lam, points=list(points),
+            be_tt=_column(be.tt, k),
+            be_blocks=list(zip(*(_column(b, k) for b in be.blocks))),
+            be_mixed=_column(be.mixed, k),
+            rho_dev=_column(pf.rho.sup_dev(2.0 * (n - 1.0) * lam), k),
+            qe_dev=_column(be.sup_dev(2.0 * (n + m - 1.0) * lam), k),
+            p_dev=_column(pf.p.sup_dev(lam), k),
+            tau_f=_column(pf.tau_f, k),
+            j_f=_column(pf.j, k),
+            kappa=_column(((m + n) * lam - pf.j) * pf.v / m, k),
+            v=_column(pf.v, k),
+        )
         if with_diagnostics:
             try:
-                rep.sec_dev.append(sectional_residual(metric, p, 2.0 * lam,
-                                                      s_active=len(structure) > 1))
+                sec_dev = sectional_residual(metric, grid, 2.0 * lam,
+                                             s_active=len(structure) > 1)
             except UnsupportedError:
-                rep.sec_dev.append(None)
-            flat_dev, be_dev = _fiber_diagnostics(metric, density, params, p,
+                pass
+            flat_dev, be_dev = _fiber_diagnostics(metric, density, params, grid,
                                                   structure)
-            rep.fiber_flat_dev.append(flat_dev)
-            rep.fiber_be_dev.append(be_dev)
-        else:
-            rep.sec_dev.append(None)
-            rep.fiber_flat_dev.append(None)
-            rep.fiber_be_dev.append(None)
+    rep.sec_dev = _column(sec_dev, k)
+    rep.fiber_flat_dev = _column(flat_dev, k)
+    rep.fiber_be_dev = _column(be_dev, k)
     return rep
 
 

@@ -136,17 +136,20 @@ def interior_points(interval, k, frac=0.08):
 def poison_ricci_at(monkeypatch, t, component):
     """Make the weighted kernel's Ricci input NaN in one component at base point t.
 
-    component 0 is the tt entry, i >= 1 the (i-1)-th fiber block.  Points of
-    conformally transformed metrics are left alone.
+    component 0 is the tt entry, i >= 1 the (i-1)-th fiber block.  On a grid
+    point (coordinate arrays) every entry with base coordinate t is hit.
+    Points of conformally transformed metrics are left alone.
     """
     real = weighted.ricci_blocks_for
 
     def poisoned(metric, point, structure):
         rho = real(metric, point, structure)
-        if point.t != t or isinstance(metric.phi, ReparamProfile):
+        hit = point.t == t  # a bool, or a bool array on a grid point
+        if not np.any(hit) or isinstance(metric.phi, ReparamProfile):
             return rho
         comps = [rho.tt, *rho.blocks]
-        comps[component] = math.nan
+        comps[component] = (np.where(hit, math.nan, comps[component])
+                            if np.ndim(hit) else math.nan)
         return Tensor2Blocks(rho.structure, comps[0], tuple(comps[1:]), rho.mixed)
 
     monkeypatch.setattr(weighted, "ricci_blocks_for", poisoned)

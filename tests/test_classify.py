@@ -8,7 +8,7 @@ import pytest
 
 import smmskit.catalog as cat
 from conftest import poison_ricci_at
-from smmskit.classify import Thresholds, classify, classify_report
+from smmskit.classify import EXPONENTIAL_SPREAD, Thresholds, classify, classify_report
 from smmskit.errors import ContradictionError
 from smmskit.weighted import einstein_residuals, sample_points, solve_mu
 
@@ -92,6 +92,24 @@ def test_threshold_override_changes_verdict():
                         sectional=1e-30)
     c = classify(b.instance, b.lam, k=48, thresholds=strict)
     assert c.local == "Indeterminate"
+
+
+@pytest.mark.parametrize("name, global_branch, exponential", [
+    ("weighted_hyperbolic", "SpaceForm", False),   # sinh warping, circle fiber
+    ("exponential_warped", "ExpEinstein", True),
+])
+def test_circle_fiber_needs_exponential_warping(name, global_branch, exponential):
+    # at n = 2 the fiber is a circle, flat whatever the warping, so only the
+    # constancy of phi'/phi tells the exponential branches from a space form
+    b = cat.make(name, n=2)
+    c = classify(b.instance, b.lam, k=200)
+    assert (c.local, c.global_branch) == ("Einstein", global_branch)
+    assert c.global_branch == b.branch_global
+    spread = c.details["warping_rate_spread"]
+    assert (spread <= EXPONENTIAL_SPREAD) == exponential
+    if not exponential:
+        assert c.details["sectional_residual"] < 1e-8
+        assert c.details["fiber_ricci_flat_residual"] == 0.0
 
 
 def test_classify_report_reuses_precomputed_data():

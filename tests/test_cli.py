@@ -9,6 +9,7 @@ import pytest
 import smmskit.catalog as cat
 import smmskit.cli as cli
 from conftest import poison_ricci_at
+from smmskit.profiles import Interval, sample_grid
 from smmskit.weighted import sample_points
 
 
@@ -144,6 +145,34 @@ def test_profile_overflow_exits_two(tmp_path, capsys):
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "t=" in err
+
+
+def test_guard_firing_on_the_grid_exits_two(tmp_path, capsys):
+    # nothing evaluates the density before the grid kernel (lambda is
+    # given), whose array evaluation fires the sqrt guard below t = 2
+    cfg = {
+        "schema": 1,
+        "custom": {
+            "interval": [0.0, 4.0],
+            "warping": "t",
+            "fiber": {"kind": "space_form", "dim": 2, "curvature": 1.0},
+            "density": {"kind": "radial", "v": "2 + sqrt(t - 2)"},
+            "n": 3, "m": 2.0,
+        },
+        "grid": {"k": 24},
+        "expectations": {"lambda": 0.0},
+    }
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err.rstrip().endswith("at t=0.2")  # the first grid point
+    # a guard that first fires in the middle of the grid names that point
+    cfg["custom"]["density"]["v"] = "2 + sqrt(2 - t)"
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    ts = sample_grid(Interval(0.0, 4.0), 24)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.rstrip().endswith(f"at t={float(ts[ts >= 2.0][0])}")
 
 
 def test_malformed_inputs_exit_two(tmp_path, capsys):

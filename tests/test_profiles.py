@@ -14,6 +14,7 @@ from smmskit.conformal import ConformalMap, ReparamProfile
 from smmskit.errors import DomainError, EvalError, PositivityError
 from smmskit.jets import UNARY, Jet2
 from smmskit.odes import neck_profile
+from conftest import draw_bounded_profile
 from smmskit.profiles import (
     Interval,
     Profile1D,
@@ -260,6 +261,8 @@ def _expected(node, t, jet):
         out = _walk(node, Jet2.variable(t) if jet else t)
     except (OverflowError, ZeroDivisionError, ValueError):
         return EvalError, None  # the message names t
+    except EvalError as exc:  # a guard of the tree; the profile names t
+        return EvalError, f"{exc} at t={t}"
     except Exception as exc:
         return type(exc), str(exc)
     if jet and not all(map(math.isfinite, (out.value, out.d1, out.d2))):
@@ -328,3 +331,113 @@ def test_compiled_profiles_match_the_tree_walk_bitwise():
     assert seen >= {"Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow const",
                     "Pow general", *FUNCTIONS}
     assert {"ok", "EvalError"} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# array evaluation against scalar evaluation
+
+def _scalar_loop(method, ts):
+    """A loop of scalar calls: the results, or the first error (type, message)."""
+    out = []
+    for t in ts.tolist():
+        try:
+            out.append(method(t))
+        except Exception as exc:
+            return type(exc), str(exc)
+    return out
+
+
+def _same_as_loop(method, ts):
+    """method on the array ts gives bitwise what the scalar loop gives."""
+    want = _scalar_loop(method, ts)
+    try:
+        got = method(ts)
+    except Exception as exc:
+        assert (type(exc), str(exc)) == want
+        return False
+    assert isinstance(want, list), want
+    if isinstance(got, Jet2):
+        got = list(zip(got.value.tolist(), got.d1.tolist(), got.d2.tolist()))
+        want = [(j.value, j.d1, j.d2) for j in want]
+    else:
+        got = got.tolist()
+    assert repr(got) == repr(want)
+    return True
+
+
+def test_array_jets_match_scalar_jets_on_criterion_09_trees():
+    # the draws of criterion 09 (seed 909): each tree at its ten probe
+    # points and on a grid across the window, as arrays and point by point
+    rng = np.random.default_rng(909)
+    iv = Interval(-1.5, 1.5)
+    grid = np.linspace(-1.45, 1.45, 59)
+    for _ in range(100):
+        prof = draw_bounded_profile(rng, iv)
+        ts = rng.uniform(-1.2, 1.2, size=10)
+        for points in (ts, grid):
+            assert _same_as_loop(prof.jet, points), prof.to_string()
+            assert _same_as_loop(prof.value, points), prof.to_string()
+
+
+def test_array_errors_are_the_first_error_of_a_scalar_loop():
+    # random trees at the parity points: where any point fails, the array
+    # call raises the error of the first failing point, message included
+    rng = random.Random(20252)
+    whole_line = Interval(-math.inf, math.inf)
+    ts = np.array(PARITY_POINTS)
+    outcomes = set()
+    for _ in range(400):
+        prof = Profile1D(_random_tree(rng, rng.randrange(1, 5), set()), whole_line)
+        for method in (prof.value, prof.jet):
+            outcomes.add(_same_as_loop(method, ts))
+            outcomes.add(_same_as_loop(method, ts[::-1].copy()))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("expr, ts, first_bad", [
+    # the sqrt guard fires first in statement order, but at a later point
+    ("sqrt(t - 1) + log(2 - t)", [2.5, 0.5, 1.5], 2.5),
+    ("log(t - 1)", [2.0, 1.5, 0.5, 0.0], 0.5),
+    ("1 / (t - 1)", [2.5, 2.0, 1.0, 0.0], 1.0),
+])
+def test_guard_mid_array_names_the_first_bad_point(expr, ts, first_bad):
+    prof = Profile1D.from_string(expr, Interval(-3.0, 3.0))
+    ts = np.array(ts)
+    for method in (prof.value, prof.jet):
+        with pytest.raises(EvalError, match=re.escape(f"at t={first_bad}")):
+            method(ts)
+        assert not _same_as_loop(method, ts)
+
+
+def test_interval_require_names_the_first_bad_entry():
+    iv = Interval(0.0, 1.0, closed_lo=True)
+    iv.require(np.array([0.0, 0.5, 0.999]))
+    for ts, bad in (([0.5, math.nan, 2.0], "nan"), ([0.5, 1.0, math.nan], "1.0"),
+                    ([-0.1, 0.5], "-0.1"), ([0.5, math.inf], "inf")):
+        with pytest.raises(DomainError, match=re.escape(f"point {bad} outside")):
+            iv.require(np.array(ts))
+    prof = Profile1D.from_string("t", iv)
+    with pytest.raises(DomainError, match="point nan outside"):
+        prof.jet(np.array([0.5, math.nan]))
+
+
+def test_ode_profiles_match_scalar_evaluation_bitwise():
+    prof = neck_profile(3.0, Interval(0.0, 6.0))
+    nodes = np.array(prof._ts[150:450] + prof._ts[::97] + [prof._ts[-1]])
+    between = np.linspace(0.0, 6.0, 301)[1:-1] + 1.7e-4
+    # one ulp below a node, (t - t0) / step can round up to the node's index
+    below = np.nextafter(nodes, -1.0)
+    for ode in (prof, _neck_fiber_warping()):
+        lo, hi = ode.domain.lo, ode.domain.hi
+        inside = lambda x: x[(x >= lo) & (x <= hi)]  # noqa: E731
+        for ts in (np.array([lo, hi]), inside(nodes), inside(between), inside(below)):
+            assert len(ts) >= 2
+            assert _same_as_loop(ode.jet, ts)
+            assert _same_as_loop(ode.value, ts)
+
+
+def test_reparam_profile_matches_scalar_evaluation_bitwise():
+    prof = _reparam()
+    ts = np.linspace(prof.domain.lo, prof.domain.hi, 23)[1:-1]
+    assert _same_as_loop(prof.jet, ts)
+    assert _same_as_loop(prof.value, ts)

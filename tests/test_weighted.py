@@ -7,12 +7,22 @@ import numpy as np
 import pytest
 
 import smmskit.catalog as cat
+import smmskit.weighted as weighted
+from smmskit.classify import classify_report
 from smmskit.errors import UnsupportedError
-from smmskit.geometry import PointSpec, SpaceForm, WarpedMetric
+from smmskit.geometry import (
+    PointSpec,
+    SpaceForm,
+    Tensor2Blocks,
+    WarpedMetric,
+    sectional_residual,
+)
 from smmskit.profiles import Interval, Profile1D
 from smmskit.weighted import (
     RadialDensity,
     SmmsParams,
+    WeightedReport,
+    _fiber_diagnostics,
     bakry_emery,
     einstein_residuals,
     point_fields,
@@ -228,3 +238,103 @@ def test_report_aggregates_propagate_nan():
             assert not math.isnan(aggregate(rep)), fieldname
             getattr(rep, fieldname)[int(rng.integers(1, len(pts)))] = math.nan
             assert math.isnan(aggregate(rep)), fieldname
+
+
+# ---------------------------------------------------------------------------
+# the grid kernel against a loop of scalar point_fields calls
+
+REPORT_LISTS = ("be_tt", "be_blocks", "be_mixed", "rho_dev", "qe_dev", "p_dev",
+                "tau_f", "j_f", "kappa", "v", "sec_dev", "fiber_flat_dev",
+                "fiber_be_dev")
+
+
+def _pointwise_report(inst, lam, pts):
+    """The report as a loop over points, each field from a scalar kernel call."""
+    metric, density, params = inst.metric, inst.density, inst.params
+    n, m = params.n, params.m
+    structure = density.structure(metric)
+    rep = WeightedReport(params, lam, points=list(pts))
+    for p in pts:
+        pf = point_fields(metric, density, params, p)
+        rep.be_tt.append(pf.be.tt)
+        rep.be_blocks.append(pf.be.blocks)
+        rep.be_mixed.append(pf.be.mixed)
+        rep.rho_dev.append(pf.rho.sup_dev(2.0 * (n - 1.0) * lam))
+        rep.qe_dev.append(pf.be.sup_dev(2.0 * (n + m - 1.0) * lam))
+        rep.p_dev.append(pf.p.sup_dev(lam))
+        rep.tau_f.append(pf.tau_f)
+        rep.j_f.append(pf.j)
+        rep.kappa.append(((m + n) * lam - pf.j) * pf.v / m)
+        rep.v.append(pf.v)
+        try:
+            rep.sec_dev.append(sectional_residual(metric, p, 2.0 * lam,
+                                                  s_active=len(structure) > 1))
+        except UnsupportedError:
+            rep.sec_dev.append(None)
+        flat_dev, be_dev = _fiber_diagnostics(metric, density, params, p, structure)
+        rep.fiber_flat_dev.append(flat_dev)
+        rep.fiber_be_dev.append(be_dev)
+    return rep
+
+
+def _pointwise_mu(inst, lam, pts):
+    n, m = inst.params.n, inst.params.m
+    base = SmmsParams(n, m, 0.0)
+    vals = []
+    for p in pts:
+        pf = point_fields(inst.metric, inst.density, base, p)
+        j_target = pf.be.tt - (n + m - 2.0) * lam
+        vals.append((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
+                    / (m * (m - 1.0)))
+    return sum(vals) / len(vals), max(vals) - min(vals)
+
+
+@pytest.mark.parametrize("name", cat.available())
+def test_grid_kernel_matches_pointwise_loop_bitwise(name):
+    b = cat.make(name)
+    inst = b.instance
+    pts = sample_points(inst.metric, inst.density, 64)
+    rep = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts)
+    ref = _pointwise_report(inst, b.lam, pts)
+    assert rep.points == ref.points
+    for fieldname in REPORT_LISTS:
+        got, want = getattr(rep, fieldname), getattr(ref, fieldname)
+        assert all(type(x) in (float, tuple, type(None)) for x in got), fieldname
+        assert repr(got) == repr(want), fieldname
+    assert repr(tau_consistency_residual(rep)) == repr(tau_consistency_residual(ref))
+    if inst.params.m != 1.0:
+        got = solve_mu(inst.metric, inst.density, inst.params, b.lam, pts)
+        assert repr(got) == repr(_pointwise_mu(inst, b.lam, pts))
+
+
+@pytest.mark.parametrize("target, part", [
+    ("hessian_radial", "tt"), ("hessian_radial", "block"),
+    ("field_components", "laplacian"), ("field_components", "grad_sq"),
+])
+def test_nan_in_one_grid_entry_fails_closed(monkeypatch, target, part):
+    # a NaN at one entry of an array the grid kernel builds makes the
+    # Schouten residual NaN, and NaN passes no classifier gate
+    b = cat.make("weighted_sphere")
+    inst = b.instance
+    pts = sample_points(inst.metric, inst.density, 40)
+    real = getattr(weighted, target)
+    rng = np.random.default_rng(len(target) + len(part))
+    for i in rng.integers(0, len(pts), size=3):
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if target == "hessian_radial":
+                tt, blocks = out.tt.copy(), [x.copy() for x in out.blocks]
+                (tt if part == "tt" else blocks[0])[i] = math.nan
+                return Tensor2Blocks(out.structure, tt, tuple(blocks), out.mixed)
+            vals = getattr(out, part).copy()
+            vals[i] = math.nan
+            return dataclasses.replace(out, **{part: vals})
+        with monkeypatch.context() as mp:
+            mp.setattr(weighted, target, poisoned)
+            rep = einstein_residuals(inst.metric, inst.density, inst.params,
+                                     b.lam, pts)
+        assert math.isnan(rep.p_dev[i]) and math.isnan(rep.residual_P)
+        assert sum(map(math.isnan, rep.p_dev)) == 1
+        c = classify_report(inst, b.lam, rep)
+        assert c.local == "Indeterminate"
+        assert c.details["dominant_violation"] == "modified_schouten_residual"
