@@ -11,6 +11,12 @@ checks, so quadrature error in the coordinate map only moves the sample
 points and never degrades the residuals themselves.  Law checks compare the
 directly computed transformed tensors against independent closed formulas
 assembled entirely in the original frame.
+
+The coordinate map and the reparameterized profiles take a float or a 1-D
+array, like every profile.  An array is inverted in one Newton solve whose
+statements are the float solve's under masks, so every entry follows the
+float iterates and the results are bitwise equal; the profiles of one
+transformed grid share that solve.  Table growth and ``quad`` stay scalar.
 """
 
 from __future__ import annotations
@@ -25,25 +31,40 @@ from numpy import ndarray
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvalError, UnsupportedError
-from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, _nan_max, \
-    field_components, hessian_radial, ricci_blocks_for
-from .jets import BiJet2, Jet2
-from .profiles import Interval, sample_grid
+from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, \
+    field_components, grid_point, hessian_radial, ricci_blocks_for
+from .jets import BiJet2, Jet2, _any, _check, power
+from .profiles import Interval, _scalar_failure, sample_grid
 from .weighted import (
     DensitySpec,
     Instance,
     RadialDensity,
     SplitDensity,
+    _sup,
     point_fields,
 )
 
 _NODES, _WEIGHTS = (x.tolist() for x in leggauss(10))
+_NODE_ROW = np.array(_NODES)
 
 
-def _rule(fn, a: float, b: float) -> float:
-    """10-point Gauss-Legendre value of the integral of fn from a to b."""
+def _rule(fn, a, b):
+    """10-point Gauss-Legendre value of the integral of fn from a to b.
+
+    On arrays a and b, one rule per entry, with fn called once on all their
+    nodes.  The terms are summed left to right from 0.0 either way, which is
+    what the builtin ``sum`` does with floats up to Python 3.11.
+    """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
+    acc = 0.0
+    if type(a) is ndarray:
+        vals = fn((mid[:, None] + half[:, None] * _NODE_ROW).ravel())
+        for w, col in zip(_WEIGHTS, vals.reshape(-1, len(_NODES)).T):
+            acc = acc + w * col
+    else:
+        for x, w in zip(_NODES, _WEIGHTS):
+            acc = acc + w * fn(mid + half * x)
+    return half * acc
 
 
 def quad(fn, a: float, b: float):
@@ -84,8 +105,16 @@ class ConformalMap:
     below t plus one Gauss-Legendre rule up to t; inverse(q) bisects for
     the panel holding q and runs safeguarded Newton steps
     T -> T - (Q(T) - q) u(T) inside it.  The panels do not depend on the
-    order of queries, so neither do the results.  Inverses are cached per
-    image coordinate with the jet of u there.
+    order of queries, so neither do the results.
+
+    forward and inverse take a float or a 1-D array.  An array is covered
+    once at its smallest and largest entry, and its Newton steps run over
+    the entries still unconverged, one rule for all of them per step, so
+    each entry takes the float iterates.  An entry the array path cannot
+    take (NaN, beyond the image, a factor that fails to evaluate) sends the
+    whole call through the float loop, which returns its values or raises
+    its first error.  The last array inverted is kept with the jet of u
+    there, which ``pullback_jet`` shares among the profiles of one grid.
 
     The growth decides the image endpoints with the tolerance 1e-6 (1 + |Q|).
     A finite end is closed by a last panel from within 1e-13 of it, and its
@@ -106,10 +135,14 @@ class ConformalMap:
         self._ts = [self.t_ref]  # panel ends, sorted
         self._qs = [0.0]         # Q at the panel ends, sorted alongside
         self._ends = {-1: None, 1: None}  # image endpoints once decided
-        self._pulled = {}        # q -> (T, u.jet(T))
+        self._last = (None, None)  # (bytes, T) of the last array inverted
+        self._last_u = None      # u.jet at that T, once a pullback needs it
         self._image = image
 
-    def _integrand(self, x: float) -> float:
+    def _integrand(self, x):
+        if type(x) is ndarray:  # a failing u sends the caller to its float loop
+            v = self.u.value(x)
+            return np.where(v == 0.0, math.inf, 1.0 / v)
         try:
             return 1.0 / self.u.value(x)
         except EvalError:
@@ -163,23 +196,51 @@ class ConformalMap:
         """Q(t) for t in the panel that starts at table entry i."""
         return self._qs[i] + _rule(self._integrand, self._ts[i], t)
 
-    def forward(self, t: float) -> float:
+    def _on_array(self, solve, method, xs: ndarray, table: list) -> ndarray:
+        """solve(xs, ts, qs) on the table as arrays once it covers xs (which
+        table names, _ts or _qs); else the float loop of method."""
+        if not xs.size:
+            return xs.copy()
+        try:
+            if np.isnan(xs).any():
+                raise DomainError("NaN image coordinate")
+            self._cover(float(xs.min()), table)
+            self._cover(float(xs.max()), table)
+            with np.errstate(all="ignore"):  # as on floats: inf, no warning
+                return solve(xs, np.array(self._ts), np.array(self._qs))
+        except (DomainError, EvalError):
+            return np.array([method(x) for x in xs.tolist()], dtype=float)
+
+    def forward(self, t):
+        if type(t) is ndarray:
+            self.interval.require(t)
+            return self._on_array(self._forward_many, self.forward, t, self._ts)
         t = float(t)
         self.interval.require(t)
         self._cover(t, self._ts)
         i = bisect.bisect_right(self._ts, t) - 1
         return self._qs[i] if self._ts[i] == t else self._at(i, t)
 
+    def _forward_many(self, t: ndarray, ts: ndarray, qs: ndarray) -> ndarray:
+        i = np.searchsorted(ts, t, side="right") - 1
+        out = qs[i]
+        off = np.flatnonzero(ts[i] != t)
+        i = i[off]
+        out[off] = qs[i] + _rule(self._integrand, ts[i], t[off])
+        return out
+
     def derivative(self, t: float) -> float:
         return self._integrand(t)
 
-    def inverse(self, q: float) -> float:
-        q = float(q)
-        hit = self._pulled.get(q)
-        if hit is None:
-            t = self._invert(q)
-            hit = self._pulled[q] = (t, self.u.jet(t))
-        return hit[0]
+    def inverse(self, q):
+        if type(q) is ndarray:
+            key = q.tobytes()
+            if self._last[0] != key:
+                t = self._on_array(self._invert_many, self.inverse, q, self._qs)
+                t.flags.writeable = False
+                self._last, self._last_u = (key, t), None
+            return self._last[1]
+        return self._invert(float(q))
 
     def _invert(self, q: float) -> float:
         self._cover(q, self._qs)
@@ -206,6 +267,35 @@ class ConformalMap:
             t = t_new
         return t
 
+    def _invert_many(self, q_all: ndarray, ts: ndarray, qs: ndarray) -> ndarray:
+        """_invert at every entry: its statements on the entries whose
+        Newton loop still runs, each distinct q solved once."""
+        q, back = np.unique(q_all, return_inverse=True)
+        i = np.searchsorted(qs, q, side="right") - 1
+        out = ts[i]
+        run = np.flatnonzero(qs[i] != q)
+        i, q = i[run], q[run]
+        lo, hi = ts[i], ts[i + 1]
+        t = lo + (hi - lo) * ((q - qs[i]) / (qs[i + 1] - qs[i]))
+        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        tol = 1e-15 * np.maximum(1.0, np.abs(q)) + 1e-15
+        for _ in range(80):
+            if not run.size:
+                break
+            resid = qs[i] + _rule(self._integrand, ts[i], t) - q
+            done = np.abs(resid) <= tol
+            out[run[done]] = t[done]
+            go = ~done
+            run, i, q, t, lo, hi, tol, resid = (
+                x[go] for x in (run, i, q, t, lo, hi, tol, resid))
+            up = resid > 0.0
+            hi = np.where(up, t, hi)
+            lo = np.where(up, lo, t)
+            t_new = t - resid * self.u.value(t)
+            t = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
+        out[run] = t
+        return out[back]
+
     def image_interval(self) -> Interval:
         if self._image is None:
             for side in (1, -1):
@@ -217,10 +307,15 @@ class ConformalMap:
                 closed_hi=self.interval.closed_hi and math.isfinite(hi))
         return self._image
 
-    def pullback_jet(self, base, q: float) -> Jet2:
+    def pullback_jet(self, base, q) -> Jet2:
         """Jets of (base o T)(q) where T is the inverse coordinate change."""
         t = self.inverse(q)
-        uv = self._pulled[float(q)][1]
+        if type(q) is ndarray:
+            if self._last_u is None:
+                self._last_u = self.u.jet(t)
+            uv = self._last_u
+        else:
+            uv = self.u.jet(t)
         bj = uv if base is self.u else base.jet(t)
         dT = uv.value
         ddT = uv.d1 * uv.value
@@ -231,7 +326,9 @@ class ReparamProfile:
     """Profile (num o T) / (den o T) on the image of a conformal map.
 
     Either part may be omitted (treated as the constant 1).  On a 1-D array
-    of points the jets are the scalar pullbacks, point by point, stacked.
+    of points the map inverts the array once, and the parts' array jets are
+    composed with it by the scalar formulas; a failure raises the error a
+    loop of scalar calls raises first.  ``value`` takes no jets.
     """
 
     def __init__(self, cmap: ConformalMap, num=None, den=None, name: str = ""):
@@ -244,24 +341,56 @@ class ReparamProfile:
         self.name = name or "reparam"
 
     def jet(self, q) -> Jet2:
+        if type(q) is ndarray:
+            return self._on_array(self.jet, self._jet, q)
         self.domain.require(q)
-        if isinstance(q, ndarray):
-            jets = [self.jet(x) for x in q.tolist()]
-            return Jet2(*(np.array([getattr(j, part) for j in jets], dtype=float)
-                          for part in ("value", "d1", "d2")))
-        if self.num is not None and self.den is not None:
-            out = self.cmap.pullback_jet(self.num, q) / self.cmap.pullback_jet(self.den, q)
-        elif self.num is not None:
-            out = self.cmap.pullback_jet(self.num, q)
-        else:
-            out = Jet2.constant(1.0) / self.cmap.pullback_jet(self.den, q)
+        out = self._jet(q)
         if not (math.isfinite(out.value) and math.isfinite(out.d1)
                 and math.isfinite(out.d2)):
             raise EvalError(f"profile jet not finite at t={q}")
         return out
 
+    def _jet(self, q) -> Jet2:
+        pull = self.cmap.pullback_jet
+        if self.num is not None and self.den is not None:
+            return pull(self.num, q) / pull(self.den, q)
+        if self.num is not None:
+            return pull(self.num, q)
+        return Jet2.constant(1.0) / pull(self.den, q)
+
     def value(self, q):
-        return self.jet(q).value
+        if type(q) is ndarray:
+            return self._on_array(self.value, self._value, q)
+        self.domain.require(q)
+        out = self._value(q)
+        if not math.isfinite(out):
+            raise EvalError(f"profile value not finite at t={q}")
+        return out
+
+    def _value(self, q):
+        """The value part of _jet: the same quotient, without derivatives."""
+        t = self.cmap.inverse(q)
+        num = 1.0 if self.num is None else self.num.value(t)
+        if self.den is None:
+            return num
+        den = self.den.value(t)
+        if _any(den == 0.0):
+            raise EvalError("division by zero")
+        return _check(num / den)
+
+    def _on_array(self, scalar, compute, q: ndarray):
+        """compute(q) when it succeeds and is finite; else the loop of scalar
+        calls, which raises its first error."""
+        try:
+            self.domain.require(q)
+            with np.errstate(all="ignore"):
+                out = compute(q)
+        except (DomainError, EvalError) as exc:
+            _scalar_failure(scalar, q, exc)
+        parts = (out.value, out.d1, out.d2) if type(out) is Jet2 else (out,)
+        if not all(np.isfinite(p).all() for p in parts):
+            _scalar_failure(scalar, q, "not finite")
+        return out
 
     def is_constant(self) -> bool:
         return False
@@ -351,39 +480,40 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
       modified:  Ric^_f = Ric^ - m Hes^(v^)/v^ with
                  Hes^(h) = Hes(h) + (du (x) dh + dh (x) du)/u - <du, dh> g / u
       schouten:  P^ from the two above plus the scalar trace conversions
+
+    Both sides are evaluated on all points at once, as one grid point in
+    each frame; the sups are taken point by point in the order of ts.
     """
     metric, dens, params = instance.metric, instance.density, instance.params
     n, m = params.n, params.m
-    out = {"ricci": 0.0, "modified_ricci": 0.0, "schouten": 0.0, "scalar": 0.0}
     s_active = dens.s_active(metric)
     structure = dens.structure(metric)
     hat = result.instance
-    for t in ts:
-        t = float(t)
-        s = None
-        if s_active:
-            dom = metric.fiber.probe_domain()
-            s = float(sample_grid(dom, 5, margin=0.2)[2])
-        pt = PointSpec(t, s)
-        q = result.cmap.forward(t)
-        pt_hat = PointSpec(q, s)
-        uj = u.jet(t)
+    ts = np.asarray(ts, dtype=float)
+    s = None
+    if s_active:
+        s = float(sample_grid(metric.fiber.probe_domain(), 5, margin=0.2)[2])
+    qs = result.cmap.forward(ts)
+    pt = grid_point([PointSpec(t, s) for t in ts.tolist()])
+    pt_hat = grid_point([PointSpec(q, s) for q in qs.tolist()])
+    with np.errstate(all="ignore"):  # as on floats: inf and NaN fail the sups
+        uj = u.jet(pt.t)
         uv, du, ddu = uj.value, uj.d1, uj.d2
 
         # original-frame ingredients
         rho = ricci_blocks_for(metric, pt, structure)
         hes_u = hessian_radial(metric, u, pt, structure=structure)
         lap_u = hes_u.trace()
-        phi_val = metric.phi.value(t)
+        phi_val = metric.phi.value(pt.t)
 
         # law: ordinary Ricci
         law_rho = rho.combine(hes_u, 1.0, (n - 2.0) / uv) \
-                     .scale_shift(1.0, lap_u / uv - (n - 1.0) * (du / uv) ** 2)
+                     .scale_shift(1.0, lap_u / uv - (n - 1.0) * power(du / uv, 2))
 
         # transformed-frame direct values, converted to the original frame
         direct = point_fields(hat.metric, hat.density, params, pt_hat)
-        dev = direct.rho.scale_shift(1.0 / uv ** 2).combine(law_rho, 1.0, -1.0)
-        out["ricci"] = _nan_max(out["ricci"], dev.sup_dev(0.0))
+        ricci = direct.rho.scale_shift(1.0 / power(uv, 2)) \
+                          .combine(law_rho, 1.0, -1.0).sup_dev(0.0)
 
         # law: modified Ricci via the transformed Hessian of v^ = v/u
         vb = dens.v_bijet(metric, pt)
@@ -396,31 +526,34 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         hes_hat_v = fc.hess.combine(sym, 1.0, 1.0 / uv) \
                            .scale_shift(1.0, -inner / uv)
         law_be = law_rho.combine(hes_hat_v, 1.0, -m / vhat)
-        dev = direct.be.scale_shift(1.0 / uv ** 2).combine(law_be, 1.0, -1.0)
-        out["modified_ricci"] = _nan_max(out["modified_ricci"], dev.sup_dev(0.0))
+        modified = direct.be.scale_shift(1.0 / power(uv, 2)) \
+                            .combine(law_be, 1.0, -1.0).sup_dev(0.0)
 
         # law: weighted scalar and Schouten
         fb = dens.f_bijet(metric, pt, m)
         fhat_t = fb.dt + m * du / uv
         fhat_s = fb.ds
         fch = field_components(metric, BiJet2(0.0, fhat_t, fhat_s,
-                                              fb.dtt + m * (ddu * uv - du * du) / uv ** 2,
+                                              fb.dtt + m * (ddu * uv - du * du)
+                                              / power(uv, 2),
                                               fb.dts, fb.dss), pt, structure)
-        tau_hat = uv ** 2 * law_rho.trace()
-        grad_fhat = uv ** 2 * (fhat_t ** 2 + ((fhat_s / phi_val) ** 2 if s_active else 0.0))
-        lap_hat_f = uv ** 2 * (fch.laplacian - (n - 2.0) / uv
-                               * (du * fhat_t))
+        tau_hat = power(uv, 2) * law_rho.trace()
+        grad_fhat = power(uv, 2) * (power(fhat_t, 2)
+                                    + (power(fhat_s / phi_val, 2) if s_active else 0.0))
+        lap_hat_f = power(uv, 2) * (fch.laplacian - (n - 2.0) / uv
+                                    * (du * fhat_t))
         tau_f_hat = tau_hat + 2.0 * lap_hat_f - ((m + 1.0) / m) * grad_fhat
         if m != 1.0:
-            tau_f_hat += m * (m - 1.0) * params.mu * (uv / vb.value) ** 2
-        out["scalar"] = _nan_max(out["scalar"], abs(direct.tau_f - tau_f_hat))
+            tau_f_hat = tau_f_hat + m * (m - 1.0) * params.mu * power(uv / vb.value, 2)
+        scalar = abs(direct.tau_f - tau_f_hat)
 
         j_hat = tau_f_hat / (2.0 * (n + m - 1.0))
         law_p = law_be.scale_shift(1.0 / (n + m - 2.0),
-                                   -j_hat / (uv ** 2 * (n + m - 2.0)))
-        dev = direct.p.scale_shift(1.0 / uv ** 2).combine(law_p, 1.0, -1.0)
-        out["schouten"] = _nan_max(out["schouten"], dev.sup_dev(0.0))
-    return out
+                                   -j_hat / (power(uv, 2) * (n + m - 2.0)))
+        schouten = direct.p.scale_shift(1.0 / power(uv, 2)) \
+                           .combine(law_p, 1.0, -1.0).sup_dev(0.0)
+    return {"ricci": _sup(ricci.tolist()), "modified_ricci": _sup(modified.tolist()),
+            "schouten": _sup(schouten.tolist()), "scalar": _sup(scalar.tolist())}
 
 
 def involution_residual(instance: Instance, u, ts) -> float:
@@ -429,7 +562,8 @@ def involution_residual(instance: Instance, u, ts) -> float:
     The composite coordinate map is a pure translation of the base
     coordinate (each map anchors its own reference point), so coordinates
     are compared after removing the constant shift, and warping and density
-    values are compared at corresponding points.
+    values are compared at corresponding points.  Every map and profile is
+    evaluated on all points at once; the sup runs point by point.
     """
     first = apply_conformal(instance, u)
     base = instance.metric.interval
@@ -440,18 +574,15 @@ def involution_residual(instance: Instance, u, ts) -> float:
                     closed_lo=base.closed_lo, closed_hi=base.closed_hi)
     second = apply_conformal(first.instance, inverse_factor(first),
                              t_ref=0.0, image=back)
-    ts = [float(t) for t in ts]
-    qs2 = [second.cmap.forward(first.cmap.forward(t)) for t in ts]
+    ts = np.asarray(ts, dtype=float)
+    qs2 = second.cmap.forward(first.cmap.forward(ts))
     shift = qs2[0] - ts[0]
-    out = 0.0
-    for t, q2 in zip(ts, qs2):
-        out = _nan_max(out, abs(q2 - t - shift))
-        out = _nan_max(out, abs(second.instance.metric.phi.value(q2)
-                               - instance.metric.phi.value(t)))
-        vd0 = instance.density
-        vd2 = second.instance.density
-        if isinstance(vd0, RadialDensity):
-            out = _nan_max(out, abs(vd2.v.value(q2) - vd0.v.value(t)))
-        else:
-            out = _nan_max(out, abs(vd2.alpha.value(q2) - vd0.alpha.value(t)))
-    return out
+    part = "v" if isinstance(instance.density, RadialDensity) else "alpha"
+    dens0 = getattr(instance.density, part)
+    dens2 = getattr(second.instance.density, part)
+    with np.errstate(all="ignore"):
+        devs = np.column_stack((abs(qs2 - ts - shift),
+                                abs(second.instance.metric.phi.value(qs2)
+                                    - instance.metric.phi.value(ts)),
+                                abs(dens2.value(qs2) - dens0.value(ts))))
+    return _sup(devs.ravel().tolist())  # point by point: coordinate, warping, density

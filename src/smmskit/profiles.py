@@ -536,6 +536,14 @@ def _compile(node: Node, tables: tuple = _SCALAR):
 # ---------------------------------------------------------------------------
 # profiles
 
+def _scalar_failure(method, ts: np.ndarray, why):
+    """Raises the error a loop of scalar method calls over ts raises first,
+    by running that loop; why names the array failure if no call fails."""
+    for t in ts.tolist():
+        method(t)
+    raise EvalError(f"profile failed on an array at no single point: {why}")
+
+
 class Profile1D:
     """Expression-tree profile of one variable on a declared interval."""
 
@@ -606,17 +614,12 @@ class Profile1D:
             with np.errstate(all="ignore"):  # floats overflow to inf silently too
                 out = self._arrays[which](ts)
         except (EvalError, OverflowError, ZeroDivisionError, ValueError) as exc:
-            self._scalar_failure(ts, which, exc)
+            _scalar_failure((self.value, self.jet)[which], ts, exc)
         parts = [p if isinstance(p, np.ndarray) else np.full(ts.shape, p)
                  for p in (out if which else (out,))]
         if not all(np.isfinite(p).all() for p in parts):
-            self._scalar_failure(ts, which, "not finite")
+            _scalar_failure((self.value, self.jet)[which], ts, "not finite")
         return tuple(parts)
-
-    def _scalar_failure(self, ts: np.ndarray, which: int, why):
-        for t in ts.tolist():
-            (self.value, self.jet)[which](t)
-        raise EvalError(f"profile failed on an array at no single point: {why}")
 
     def is_constant(self) -> bool:
         return self.node.free_var() is None

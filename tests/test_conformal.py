@@ -21,8 +21,8 @@ from smmskit.conformal import (
 )
 from smmskit.errors import DomainError, EvalError, PositivityError
 from smmskit.geometry import Tensor2Blocks
-from smmskit.profiles import Interval, Profile1D
-from smmskit.weighted import einstein_residuals, sample_points
+from smmskit.profiles import Interval, Profile1D, sample_grid
+from smmskit.weighted import RadialDensity, einstein_residuals, sample_points
 
 IV = Interval(-2.0, 2.0)
 
@@ -226,6 +226,179 @@ def test_catalog_grid_round_trips(name):
 
 
 # ---------------------------------------------------------------------------
+# array calls: the same iterates as a float loop, one solve per grid
+
+CLOSED = Interval(-2.0, 2.0, closed_lo=True, closed_hi=True)
+
+
+def _bits(values) -> list:
+    return [repr(float(x)) for x in values]
+
+
+def _map_case(name):
+    """Two fresh maps of one case and its image and base query points."""
+    if name == "closed":  # closed finite ends; panels laid on demand
+        u = quad_factor_on(CLOSED)
+        maps = [ConformalMap(u, CLOSED) for _ in range(2)]
+        image = ConformalMap(u, CLOSED).image_interval()
+        qs = list(np.linspace(image.lo, image.hi, 41)) + [image.lo, image.hi]
+        ts = list(np.linspace(CLOSED.lo, CLOSED.hi, 41)) + [CLOSED.lo, CLOSED.hi]
+        return maps, qs, ts
+    inst, u, res, qs = hat_grid(name, k=64)
+    maps = [res.cmap, apply_conformal(inst, u).cmap]
+    ts = [float(t) for t in sample_grid(inst.metric.interval, 64)]
+    # exact table ends of a grown table
+    return maps, qs + res.cmap._qs[3::17], ts + res.cmap._ts[3::17]
+
+
+@pytest.mark.parametrize("name", [*cat.available(), "closed"])
+def test_array_map_matches_float_loop_bitwise(name):
+    (arr_map, loop_map), qs, ts = _map_case(name)
+    rng = np.random.default_rng(11)
+    for points in (qs, ts):
+        points += points[::5]  # duplicates
+        rng.shuffle(points)
+    assert _bits(arr_map.inverse(np.array(qs))) == _bits(map(loop_map.inverse, qs))
+    assert _bits(arr_map.forward(np.array(ts))) == _bits(map(loop_map.forward, ts))
+
+
+def test_array_errors_are_the_float_loops_first():
+    cmap = ConformalMap(quad_factor(), IV)
+    image = cmap.image_interval()  # both ends decided: no panel is laid below
+    good = [cmap.forward(t) for t in (-1.2, 0.3, 1.1)]
+    ts, qs = list(cmap._ts), list(cmap._qs)
+    cases = ([good[0], math.nan, image.hi + 1.0],
+             [good[1], image.hi + 0.5, math.nan],
+             [image.lo - 1.0, good[2]],
+             [good[0], math.inf])
+    for bad in cases:
+        with pytest.raises(DomainError) as arr:
+            cmap.inverse(np.array(bad))
+        assert cmap._ts == ts and cmap._qs == qs
+        with pytest.raises(DomainError) as loop:
+            for q in bad:
+                cmap.inverse(q)
+        assert str(arr.value) == str(loop.value), bad
+    with pytest.raises(DomainError, match="point nan"):
+        cmap.forward(np.array([0.1, math.nan, 3.0]))
+    assert cmap._ts == ts and cmap._qs == qs
+
+
+class _ArmedGuard:
+    """A positive factor whose guard fires on (a, b) once armed."""
+
+    def __init__(self, inner, a, b):
+        self.inner, self.a, self.b, self.armed = inner, a, b, False
+        self.domain = inner.domain
+
+    def check_positive(self, **kwargs):
+        self.inner.check_positive(**kwargs)
+
+    def value(self, t):
+        hit = (self.a < t) & (t < self.b)
+        if self.armed and np.any(hit):
+            first = float(t[np.argmax(hit)]) if isinstance(t, np.ndarray) else t
+            raise EvalError(f"guard fired at t={first}")
+        return self.inner.value(t)
+
+    def jet(self, t):
+        return self.inner.jet(t)
+
+
+def test_guard_at_a_newton_iterate_raises_the_float_loops_error():
+    maps = []
+    for _ in range(2):
+        u = _ArmedGuard(quad_factor(), 0.2, 0.6)
+        cmap = ConformalMap(u, IV)
+        cmap.image_interval()  # the table is laid before the guard is armed
+        maps.append(cmap)
+    qs = [maps[0].forward(t) for t in (-1.0, 0.4, 1.5)]
+    for cmap in maps:
+        cmap.u.armed = True
+    with pytest.raises(EvalError) as arr:
+        maps[0].inverse(np.array(qs))
+    with pytest.raises(EvalError) as loop:
+        for q in qs:
+            maps[1].inverse(q)
+    assert str(arr.value) == str(loop.value)
+
+
+def test_repeated_array_inverse_is_bitwise_identical():
+    cmap = ConformalMap(quad_factor(), IV)
+    qs = np.array([cmap.forward(t) + 1e-3 for t in (-1.5, -0.4, 0.7, 1.6)])
+    first = _bits(cmap.inverse(qs))
+    for t in np.linspace(-1.9, 1.9, 37):
+        cmap.forward(t)  # new panels must not move an inverse
+    cmap.inverse(qs[::-1].copy())  # nor a different array in between
+    assert _bits(cmap.inverse(qs)) == first
+    assert _bits(map(cmap.inverse, qs.tolist())) == first
+
+
+@pytest.mark.parametrize("name", ["weighted_sphere", "skew_sphere_density"])
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_one_newton_solve_per_transformed_grid(monkeypatch, name, diagnostics):
+    b = cat.make(name)
+    hat = apply_conformal(b.instance, b.pair.u).instance
+    pts = sample_points(hat.metric, hat.density, 64)
+    solves = []
+    for method in ("_invert", "_invert_many"):
+        real = getattr(ConformalMap, method)
+
+        def counted(self, *args, _real=real, _name=method):
+            solves.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(ConformalMap, method, counted)
+    einstein_residuals(hat.metric, hat.density, hat.params, b.pair.lam_hat, pts,
+                       with_diagnostics=diagnostics)
+    assert solves == ["_invert_many"]
+
+
+@pytest.mark.parametrize("name", cat.available())
+def test_reparam_value_is_the_jet_value_bitwise(name):
+    inst, _, res, qs = hat_grid(name, k=64)
+    hat = res.instance
+    dens = hat.density
+    part = dens.v if isinstance(dens, RadialDensity) else dens.alpha
+    num_only = ReparamProfile(res.cmap, num=inst.metric.phi)
+    grid = np.array(qs)
+    for prof in (hat.metric.phi, part, inverse_factor(res), num_only):
+        assert _bits(prof.value(grid)) == _bits(prof.jet(grid).value)
+        assert _bits(map(prof.value, qs)) == _bits(prof.jet(q).value for q in qs)
+        assert _bits(prof.value(grid)) == _bits(map(prof.value, qs))
+
+
+# `smms conformal --points 64` law and involution residuals, recorded with the
+# point-by-point evaluation that the array pass replaced
+FROZEN_CONFORMAL = {
+    "weighted_sphere": ({"ricci": 3.197442310920451e-14,
+                         "modified_ricci": 3.197442310920451e-14,
+                         "schouten": 5.578870698741412e-15,
+                         "scalar": 2.7711166694643907e-13}, 1.3322676295501878e-15),
+    "skew_sphere_density": ({"ricci": 3.552713678800501e-15,
+                             "modified_ricci": 5.329070518200751e-15,
+                             "schouten": 1.1102230246251565e-15,
+                             "scalar": 1.3500311979441904e-13}, 2.6645352591003757e-15),
+    "neck_warped": ({"ricci": 7.105427357601002e-15,
+                     "modified_ricci": 1.4210854715202004e-14,
+                     "schouten": 1.882894014538416e-14,
+                     "scalar": 3.5134117837287704e-12}, 1.0658141036401503e-13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CONFORMAL))
+def test_conformal_residuals_frozen(tmp_path, name):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(cat.make(name).config()))
+    argv = ["conformal", "--config", str(cfg), "--points", "64", "--out", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    laws, involution = FROZEN_CONFORMAL[name]
+    assert report["law_residuals"] == laws
+    assert report["involution_residual"] == involution
+
+
+# ---------------------------------------------------------------------------
 # reparameterized profiles and fail-closed sups
 
 def test_reparam_jet_rejects_nonfinite():
@@ -274,9 +447,11 @@ def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
         rho = real(metric, point, structure)
         if isinstance(metric.phi, ReparamProfile):
             hat_calls.append(point)
-            if len(hat_calls) == 3:
+            if len(hat_calls) == 1:  # the law grid, at its third point
+                third = np.arange(np.size(point.t)) == 2
+                block = np.where(third, math.nan, rho.blocks[0])
                 return Tensor2Blocks(rho.structure, rho.tt,
-                                     (math.nan,) + tuple(rho.blocks[1:]), rho.mixed)
+                                     (block,) + tuple(rho.blocks[1:]), rho.mixed)
         return rho
 
     monkeypatch.setattr(weighted, "ricci_blocks_for", poisoned)
