@@ -16,7 +16,9 @@ The coordinate map and the reparameterized profiles take a float or a 1-D
 array, like every profile.  An array is inverted in one Newton solve whose
 statements are the float solve's under masks, so every entry follows the
 float iterates and the results are bitwise equal; the profiles of one
-transformed grid share that solve.  Table growth and ``quad`` stay scalar.
+transformed grid share that solve, and each ``ReparamProfile`` keeps its
+last array value and jet, so it pulls a grid back once.  Table growth and
+``quad`` stay scalar.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, \
     field_components, grid_point, hessian_radial, ricci_blocks_for
 from .jets import BiJet2, Jet2, _any, _check, power
-from .profiles import Interval, _scalar_failure, sample_grid
+from .profiles import Interval, _last_array, _scalar_failure, sample_grid
 from .weighted import (
     DensitySpec,
     Instance,
@@ -328,7 +330,9 @@ class ReparamProfile:
     Either part may be omitted (treated as the constant 1).  On a 1-D array
     of points the map inverts the array once, and the parts' array jets are
     composed with it by the scalar formulas; a failure raises the error a
-    loop of scalar calls raises first.  ``value`` takes no jets.
+    loop of scalar calls raises first.  ``value`` takes no jets.  The last
+    array value and jet are remembered as read-only arrays
+    (``profiles._last_array``).
     """
 
     def __init__(self, cmap: ConformalMap, num=None, den=None, name: str = ""):
@@ -339,10 +343,11 @@ class ReparamProfile:
         self.den = den
         self.domain = cmap.image_interval()
         self.name = name or "reparam"
+        self._last = [None, None]  # last array value and jet, see _last_array
 
     def jet(self, q) -> Jet2:
         if type(q) is ndarray:
-            return self._on_array(self.jet, self._jet, q)
+            return Jet2(*self._on_array(q, 1))
         self.domain.require(q)
         out = self._jet(q)
         if not (math.isfinite(out.value) and math.isfinite(out.d1)
@@ -360,7 +365,7 @@ class ReparamProfile:
 
     def value(self, q):
         if type(q) is ndarray:
-            return self._on_array(self.value, self._value, q)
+            return self._on_array(q, 0)[0]
         self.domain.require(q)
         out = self._value(q)
         if not math.isfinite(out):
@@ -378,19 +383,25 @@ class ReparamProfile:
             raise EvalError("division by zero")
         return _check(num / den)
 
-    def _on_array(self, scalar, compute, q: ndarray):
-        """compute(q) when it succeeds and is finite; else the loop of scalar
-        calls, which raises its first error."""
+    def _on_array(self, q: ndarray, which: int) -> tuple:
+        """The value (0) or jet (1) parts at every entry of q, remembered for
+        the next call on the same array (``profiles._last_array``)."""
+        return _last_array(self._last, which, q, lambda q: self._evaluate(q, which))
+
+    def _evaluate(self, q: ndarray, which: int) -> tuple:
+        """_value or _jet on q when it succeeds and is finite; else the loop
+        of scalar calls, which raises its first error."""
+        scalar = (self.value, self.jet)[which]
         try:
             self.domain.require(q)
             with np.errstate(all="ignore"):
-                out = compute(q)
+                out = (self._value, self._jet)[which](q)
         except (DomainError, EvalError) as exc:
             _scalar_failure(scalar, q, exc)
-        parts = (out.value, out.d1, out.d2) if type(out) is Jet2 else (out,)
+        parts = (out.value, out.d1, out.d2) if which else (out,)
         if not all(np.isfinite(p).all() for p in parts):
             _scalar_failure(scalar, q, "not finite")
-        return out
+        return parts
 
     def is_constant(self) -> bool:
         return False

@@ -11,6 +11,10 @@ warpings that have no closed form but satisfy known derivative relations; it
 steps the pair (w, w') as Python floats.  The same step, on arrays, evaluates
 an ``OdeProfile`` at a whole grid at once; ddw must then take arrays too
 (write its powers with ``jets.power``).
+
+The diagnostics (``ode_residual`` and the other sups below) evaluate their
+profile in one array jet call and take the sup NaN-propagating, so a NaN at
+any sample is reported, never dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 
 from .errors import DomainError, EvalError, PositivityError, StepError
 from .jets import Jet2, power
-from .profiles import Interval, Profile1D
+from .profiles import Interval, Profile1D, _last_array
+from .weighted import _spread, _sup
 
 _REAL_LINE = Interval(-math.inf, math.inf)
 
@@ -99,24 +104,26 @@ class ObataSolution:
         return Profile1D.from_string(expr, _REAL_LINE, var="t")
 
 
+def _sup0(*devs) -> float:
+    """sup of 0.0 and every entry of devs (floats or arrays), as a chain of
+    builtin max from 0.0 gives it on finite entries; NaN when any is NaN."""
+    return _sup([0.0, *(x for d in devs for x in np.atleast_1d(d).tolist())])
+
+
 def ode_residual(sol: ObataSolution, ts) -> float:
     """sup |u'' + 2 lam u - nu| over the sample points (exact jets)."""
-    out = 0.0
-    for t in ts:
-        j = sol.profile.jet(float(t))
-        out = max(out, abs(j.d2 + 2.0 * sol.lam * j.value - sol.nu))
-    return out
+    j = sol.profile.jet(np.asarray(ts, dtype=float))
+    with np.errstate(all="ignore"):  # inf and NaN reach the sup
+        return _sup0(abs(j.d2 + 2.0 * sol.lam * j.value - sol.nu))
 
 
 def first_integral_drift(sol: ObataSolution, ts) -> float:
     """sup |(u')^2 + 2 lam u^2 - 2 nu u + 2 lam_hat| over the sample points."""
-    out = 0.0
-    for t in ts:
-        j = sol.profile.jet(float(t))
-        val = j.d1 ** 2 + 2.0 * sol.lam * j.value ** 2 - 2.0 * sol.nu * j.value \
-            + 2.0 * sol.lam_hat
-        out = max(out, abs(val))
-    return out
+    j = sol.profile.jet(np.asarray(ts, dtype=float))
+    with np.errstate(all="ignore"):
+        val = power(j.d1, 2) + 2.0 * sol.lam * power(j.value, 2) \
+            - 2.0 * sol.nu * j.value + 2.0 * sol.lam_hat
+        return _sup0(abs(val))
 
 
 def nu_identity_residual(sol: ObataSolution, ts) -> float:
@@ -126,27 +133,26 @@ def nu_identity_residual(sol: ObataSolution, ts) -> float:
     conserved quantities.
     """
     target = sol.nu ** 2 - 4.0 * sol.lam * sol.lam_hat
-    out = 0.0
-    for t in ts:
-        j = sol.profile.jet(float(t))
+    j = sol.profile.jet(np.asarray(ts, dtype=float))
+    with np.errstate(all="ignore"):
         ddu = sol.nu - 2.0 * sol.lam * j.value
-        out = max(out, abs(2.0 * sol.lam * j.d1 ** 2 + ddu ** 2 - target))
-    return out
+        return _sup0(abs(2.0 * sol.lam * power(j.d1, 2) + power(ddu, 2) - target))
 
 
 def xi_constant(phi, alpha, kappa: float, lam: float, ts) -> tuple:
     """(mean, spread) of xi(t) = alpha' phi' - (kappa - 2 lam alpha) phi.
 
     Constant exactly when alpha solves the comparison equation with right
-    side kappa against the warping phi of the same instance.
+    side kappa against the warping phi of the same instance.  The spread is
+    NaN when any xi is.
     """
-    vals = []
-    for t in ts:
-        pj = phi.jet(float(t))
-        aj = alpha.jet(float(t))
-        vals.append(aj.d1 * pj.d1 - (kappa - 2.0 * lam * aj.value) * pj.value)
-    mean = sum(vals) / len(vals)
-    return mean, max(vals) - min(vals)
+    ts = np.asarray(ts, dtype=float)
+    pj = phi.jet(ts)
+    aj = alpha.jet(ts)
+    with np.errstate(all="ignore"):
+        xi = aj.d1 * pj.d1 - (kappa - 2.0 * lam * aj.value) * pj.value
+    vals = np.broadcast_to(xi, ts.shape).tolist()
+    return sum(vals) / len(vals), _spread(vals)
 
 
 def fiber_obata_residual(fiber, k: int = 64) -> float:
@@ -161,19 +167,16 @@ def fiber_obata_residual(fiber, k: int = 64) -> float:
     if not isinstance(fiber, EinsteinFiber) or fiber.obata is None:
         raise EvalError("fiber carries no declared comparison data")
     ob = fiber.obata
-    dom = ob.v_n.domain
-    constant = ob.v_n.is_constant()
-    out = 0.0
-    for s in sample_grid(dom, k, margin=0.02):
-        j = ob.v_n.jet(float(s))
+    ss = sample_grid(ob.v_n.domain, k, margin=0.02)
+    j = ob.v_n.jet(ss)
+    with np.errstate(all="ignore"):
         target = -(ob.xi + ob.c * j.value)
-        out = max(out, abs(j.d2 - target))
-        if constant:
+        if ob.v_n.is_constant():
             # the Hessian vanishes identically; the equation needs target = 0
-            out = max(out, abs(target))
+            orth = abs(target)
         else:
-            out = max(out, abs(fiber.orth_hess_factor(float(s)) * j.d1 - target))
-    return out
+            orth = abs(fiber.orth_hess_factor(ss) * j.d1 - target)
+        return _sup0(abs(j.d2 - target), orth)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +229,9 @@ class OdeProfile:
     derivative view (see ``derivative``) reads w' from the same trajectory.
     ``value`` and ``jet`` take a float or a 1-D array of points; on an array
     every point takes its substep at once, from the node a float would use.
+    The last array state (w, w'), which ``value`` reads, and the last array
+    jet are remembered as read-only arrays (``profiles._last_array``); views
+    start with nothing remembered.
     """
 
     def __init__(self, ddw, y0, domain: Interval, step: float = 1e-3,
@@ -243,11 +249,19 @@ class OdeProfile:
         ts, ys = rk4_integrate(ddw, y0[0], y0[1], lo, hi, self.step)
         self._ts, self._ys = ts.tolist(), ys.tolist()
         self._nodes = (ts, ys[:, 0], ys[:, 1])  # the same trajectory as arrays
+        self._last = [None, None]  # last array state (w, w') and jet
+
+    def _view(self) -> "OdeProfile":
+        """Shallow copy on the same trajectory, with nothing remembered: a
+        view's domain and derivative differ from its base's."""
+        out = copy.copy(self)
+        out._last = [None, None]
+        return out
 
     def _state(self, t) -> tuple:
-        self.domain.require(t)
         if isinstance(t, np.ndarray):
-            return self._states(t)
+            return _last_array(self._last, 0, t, self._states)
+        self.domain.require(t)
         i = int((t - self._t0) / self.step)
         i = min(max(i, 0), len(self._ts) - 1)
         if i > 0 and self._ts[i] > t:
@@ -260,6 +274,7 @@ class OdeProfile:
 
     def _states(self, t: np.ndarray) -> tuple:
         """_state at every entry of t, by the same node arithmetic."""
+        self.domain.require(t)
         ts, ws, dws = self._nodes
         i = np.clip(((t - self._t0) / self.step).astype(int), 0, len(ts) - 1)
         i = np.where((i > 0) & (ts[i] > t), i - 1, i)
@@ -272,11 +287,16 @@ class OdeProfile:
         return self._state(t)[0 if self.d3 is None else 1]
 
     def jet(self, t) -> Jet2:
+        if isinstance(t, np.ndarray):
+            return Jet2(*_last_array(self._last, 1, t, self._jet_parts))
+        return Jet2(*self._jet_parts(t))
+
+    def _jet_parts(self, t) -> tuple:
         w, dw = self._state(t)
         ddw = self.ddw(t, w, dw)
         if self.d3 is None:
-            return Jet2(w, dw, ddw)
-        return Jet2(dw, ddw, self.d3(t, w, dw))
+            return w, dw, ddw
+        return dw, ddw, self.d3(t, w, dw)
 
     def is_constant(self) -> bool:
         return False
@@ -298,7 +318,7 @@ class OdeProfile:
         """Shallow view of the same trajectory on a subwindow."""
         if lo < self.domain.lo or hi > self.domain.hi:
             raise DomainError("restriction window exceeds the integrated range")
-        out = copy.copy(self)
+        out = self._view()
         out.domain = Interval(lo, hi, closed_lo=True, closed_hi=True)
         return out
 
@@ -308,7 +328,7 @@ class OdeProfile:
         Its jets are (w', w'', w''') with w'' from the defining relation and
         w''' from the closed form d3(t, w, w').
         """
-        out = copy.copy(self)
+        out = self._view()
         out.d3 = d3
         out.name = name
         return out
@@ -337,8 +357,6 @@ def neck_profile(m: float, domain: Interval, step: float = 1e-3) -> OdeProfile:
 
 def neck_first_integral_drift(prof: OdeProfile, m: float, ts) -> float:
     """sup |(w')^2 - 1 + w^{1-m}| over the sample points."""
-    out = 0.0
-    for t in ts:
-        j = prof.jet(float(t))
-        out = max(out, abs(j.d1 ** 2 - 1.0 + j.value ** (1.0 - m)))
-    return out
+    j = prof.jet(np.asarray(ts, dtype=float))
+    with np.errstate(all="ignore"):
+        return _sup0(abs(power(j.d1, 2) - 1.0 + power(j.value, 1.0 - m)))

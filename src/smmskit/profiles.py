@@ -7,13 +7,17 @@ second-order ``jet(t)`` (both raise DomainError outside the domain),
 ``to_string()``.  ``value`` and ``jet`` take a float, or a 1-D array of
 points, for which they return arrays (a jet of arrays) bitwise equal to
 the results point by point; a failure on an array is the error the first
-failing point raises on its own.  The three implementations are the
-expression tree :class:`Profile1D`, compiled once, at construction, into
-straight-line Python functions for the value and for the exact jet (the
-rules of :mod:`smmskit.jets`, with the guards of the tree in tree order),
-and on the first array call into the same functions for arrays (the rules
-rewritten by ``jets.array_rule``); the RK4 trajectory ``odes.OdeProfile``
-with its derivative view, which adds ``restricted``; and the pullback
+failing point raises on its own.  Every implementation keeps its last array
+value and jet (``_last_array``), keyed by the bytes of the query, so the
+consumers of one grid share one evaluation; the arrays it hands out are
+read-only.  The three implementations are the expression tree
+:class:`Profile1D`, compiled once, at construction, into straight-line
+Python functions for the value and for the exact jet (the rules of
+:mod:`smmskit.jets`, with the guards of the tree in tree order), and on the
+first array call into the same functions for arrays (the rules rewritten by
+``jets.array_rule``), where the code of each source text is compiled once
+per process (``_code``); the RK4 trajectory ``odes.OdeProfile`` with its
+derivative view, which adds ``restricted``; and the pullback
 ``conformal.ReparamProfile`` through a conformal coordinate change.  A
 separate central-difference routine provides an independent derivative
 oracle.
@@ -21,6 +25,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -515,11 +520,23 @@ class _Emitter:
         return out
 
 
+@functools.lru_cache(maxsize=512)
+def _code(src: str):
+    """compile(src) for the emitted source of _compile, once per text.
+
+    The source names constants only as ``_c[i]``, so it depends on the
+    tree's shape alone: every profile of one shape shares one code object.
+    """
+    return compile(src, "<profile>", "exec")
+
+
 def _compile(node: Node, tables: tuple = _SCALAR):
     """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree as Python functions.
 
     With the array tables both take a 1-D array x as well as a float; a
-    part that does not depend on x stays a float.
+    part that does not depend on x stays a float.  The code is compiled once
+    per source text (``_code``) and run in a namespace holding this tree's
+    constants.
     """
     em = _Emitter(tables)
     result = em.value(node)
@@ -529,7 +546,7 @@ def _compile(node: Node, tables: tuple = _SCALAR):
     src += ["def jet(x):", *(f"    {s}" for s in em.lines),
             f"    return ({', '.join(result)})"]
     namespace = {**ARRAY_NAMESPACE, "_c": tuple(em.consts)}
-    exec(compile("\n".join(src), "<profile>", "exec"), namespace)
+    exec(_code("\n".join(src)), namespace)
     return namespace["value"], namespace["jet"]
 
 
@@ -544,8 +561,35 @@ def _scalar_failure(method, ts: np.ndarray, why):
     raise EvalError(f"profile failed on an array at no single point: {why}")
 
 
+def _last_array(slots: list, which: int, ts: np.ndarray, compute) -> tuple:
+    """compute(ts), a tuple of parts, remembered in slots[which].
+
+    The slot holds the last array result of one kind (value or jet) keyed
+    by the bytes of ts, so a second call on an equal array returns the same
+    parts without computing them.  The parts are arrays the shape of ts
+    (a float part is broadcast), share no memory with ts and are read-only.
+    A call that raises leaves the slot as it was.
+    """
+    key = ts.tobytes()
+    last = slots[which]
+    if last is not None and last[0] == key:
+        return last[1]
+    parts = tuple(np.full(ts.shape, p) if not isinstance(p, ndarray)
+                  else p.copy() if np.may_share_memory(p, ts) else p
+                  for p in compute(ts))
+    for p in parts:
+        p.flags.writeable = False
+    slots[which] = (key, parts)
+    return parts
+
+
 class Profile1D:
-    """Expression-tree profile of one variable on a declared interval."""
+    """Expression-tree profile of one variable on a declared interval.
+
+    The last array value and the last array jet are remembered, one slot
+    each; a call on an array with the same bytes returns the same read-only
+    arrays.
+    """
 
     def __init__(self, node: Node, domain: Interval, var: str | None = None):
         self.node = node
@@ -555,6 +599,7 @@ class Profile1D:
             raise EvalError(f"expression uses {inferred!r}, declared variable is {var!r}")
         self._value, self._jet = _compile(node)
         self._arrays = None  # (value, jet) on arrays, compiled on first use
+        self._last = [None, None]  # last array value and jet, see _last_array
 
     @classmethod
     def from_string(cls, text: str, domain: Interval,
@@ -602,11 +647,16 @@ class Profile1D:
         return Jet2(v, d1, d2)
 
     def _on_array(self, ts: np.ndarray, which: int) -> tuple:
-        """The compiled array value (0) or jet (1) at every entry of ts.
+        """The compiled array value (0) or jet (1) at every entry of ts,
+        remembered for the next call on the same array (``_last_array``).
 
         A failure raises the error that a loop of scalar calls over ts
         raises first, by running that loop.
         """
+        return _last_array(self._last, which, ts,
+                           lambda ts: self._evaluate(ts, which))
+
+    def _evaluate(self, ts: np.ndarray, which: int) -> tuple:
         self.domain.require(ts)
         if self._arrays is None:
             self._arrays = _compile(self.node, _ARRAY)
@@ -615,11 +665,10 @@ class Profile1D:
                 out = self._arrays[which](ts)
         except (EvalError, OverflowError, ZeroDivisionError, ValueError) as exc:
             _scalar_failure((self.value, self.jet)[which], ts, exc)
-        parts = [p if isinstance(p, np.ndarray) else np.full(ts.shape, p)
-                 for p in (out if which else (out,))]
+        parts = out if which else (out,)
         if not all(np.isfinite(p).all() for p in parts):
             _scalar_failure((self.value, self.jet)[which], ts, "not finite")
-        return tuple(parts)
+        return parts
 
     def is_constant(self) -> bool:
         return self.node.free_var() is None

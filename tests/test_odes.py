@@ -1,5 +1,6 @@
 """Characteristic second-order ODE: closed forms, RK4 trajectories, necks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from smmskit.odes import (
     xi_constant,
 )
 from smmskit.geometry import EinsteinFiber, FiberObataData
-from smmskit.profiles import Interval, Profile1D
+from smmskit.jets import Jet2
+from smmskit.profiles import Interval, Profile1D, sample_grid
 
 TS = np.linspace(0.15, 2.9, 12)
 
@@ -158,3 +160,113 @@ def test_restricted_windows():
     # the unrestricted derivative vanishes at 0 and is not positive there
     with pytest.raises(PositivityError):
         dprof.check_positive()
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics: one array pass, NaN never hidden
+
+
+def _builtin_max_chain(devs):
+    """The sup the diagnostics took point by point before: max from 0.0."""
+    out = 0.0
+    for d in devs:
+        out = max(out, d)
+    return out
+
+
+def _solutions():
+    return [ObataSolution.from_coefficients(*c)
+            for c in ((0.5, 1.6, -0.8, 0.35), (0.0, 1.4, 0.7, 1.2), (-0.7, -0.4, 1.1, -0.3))]
+
+
+def test_diagnostics_equal_the_scalar_loops_bitwise():
+    for sol in _solutions():
+        jets = [sol.profile.jet(float(t)) for t in TS]
+        lam, nu, lh = sol.lam, sol.nu, sol.lam_hat
+        assert ode_residual(sol, TS) == _builtin_max_chain(
+            abs(j.d2 + 2.0 * lam * j.value - nu) for j in jets)
+        assert first_integral_drift(sol, TS) == _builtin_max_chain(
+            abs(j.d1 ** 2 + 2.0 * lam * j.value ** 2 - 2.0 * nu * j.value + 2.0 * lh)
+            for j in jets)
+        target = nu ** 2 - 4.0 * lam * lh
+        assert nu_identity_residual(sol, TS) == _builtin_max_chain(
+            abs(2.0 * lam * j.d1 ** 2 + (nu - 2.0 * lam * j.value) ** 2 - target)
+            for j in jets)
+    m = 3.0
+    prof = neck_profile(m, Interval(0.0, 6.0))
+    ts = np.linspace(0.0, 6.0, 31)
+    assert neck_first_integral_drift(prof, m, ts) == _builtin_max_chain(
+        abs(j.d1 ** 2 - 1.0 + j.value ** (1.0 - m))
+        for j in (prof.jet(float(t)) for t in ts))
+    bsk = cat.make("skew_sphere_density")
+    phi, alpha = bsk.instance.metric.phi, bsk.instance.density.alpha
+    ts = TS[TS < 2.8]
+    xis = [alpha.jet(float(t)).d1 * phi.jet(float(t)).d1
+           - (bsk.kappa - 2.0 * bsk.lam * alpha.jet(float(t)).value) * phi.jet(float(t)).value
+           for t in ts]
+    assert xi_constant(phi, alpha, bsk.kappa, bsk.lam, ts) == (
+        sum(xis) / len(xis), max(xis) - min(xis))
+    fiber = bsk.instance.metric.fiber
+    ob = fiber.obata
+    devs = []
+    for s in sample_grid(ob.v_n.domain, 64, margin=0.02).tolist():
+        j = ob.v_n.jet(s)
+        target = -(ob.xi + ob.c * j.value)
+        devs += [abs(j.d2 - target), abs(fiber.orth_hess_factor(s) * j.d1 - target)]
+    assert fiber_obata_residual(fiber) == _builtin_max_chain(devs)
+
+
+class _NanAt:
+    """The wrapped profile, but its jet is NaN in every part at the point
+    t_nan, on a float and at the entries of an array that equal it."""
+
+    def __init__(self, inner, t_nan):
+        self.inner = inner
+        self.domain = inner.domain
+        self.t_nan = float(t_nan)
+
+    def is_constant(self):
+        return False
+
+    def jet(self, t):
+        j = self.inner.jet(t)
+        hit = t == self.t_nan
+        return Jet2(*(np.where(hit, math.nan, p) if isinstance(t, np.ndarray)
+                      else math.nan if hit else p for p in (j.value, j.d1, j.d2)))
+
+
+def _middle(ts):
+    return ts[len(ts) // 2]
+
+
+@pytest.mark.parametrize("diagnostic", [ode_residual, first_integral_drift,
+                                        nu_identity_residual])
+def test_solution_diagnostics_propagate_nan(diagnostic):
+    sol = _solutions()[0]
+    assert diagnostic(sol, TS) < 1e-9
+    poisoned = dataclasses.replace(sol, profile=_NanAt(sol.profile, _middle(TS)))
+    assert math.isnan(diagnostic(poisoned, TS))
+
+
+def test_xi_constant_propagates_nan():
+    bsk = cat.make("skew_sphere_density")
+    phi, alpha = bsk.instance.metric.phi, bsk.instance.density.alpha
+    ts = TS[TS < 2.8]
+    mean, spread = xi_constant(_NanAt(phi, _middle(ts)), alpha, bsk.kappa, bsk.lam, ts)
+    assert math.isnan(spread)
+
+
+def test_fiber_obata_residual_propagates_nan():
+    fiber = cat.make("skew_sphere_density").instance.metric.fiber
+    ob = fiber.obata
+    s_nan = _middle(sample_grid(ob.v_n.domain, 64, margin=0.02))
+    poisoned = EinsteinFiber(fiber.dim, fiber.beta, obata=FiberObataData(
+        _NanAt(ob.v_n, s_nan), ob.xi, ob.c))
+    assert math.isnan(fiber_obata_residual(poisoned))
+
+
+def test_neck_first_integral_drift_propagates_nan():
+    prof = neck_profile(3.0, Interval(0.0, 6.0))
+    ts = np.linspace(0.0, 6.0, 31)
+    assert neck_first_integral_drift(prof, 3.0, ts) < 1e-9
+    assert math.isnan(neck_first_integral_drift(_NanAt(prof, _middle(ts)), 3.0, ts))
