@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, FormError, PositivityError
@@ -27,7 +28,6 @@ from .geometry import (
     NestedFiber,
     SpaceForm,
     WarpedMetric,
-    grid_point,
 )
 from .jets import power
 from .odes import neck_profile
@@ -458,7 +458,7 @@ def skew_sphere_density(m: float = 2.0, lam: float = 0.5, fiber_amp: float = 0.2
         f"{base_amp!r}*cos({w!r}*t) + {kappa / (2.0 * lam)!r}", iv, var="t")
     density = SplitDensity(v_n, alpha)
     # sampled positivity of the combined density over the product window
-    window = grid_point(metric.grid(400, margin=0.01, s_active=True))
+    window = metric.grid(400, margin=0.01, s_active=True)
     if (density.v_value(metric, window) <= 0.0).any():
         raise AdmissibilityError(
             "density is not positive on the sphere; increase kappa or shrink amplitudes")
@@ -591,18 +591,39 @@ def defaults_of(name: str) -> dict:
     return out
 
 
+def _finite(x, integer: bool = False) -> bool:
+    kind = numbers.Integral if integer else numbers.Real
+    return not isinstance(x, bool) and isinstance(x, kind) and math.isfinite(x)
+
+
+def _check_override(name: str, key: str, value, default):
+    """value has the shape of the parameter's default: an integer for an
+    integer, a list of as many finite numbers for a tuple, a finite number
+    (or None where the default is None) otherwise."""
+    if isinstance(default, tuple):
+        ok = (isinstance(value, (list, tuple)) and len(value) == len(default)
+              and all(_finite(x) for x in value))
+        want = f"a list of {len(default)} finite numbers"
+    elif isinstance(default, int):
+        ok, want = _finite(value, integer=True), "an integer"
+    else:
+        ok = _finite(value) or (default is None and value is None)
+        want = "a finite number" + (" or null" if default is None else "")
+    if not ok:
+        raise AdmissibilityError(
+            f"parameter {key} of {name} must be {want}, got {value!r}")
+
+
 def make(name: str, **overrides) -> FamilyBundle:
     """Instantiate a catalog family by name with optional parameter overrides."""
-    if name not in FAMILIES:
-        raise AdmissibilityError(
-            f"unknown family {name!r}; available: {', '.join(available())}")
-    builder = FAMILIES[name].builder
-    sig = inspect.signature(builder)
-    unknown = set(overrides) - set(sig.parameters)
+    defaults = defaults_of(name)
+    unknown = set(overrides) - set(defaults)
     if unknown:
         raise AdmissibilityError(
             f"unknown parameters for {name}: {', '.join(sorted(unknown))}")
-    return builder(**overrides)
+    for key, value in overrides.items():
+        _check_override(name, key, value, defaults[key])
+    return FAMILIES[name].builder(**overrides)
 
 
 # ---------------------------------------------------------------------------

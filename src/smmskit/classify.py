@@ -76,13 +76,13 @@ class Classification:
     details: dict = field(default_factory=dict)
 
 
-def warping_rate_spread(metric: WarpedMetric, points: list) -> float:
-    """Spread of phi'/phi over the points' base coordinates, relative to
-    its largest size; zero exactly for an exponential warping a e^{w t}.
+def warping_rate_spread(metric: WarpedMetric, ts: np.ndarray) -> float:
+    """Spread of phi'/phi over the base coordinates ts, relative to its
+    largest size; zero exactly for an exponential warping a e^{w t}.
 
     NaN when phi'/phi is not finite somewhere, so it never passes a gate.
     """
-    phi = metric.phi.jet(np.array([p.t for p in points], dtype=float))
+    phi = metric.phi.jet(ts)
     with np.errstate(all="ignore"):
         rate = phi.d1 / phi.value
         spread = float(rate.max() - rate.min())  # NaN-propagating
@@ -104,13 +104,16 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
         "sectional_residual": report.sec_residual,
         "fiber_ricci_flat_residual": report.fiber_flat_residual,
         "fiber_quasi_einstein_residual": report.fiber_be_residual,
-        "warping_rate_spread": warping_rate_spread(instance.metric, report.points),
+        "warping_rate_spread": warping_rate_spread(instance.metric,
+                                                   report.points.t),
     }
+    kappa_mean, kappa_spread = details["kappa_mean"], details["kappa_spread"]
+    residual_einstein = details["residual_Einstein"]
 
     # precondition: modified Schouten tensor equals lam g with constant scale
     gates = {
-        "modified_schouten_residual": (report.residual_P, thr.residual),
-        "scale_spread": (report.kappa_spread, thr.kappa),
+        "modified_schouten_residual": (details["residual_P"], thr.residual),
+        "scale_spread": (kappa_spread, thr.kappa),
     }
     # not (val <= gate): a NaN is a violation, and the dominant one
     violated = {name: val / gate if val == val else math.inf
@@ -119,12 +122,12 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
         details["dominant_violation"] = max(violated, key=violated.get)
         local = "Indeterminate"
     else:
-        v_level = max(1.0, max(abs(x) for x in report.v))
-        if report.v_spread <= thr.constancy * v_level:
+        v_level = max(1.0, float(np.abs(report.v).max()))
+        if details["v_spread"] <= thr.constancy * v_level:
             local = "Trivial"
-        elif report.residual_Einstein <= thr.residual:
+        elif residual_einstein <= thr.residual:
             local = "Einstein"
-        elif abs(report.kappa_mean) <= thr.kappa:
+        elif abs(kappa_mean) <= thr.kappa:
             local = "QuasiEinstein"
         else:
             local = "Indeterminate"
@@ -134,18 +137,17 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
     if not complete or local == "Indeterminate":
         global_branch = "NotApplicable"
     else:
-        kappa_zero = (abs(report.kappa_mean) <= thr.kappa
-                      and report.kappa_spread <= thr.kappa)
-        fiber_be = report.fiber_be_residual
-        fiber_flat = report.fiber_flat_residual
-        sec = report.sec_residual
+        kappa_zero = abs(kappa_mean) <= thr.kappa and kappa_spread <= thr.kappa
+        fiber_be = details["fiber_quasi_einstein_residual"]
+        fiber_flat = details["fiber_ricci_flat_residual"]
+        sec = details["sectional_residual"]
         exponential = details["warping_rate_spread"] <= EXPONENTIAL_SPREAD
         if (lam < 0.0 and exponential and kappa_zero and fiber_be is not None
                 and fiber_be <= thr.residual):
             global_branch = "ExpQuasiEinstein"
         elif (lam < 0.0 and exponential and fiber_flat is not None
                 and fiber_flat <= thr.residual
-                and report.residual_Einstein <= thr.residual):
+                and residual_einstein <= thr.residual):
             global_branch = "ExpEinstein"
         elif sec is not None and sec <= thr.sectional:
             global_branch = "SpaceForm"

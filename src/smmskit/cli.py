@@ -28,11 +28,12 @@ from . import catalog
 from .classify import Thresholds, classify_report
 from .conformal import apply_conformal, conformal_law_residuals, involution_residual
 from .errors import ContradictionError, SmmsError
-from .geometry import grid_point
+from .geometry import PointSpec
 from .profiles import DEFAULT_CAP, Profile1D, sample_grid
 from .weighted import (
     Instance,
-    _column,
+    _mean,
+    _per_point,
     einstein_residuals,
     point_fields,
     sample_points,
@@ -101,18 +102,8 @@ def _grid_size(k: int) -> int:
 def _instance_from_config(cfg: dict):
     """Returns (instance, bundle-or-None)."""
     if "family" in cfg:
-        name = str(cfg["family"])
-        defaults = catalog.defaults_of(name)
-        kwargs = {}
-        for key, val in _section(cfg, "parameters").items():
-            where = f"parameters.{key}"
-            default = defaults.get(key)
-            if isinstance(val, list):
-                val = tuple(_number(x, where) for x in val)
-            elif not (val is None and default is None):
-                _number(val, where, integer=type(default) is int)
-            kwargs[key] = val
-        bundle = catalog.make(name, **kwargs)
+        # catalog.make checks each parameter against the shape of its default
+        bundle = catalog.make(str(cfg["family"]), **_section(cfg, "parameters"))
         return bundle.instance, bundle
     flags = _section(cfg, "flags")
     for key, val in flags.items():
@@ -173,15 +164,16 @@ def _conformal_factor(cfg: dict, inst: Instance):
     return Profile1D.from_string(section["u"], inst.metric.interval, var="t")
 
 
-def _estimate_lambda(instance: Instance, pts) -> float:
+def _estimate_lambda(instance: Instance, pts: PointSpec) -> float:
     """Mean of tr P_f^m / n over about 64 of the grid points, in one kernel
     pass on them; the same floats as a loop over the points."""
-    sample = pts[::max(1, len(pts) // 64)]
+    every = slice(None, None, max(1, len(pts) // 64))
+    sample = PointSpec(pts.t[every], None if pts.s is None else pts.s[every])
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
         schouten = point_fields(instance.metric, instance.density,
-                                instance.params, grid_point(sample)).p
-        vals = _column(schouten.trace() / instance.params.n, len(sample))
-    return sum(vals) / len(vals)
+                                instance.params, sample).p
+        return _mean(_per_point(schouten.trace() / instance.params.n,
+                                len(sample)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +229,12 @@ def _write_csv(path: str, rep):
         writer = csv.writer(fh)
         writer.writerow(["t", "s", "p_dev", "qe_dev", "rho_dev",
                          "kappa", "v", "tau_f"])
-        for i, p in enumerate(rep.points):
-            writer.writerow([p.t, "" if p.s is None else p.s,
-                             rep.p_dev[i], rep.qe_dev[i], rep.rho_dev[i],
-                             rep.kappa[i], rep.v[i], rep.tau_f[i]])
+        pts = rep.points
+        ss = [""] * len(pts) if pts.s is None else pts.s.tolist()
+        writer.writerows(zip(pts.t.tolist(), ss, rep.p_dev.tolist(),
+                             rep.qe_dev.tolist(), rep.rho_dev.tolist(),
+                             rep.kappa.tolist(), rep.v.tolist(),
+                             rep.tau_f.tolist()))
 
 
 def _transformed_residuals(result, lam_hat: float, k: int, margin: float,
@@ -438,10 +432,7 @@ def _cmd_catalog(args) -> int:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, _, val = item.partition("=")
-        parsed = _coerce(val)
-        if isinstance(parsed, list):
-            parsed = tuple(parsed)
-        overrides[key] = parsed
+        overrides[key] = _coerce(val)
     bundle = catalog.make(args.name, **overrides)
     k = _grid_size(1000 if args.points is None else args.points)
     cfg = bundle.config(k=k)

@@ -34,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, \
-    field_components, grid_point, hessian_radial, ricci_blocks_for
+    field_components, hessian_radial, ricci_blocks_for
 from .jets import BiJet2, Jet2, _any, _check, power
 from .profiles import Interval, _last_array, _scalar_failure, sample_grid
 from .weighted import (
@@ -501,12 +501,11 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
     structure = dens.structure(metric)
     hat = result.instance
     ts = np.asarray(ts, dtype=float)
-    s = None
+    ss = None
     if s_active:
-        s = float(sample_grid(metric.fiber.probe_domain(), 5, margin=0.2)[2])
-    qs = result.cmap.forward(ts)
-    pt = grid_point([PointSpec(t, s) for t in ts.tolist()])
-    pt_hat = grid_point([PointSpec(q, s) for q in qs.tolist()])
+        ss = np.full(ts.shape, sample_grid(metric.fiber.probe_domain(), 5, margin=0.2)[2])
+    pt = PointSpec(ts, ss)
+    pt_hat = PointSpec(result.cmap.forward(ts), ss)
     with np.errstate(all="ignore"):  # as on floats: inf and NaN fail the sups
         uj = u.jet(pt.t)
         uv, du, ddu = uj.value, uj.d1, uj.d2
@@ -563,8 +562,8 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
                                    -j_hat / (power(uv, 2) * (n + m - 2.0)))
         schouten = direct.p.scale_shift(1.0 / power(uv, 2)) \
                            .combine(law_p, 1.0, -1.0).sup_dev(0.0)
-    return {"ricci": _sup(ricci.tolist()), "modified_ricci": _sup(modified.tolist()),
-            "schouten": _sup(schouten.tolist()), "scalar": _sup(scalar.tolist())}
+    return {"ricci": _sup(ricci), "modified_ricci": _sup(modified),
+            "schouten": _sup(schouten), "scalar": _sup(scalar)}
 
 
 def involution_residual(instance: Instance, u, ts) -> float:
@@ -596,4 +595,4 @@ def involution_residual(instance: Instance, u, ts) -> float:
                                 abs(second.instance.metric.phi.value(qs2)
                                     - instance.metric.phi.value(ts)),
                                 abs(dens2.value(qs2) - dens0.value(ts))))
-    return _sup(devs.ravel().tolist())  # point by point: coordinate, warping, density
+    return _sup(devs.ravel())  # point by point: coordinate, warping, density

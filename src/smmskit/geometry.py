@@ -10,8 +10,9 @@ Components of symmetric 2-tensors are reported against unit vectors of g:
 the tt value, one value per fiber block, and the (t, s) mixed value when a
 second coordinate is active.
 
-A point may carry a whole grid at once (``grid_point``): its coordinates are
-then equal-length 1-D arrays, and so is every number computed from them.
+A point may carry a whole grid at once (``WarpedMetric.grid``): its
+coordinates are then equal-length 1-D arrays, and so is every number
+computed from them.
 The formulas are the same statements either way; powers and
 transcendentals go through ``jets.power`` and ``jets.fmap``, so array
 results are bitwise equal to scalar ones, and tests of a value hold when
@@ -35,26 +36,19 @@ from .profiles import DEFAULT_CAP, Interval, sample_grid
 class PointSpec:
     """Evaluation point: base coordinate t, optional fiber probe coordinate s.
 
-    Both are floats, or equal-length 1-D arrays for a grid of points.
+    Both are floats, or equal-length 1-D arrays for a grid of points; len()
+    is the number of points.
     """
 
     t: float
     s: float | None = None
 
+    def __len__(self) -> int:
+        return np.size(self.t)
+
     def at(self, i: int) -> "PointSpec":
         """Point i of a grid point, with float coordinates."""
         return PointSpec(float(self.t[i]), None if self.s is None else float(self.s[i]))
-
-
-def grid_point(points: list) -> PointSpec:
-    """One point holding the coordinates of a list of points as arrays."""
-    ss = [p.s for p in points]
-    if None in ss:
-        if any(s is not None for s in ss):
-            raise FormError("grid mixes points with and without a fiber coordinate")
-        ss = None
-    return PointSpec(np.array([p.t for p in points], dtype=float),
-                     None if ss is None else np.array(ss, dtype=float))
 
 
 def _require_s(point: PointSpec, why: str) -> float:
@@ -350,8 +344,9 @@ class WarpedMetric:
         return self.fiber.blocks(split=s_active or self.fiber.natural_split())
 
     def grid(self, k: int, margin: float = 0.05, cap: float = DEFAULT_CAP,
-             s_active: bool = False) -> list:
-        """Deterministic interior evaluation grid of about k points."""
+             s_active: bool = False) -> PointSpec:
+        """Deterministic interior evaluation grid of about k points, as one
+        grid point; with a fiber coordinate, t-major over a square grid."""
         if s_active or self.fiber.natural_split():
             dom_s = self.fiber.probe_domain()
             if dom_s is None:
@@ -359,9 +354,8 @@ class WarpedMetric:
             kt = max(2, int(round(math.sqrt(k))))
             ts = sample_grid(self.interval, kt, margin=margin, cap=cap)
             ss = sample_grid(dom_s, kt, margin=margin, cap=cap)
-            return [PointSpec(float(t), float(s)) for t in ts for s in ss]
-        ts = sample_grid(self.interval, k, margin=margin, cap=cap)
-        return [PointSpec(float(t)) for t in ts]
+            return PointSpec(np.repeat(ts, kt), np.tile(ss, kt))
+        return PointSpec(sample_grid(self.interval, k, margin=margin, cap=cap))
 
 
 # ---------------------------------------------------------------------------

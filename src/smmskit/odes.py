@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, EvalError, PositivityError, StepError
 from .jets import Jet2, power
 from .profiles import Interval, Profile1D, _last_array
-from .weighted import _spread, _sup
+from .weighted import _mean, _spread, _sup
 
 _REAL_LINE = Interval(-math.inf, math.inf)
 
@@ -104,17 +104,11 @@ class ObataSolution:
         return Profile1D.from_string(expr, _REAL_LINE, var="t")
 
 
-def _sup0(*devs) -> float:
-    """sup of 0.0 and every entry of devs (floats or arrays), as a chain of
-    builtin max from 0.0 gives it on finite entries; NaN when any is NaN."""
-    return _sup([0.0, *(x for d in devs for x in np.atleast_1d(d).tolist())])
-
-
 def ode_residual(sol: ObataSolution, ts) -> float:
     """sup |u'' + 2 lam u - nu| over the sample points (exact jets)."""
     j = sol.profile.jet(np.asarray(ts, dtype=float))
     with np.errstate(all="ignore"):  # inf and NaN reach the sup
-        return _sup0(abs(j.d2 + 2.0 * sol.lam * j.value - sol.nu))
+        return _sup(abs(j.d2 + 2.0 * sol.lam * j.value - sol.nu))
 
 
 def first_integral_drift(sol: ObataSolution, ts) -> float:
@@ -123,7 +117,7 @@ def first_integral_drift(sol: ObataSolution, ts) -> float:
     with np.errstate(all="ignore"):
         val = power(j.d1, 2) + 2.0 * sol.lam * power(j.value, 2) \
             - 2.0 * sol.nu * j.value + 2.0 * sol.lam_hat
-        return _sup0(abs(val))
+        return _sup(abs(val))
 
 
 def nu_identity_residual(sol: ObataSolution, ts) -> float:
@@ -136,7 +130,7 @@ def nu_identity_residual(sol: ObataSolution, ts) -> float:
     j = sol.profile.jet(np.asarray(ts, dtype=float))
     with np.errstate(all="ignore"):
         ddu = sol.nu - 2.0 * sol.lam * j.value
-        return _sup0(abs(2.0 * sol.lam * power(j.d1, 2) + power(ddu, 2) - target))
+        return _sup(abs(2.0 * sol.lam * power(j.d1, 2) + power(ddu, 2) - target))
 
 
 def xi_constant(phi, alpha, kappa: float, lam: float, ts) -> tuple:
@@ -151,8 +145,8 @@ def xi_constant(phi, alpha, kappa: float, lam: float, ts) -> tuple:
     aj = alpha.jet(ts)
     with np.errstate(all="ignore"):
         xi = aj.d1 * pj.d1 - (kappa - 2.0 * lam * aj.value) * pj.value
-    vals = np.broadcast_to(xi, ts.shape).tolist()
-    return sum(vals) / len(vals), _spread(vals)
+    xi = np.broadcast_to(xi, ts.shape)
+    return _mean(xi), _spread(xi)
 
 
 def fiber_obata_residual(fiber, k: int = 64) -> float:
@@ -176,7 +170,7 @@ def fiber_obata_residual(fiber, k: int = 64) -> float:
             orth = abs(target)
         else:
             orth = abs(fiber.orth_hess_factor(ss) * j.d1 - target)
-        return _sup0(abs(j.d2 - target), orth)
+        return _sup(np.maximum(abs(j.d2 - target), orth))
 
 
 # ---------------------------------------------------------------------------
@@ -359,4 +353,4 @@ def neck_first_integral_drift(prof: OdeProfile, m: float, ts) -> float:
     """sup |(w')^2 - 1 + w^{1-m}| over the sample points."""
     j = prof.jet(np.asarray(ts, dtype=float))
     with np.errstate(all="ignore"):
-        return _sup0(abs(power(j.d1, 2) - 1.0 + power(j.value, 1.0 - m)))
+        return _sup(abs(power(j.d1, 2) - 1.0 + power(j.value, 1.0 - m)))

@@ -5,21 +5,24 @@ modified Ricci tensor, weighted scalar curvature, weighted Schouten tensor
 and the scale extracted from the trace identity are all evaluated pointwise
 from exact jets.  One kernel, ``point_fields``, computes every field at a
 point once; every caller reads from it.  The point is one point with float
-coordinates, or a whole grid whose coordinates are 1-D arrays
-(``geometry.grid_point``): ``einstein_residuals`` and ``solve_mu`` evaluate
-their grid in one such call, with results bitwise equal to a loop over the
-points.  Two independent computation routes
-exist for the modified Ricci tensor: the v-form of ``point_fields``
-(rho - m Hes_v / v, using the displayed Hessian decompositions) and the
-f-form of ``bakry_emery`` (rho + Hes_f - df (x) df / m, using generic
-covariant assembly of f = -m log v), which is kept as the cross-check.
+coordinates, or a whole grid whose coordinates are 1-D arrays, as
+``sample_points`` returns it: ``einstein_residuals`` and ``solve_mu``
+evaluate their grid in one such call, with results bitwise equal to a loop
+over the points, and the report keeps one array per field.  Its sups and
+means run over the arrays in grid order, so they equal the builtin max and
+a left-to-right sum over the same floats bit for bit.  Two independent
+computation routes exist for the modified Ricci tensor: the v-form of
+``point_fields`` (rho - m Hes_v / v, using the displayed Hessian
+decompositions) and the f-form of ``bakry_emery`` (rho + Hes_f - df (x)
+df / m, using generic covariant assembly of f = -m log v), which is kept
+as the cross-check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .geometry import (
     WarpedMetric,
     _nan_max,
     field_components,
-    grid_point,
     hessian_radial,
     hessian_split,
     ricci_blocks_for,
@@ -38,6 +40,7 @@ from .geometry import (
     sectional_residual,
 )
 from .jets import BiJet2, UNARY, _any
+from .profiles import DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ def weyl_norm(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
 
 
 def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
-             lam: float, points: list) -> tuple:
+             lam: float, points: PointSpec) -> tuple:
     """Solve the trace identity for mu assuming P_f^m = lam g.
 
     Returns (mean, spread) of the pointwise solution over the grid, from one
@@ -297,57 +300,75 @@ def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
         raise UnsupportedError("mu does not enter the m = 1 equations")
     base = SmmsParams(n, m, 0.0)
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
-        pf = point_fields(metric, density, base, grid_point(points))
+        pf = point_fields(metric, density, base, points)
         j_target = pf.be.tt - (n + m - 2.0) * lam
-        vals = _column((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
-                       / (m * (m - 1.0)), len(points))
-    return sum(vals) / len(vals), _spread(vals)
+        vals = _per_point((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
+                          / (m * (m - 1.0)), len(points))
+    return _mean(vals), _spread(vals)
 
 
 # ---------------------------------------------------------------------------
 # grid reports
 
-def _sup(values: list) -> float:
-    """max(values), NaN when any value is NaN."""
-    top = max(values)  # the first largest, as a chain of _nan_max would give
-    return math.nan if np.isnan(values).any() else top
+def _per_point(x, k: int) -> np.ndarray:
+    """A grid quantity as a read-only view of k floats: x is an array over
+    the grid or a float that holds at every point."""
+    return np.broadcast_to(np.asarray(x, dtype=float), (k,))
 
 
-def _spread(values) -> float:
+def _sup(values: np.ndarray) -> float:
+    """The first largest entry, as the builtin max gives it; NaN when any
+    entry is NaN (argmax stops at the first NaN)."""
+    return float(values[values.argmax()])
+
+
+def _spread(values: np.ndarray) -> float:
     """max(values) - min(values), NaN when any value is NaN."""
-    return _sup(values) - min(values)
+    return _sup(values) - float(values[values.argmin()])
 
 
-def _sup_defined(values) -> float | None:
-    """_sup over the entries that are not None; None when there are none."""
-    vals = [x for x in values if x is not None]
-    return _sup(vals) if vals else None
+def _sup_defined(values: np.ndarray | None) -> float | None:
+    """_sup of a diagnostic; None when it is undefined on the grid."""
+    return None if values is None else _sup(values)
+
+
+def _mean(values: np.ndarray) -> float:
+    """The sum of the entries from 0.0 in grid order, over their count: the
+    order of the builtin sum through Python 3.11 (which compensates from
+    3.12 on), on every version.  accumulate adds in order; np.sum and
+    np.mean add pairwise and move the last bits."""
+    with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
+        total = np.add.accumulate(np.concatenate(([0.0], values)))[-1]
+    return float(total) / len(values)
 
 
 @dataclass
 class WeightedReport:
     """Per-point weighted tensor records plus sup-norm aggregates.
 
-    Every aggregate propagates NaN: one NaN record makes it NaN, so it can
-    never pass a gate.
+    points is the grid; every other per-point field is a float array in
+    grid order (be_blocks one column per fiber block), most of them
+    read-only views of the kernel's arrays.  A diagnostic that is undefined
+    on the grid is None.  Every aggregate propagates NaN: one NaN
+    record makes it NaN, so it can never pass a gate.
     """
 
     params: SmmsParams
     lam: float
-    points: list = field(default_factory=list)
-    be_tt: list = field(default_factory=list)
-    be_blocks: list = field(default_factory=list)
-    be_mixed: list = field(default_factory=list)
-    rho_dev: list = field(default_factory=list)      # sup dev of rho from 2(n-1) lam g
-    qe_dev: list = field(default_factory=list)       # sup dev of rho_f^m from 2(n+m-1) lam g
-    p_dev: list = field(default_factory=list)        # sup dev of P_f^m from lam g
-    tau_f: list = field(default_factory=list)
-    j_f: list = field(default_factory=list)
-    kappa: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    sec_dev: list = field(default_factory=list)
-    fiber_flat_dev: list = field(default_factory=list)
-    fiber_be_dev: list = field(default_factory=list)
+    points: PointSpec
+    be_tt: np.ndarray
+    be_blocks: np.ndarray
+    be_mixed: np.ndarray
+    rho_dev: np.ndarray      # sup dev of rho from 2(n-1) lam g
+    qe_dev: np.ndarray       # sup dev of rho_f^m from 2(n+m-1) lam g
+    p_dev: np.ndarray        # sup dev of P_f^m from lam g
+    tau_f: np.ndarray
+    j_f: np.ndarray
+    kappa: np.ndarray
+    v: np.ndarray
+    sec_dev: np.ndarray | None = None
+    fiber_flat_dev: np.ndarray | None = None
+    fiber_be_dev: np.ndarray | None = None
 
     @property
     def residual_P(self) -> float:
@@ -363,7 +384,7 @@ class WeightedReport:
 
     @property
     def kappa_mean(self) -> float:
-        return sum(self.kappa) / len(self.kappa)
+        return _mean(self.kappa)
 
     @property
     def kappa_spread(self) -> float:
@@ -386,39 +407,14 @@ class WeightedReport:
         return _sup_defined(self.fiber_be_dev)
 
 
-def _column(x, k: int) -> list:
-    """The k per-point entries of a grid quantity as Python floats.
-
-    x is None (undefined everywhere), an array, a float that holds at every
-    point, or already a list.
-    """
-    if x is None:
-        return [None] * k
-    if isinstance(x, list):
-        return x
-    return np.broadcast_to(x, (k,)).tolist()
-
-
-def _defined(ok, value):
-    """value where ok holds and None elsewhere, point by point on a grid."""
-    if not isinstance(ok, np.ndarray):
-        return value if ok else None
-    if ok.all():
-        return value
-    if not ok.any():
-        return None
-    return [x if keep else None
-            for x, keep in zip(_column(value, ok.size), ok.tolist())]
-
-
 def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
                        params: SmmsParams, point: PointSpec, structure: tuple):
     """(fiber Ricci-flatness deviation, fiber modified-Ricci deviation).
 
     The second is only defined where the density restricts to the fiber as
     v_N (split form with vanishing alpha, or radial v proportional to phi);
-    None elsewhere.  On a grid point either may also be a list holding None
-    at the points where it is undefined.
+    None elsewhere.  On a grid point it is defined when that holds at every
+    point of the grid.
     """
     split = len(structure) > 1
     try:
@@ -436,7 +432,7 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
         h_orth = metric.fiber.orth_hess_factor(s) * vn.d1
         dev = _nan_max(abs(coeffs[0] - m * vn.d2 / vn.value),
                        abs(coeffs[1] - m * h_orth / vn.value))
-        return flat_dev, _defined(vn.value > 0.0, dev)
+        return flat_dev, dev if np.all(vn.value > 0.0) else None
     if isinstance(density, RadialDensity):
         # v proportional to phi means v_N is constant: fiber term is rho_N
         vj = density.v.jet(point.t)
@@ -445,12 +441,12 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
         d_ratio = (vj.d1 - ratio * pj.d1) / pj.value
         scale = abs(vj.value) + abs(vj.d1)
         level = np.where(scale > 1.0, scale, 1.0)  # max(1.0, scale)
-        return flat_dev, _defined(abs(d_ratio) <= 1e-10 * level, flat_dev)
+        return flat_dev, flat_dev if np.all(abs(d_ratio) <= 1e-10 * level) else None
     return flat_dev, None
 
 
 def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
-                       params: SmmsParams, lam: float, points: list,
+                       params: SmmsParams, lam: float, points: PointSpec,
                        with_diagnostics: bool = True) -> WeightedReport:
     """Evaluate the weighted Einstein residuals over a grid of points.
 
@@ -459,50 +455,47 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
     |rho - 2(n-1) lam g|, all componentwise against g-unit vectors.  The
     scale comes from the trace identity J = (m+n) lam - m kappa / v, so
     kappa = ((m+n) lam - J) v / m; its constancy certifies the instance.
-    The kernel runs once on the whole grid; the report keeps one float (or
-    None) per point.
+    The kernel runs once on the whole grid; the report keeps one array per
+    field.
     """
     n, m = params.n, params.m
     structure = density.structure(metric)
     k = len(points)
-    grid = grid_point(points)
     sec_dev = flat_dev = be_dev = None
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
-        pf = point_fields(metric, density, params, grid)
+        pf = point_fields(metric, density, params, points)
         be = pf.be
-        rep = WeightedReport(
-            params, lam, points=list(points),
-            be_tt=_column(be.tt, k),
-            be_blocks=list(zip(*(_column(b, k) for b in be.blocks))),
-            be_mixed=_column(be.mixed, k),
-            rho_dev=_column(pf.rho.sup_dev(2.0 * (n - 1.0) * lam), k),
-            qe_dev=_column(be.sup_dev(2.0 * (n + m - 1.0) * lam), k),
-            p_dev=_column(pf.p.sup_dev(lam), k),
-            tau_f=_column(pf.tau_f, k),
-            j_f=_column(pf.j, k),
-            kappa=_column(((m + n) * lam - pf.j) * pf.v / m, k),
-            v=_column(pf.v, k),
-        )
         if with_diagnostics:
             try:
-                sec_dev = sectional_residual(metric, grid, 2.0 * lam,
+                sec_dev = sectional_residual(metric, points, 2.0 * lam,
                                              s_active=len(structure) > 1)
             except UnsupportedError:
                 pass
-            flat_dev, be_dev = _fiber_diagnostics(metric, density, params, grid,
-                                                  structure)
-    rep.sec_dev = _column(sec_dev, k)
-    rep.fiber_flat_dev = _column(flat_dev, k)
-    rep.fiber_be_dev = _column(be_dev, k)
-    return rep
+            flat_dev, be_dev = _fiber_diagnostics(metric, density, params,
+                                                  points, structure)
+        return WeightedReport(
+            params, lam, points,
+            be_tt=_per_point(be.tt, k),
+            be_blocks=np.stack([_per_point(b, k) for b in be.blocks], axis=1),
+            be_mixed=_per_point(be.mixed, k),
+            rho_dev=_per_point(pf.rho.sup_dev(2.0 * (n - 1.0) * lam), k),
+            qe_dev=_per_point(be.sup_dev(2.0 * (n + m - 1.0) * lam), k),
+            p_dev=_per_point(pf.p.sup_dev(lam), k),
+            tau_f=_per_point(pf.tau_f, k),
+            j_f=_per_point(pf.j, k),
+            kappa=_per_point(((m + n) * lam - pf.j) * pf.v / m, k),
+            v=_per_point(pf.v, k),
+            sec_dev=None if sec_dev is None else _per_point(sec_dev, k),
+            fiber_flat_dev=None if flat_dev is None else _per_point(flat_dev, k),
+            fiber_be_dev=None if be_dev is None else _per_point(be_dev, k),
+        )
 
 
 def sample_points(metric: WarpedMetric, density: DensitySpec, k: int,
-                  margin: float = 0.05, cap: float | None = None) -> list:
+                  margin: float = 0.05, cap: float = DEFAULT_CAP) -> PointSpec:
     """Verification grid matching the block structure the density needs."""
     s_active = len(density.structure(metric)) > 1
-    kwargs = {} if cap is None else {"cap": cap}
-    return metric.grid(k, margin=margin, s_active=s_active, **kwargs)
+    return metric.grid(k, margin=margin, cap=cap, s_active=s_active)
 
 
 def tau_consistency_residual(report: WeightedReport) -> float:
@@ -513,9 +506,7 @@ def tau_consistency_residual(report: WeightedReport) -> float:
     kappa; a wrong characteristic constant mu shows up here directly.
     """
     n, m = report.params.n, report.params.m
-    kbar = report.kappa_mean
-    out = 0.0
-    for tau, v in zip(report.tau_f, report.v):
-        pred = 2.0 * (n + m - 1.0) * ((m + n) * report.lam - m * kbar / v)
-        out = _nan_max(out, abs(tau - pred))
-    return out
+    with np.errstate(all="ignore"):  # as on floats: inf and NaN reach the sup
+        pred = 2.0 * (n + m - 1.0) * ((m + n) * report.lam
+                                      - m * report.kappa_mean / report.v)
+        return _sup(abs(report.tau_f - pred))

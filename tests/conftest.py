@@ -133,6 +133,16 @@ def interior_points(interval, k, frac=0.08):
     return [float(t) for t in np.linspace(lo + frac * span, hi - frac * span, k)]
 
 
+def left_to_right_mean(values) -> float:
+    """Mean of a list of floats summed from 0.0 in list order, the order the
+    report means use on every Python (the builtin sum compensates from 3.12
+    on, so it is no reference there)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total / len(values)
+
+
 def poison_ricci_at(monkeypatch, t, component):
     """Make the weighted kernel's Ricci input NaN in one component at base point t.
 

@@ -132,7 +132,7 @@ def test_nan_at_random_grid_position_fails_closed(monkeypatch, name):
     inst = b.instance
     pts = sample_points(inst.metric, inst.density, 36)
     for _ in range(4):
-        pt = pts[int(rng.integers(len(pts)))]
+        pt = pts.at(int(rng.integers(len(pts))))
         component = int(rng.integers(1 + len(inst.density.structure(inst.metric))))
         with monkeypatch.context() as mp:
             poison_ricci_at(mp, pt.t, component)

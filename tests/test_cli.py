@@ -247,6 +247,38 @@ def test_malformed_config_exits_two(tmp_path, capsys, command, case, edit, extra
     assert err.startswith("error: "), (case, err)
 
 
+# (case id, family, parameter overrides of the wrong shape)
+BAD_PARAMETERS = [
+    ("list_for_scalar", "weighted_sphere", {"a": [1, 2]}),
+    ("window_as_float", "neck_warped", {"fiber_window": 3.0}),
+    ("window_as_integer", "neck_warped", {"fiber_window": 3}),
+    ("window_too_short", "neck_warped", {"fiber_window": [1.0]}),
+    ("window_too_long", "neck_warped", {"fiber_window": [0.2, 1, 2]}),
+    ("fraction_for_integer", "weighted_sphere", {"n": 2.5}),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "conformal", "catalog"])
+@pytest.mark.parametrize("case,family,overrides", BAD_PARAMETERS,
+                         ids=[c[0] for c in BAD_PARAMETERS])
+def test_parameter_of_wrong_shape_exits_two(tmp_path, capsys, command, case,
+                                            family, overrides):
+    # a config and `catalog make --set` both reach catalog.make, which checks
+    # each override against the shape of its default
+    if command == "catalog":
+        argv = ["catalog", "make", family]
+        for key, val in overrides.items():
+            argv += ["--set", f"{key}={json.dumps(val)}"]
+    else:
+        cfg = cat.make(family).config(k=16)
+        cfg["parameters"].update(overrides)
+        argv = [command, "--config", write_config(tmp_path, cfg)]
+    assert cli.main(argv) == 2, case
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, (case, err)
+    assert f"parameter {next(iter(overrides))} of {family}" in err, (case, err)
+
+
 def test_table_rejects_degenerate_grid(capsys):
     assert cli.main(["table", "--points", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -294,16 +326,17 @@ def test_grid_cap_bounds_base_and_transformed_grids(tmp_path, monkeypatch, comma
     cfg["grid"]["cap"] = 3.0
     grids = []  # (cap passed, coordinates) per sampled grid
 
-    def recording(sampler, coord):
+    def recording(sampler, coords):
         def sample(*args, **kwargs):
             out = sampler(*args, **kwargs)
-            grids.append((kwargs.get("cap"), [coord(x) for x in out]))
+            grids.append((kwargs.get("cap"), coords(out)))
             return out
         return sample
 
     monkeypatch.setattr(cli, "sample_points",
                         recording(cli.sample_points, lambda p: p.t))
-    monkeypatch.setattr(cli, "sample_grid", recording(cli.sample_grid, float))
+    monkeypatch.setattr(cli, "sample_grid",
+                        recording(cli.sample_grid, lambda ts: ts))
     assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
     # verify: base and transformed grid; conformal: law and transformed grid
     assert len(grids) == 2
@@ -320,7 +353,7 @@ def test_verify_fails_on_nan_at_random_grid_position(tmp_path, monkeypatch):
     path = write_config(tmp_path, b.config(k=24))
     rep_path = str(tmp_path / "rep.json")
     for _ in range(3):
-        t = pts[int(rng.integers(len(pts)))].t
+        t = pts.at(int(rng.integers(len(pts)))).t
         with monkeypatch.context() as mp:
             poison_ricci_at(mp, t, int(rng.integers(2)))
             assert cli.main(["verify", "--config", path, "--out", rep_path]) == 1

@@ -173,7 +173,7 @@ def hat_grid(name: str, k: int = 250):
     res = apply_conformal(b.instance, u)
     hat = res.instance
     pts = sample_points(hat.metric, hat.density, k)
-    return b.instance, u, res, sorted({p.t for p in pts})
+    return b.instance, u, res, sorted(set(pts.t.tolist()))
 
 
 @pytest.mark.parametrize("name", ["weighted_sphere", "neck_warped"])

@@ -171,8 +171,12 @@ def test_nested_fiber_depth_guard():
 def test_grid_skips_split_axis_only_when_needed():
     m = unit_sphere()
     pts = m.grid(10)
-    assert all(p.s is None for p in pts)
-    assert len(pts) == 10
+    assert pts.s is None
+    assert len(pts) == 10 and pts.t.shape == (10,)
     pts_s = m.grid(16, s_active=True)
-    assert all(p.s is not None for p in pts_s)
+    assert pts_s.t.shape == pts_s.s.shape == (16,)
     assert len(pts_s) == 16
+    # t-major over a square grid: each t once with every s
+    ts, ss = np.unique(pts_s.t), np.unique(pts_s.s)
+    assert np.array_equal(pts_s.t, np.repeat(ts, 4))
+    assert np.array_equal(pts_s.s, np.tile(ss, 4))

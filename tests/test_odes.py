@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import smmskit.catalog as cat
+from conftest import left_to_right_mean
 from smmskit.errors import DomainError, PositivityError
 from smmskit.odes import (
     ObataSolution,
@@ -205,7 +206,7 @@ def test_diagnostics_equal_the_scalar_loops_bitwise():
            - (bsk.kappa - 2.0 * bsk.lam * alpha.jet(float(t)).value) * phi.jet(float(t)).value
            for t in ts]
     assert xi_constant(phi, alpha, bsk.kappa, bsk.lam, ts) == (
-        sum(xis) / len(xis), max(xis) - min(xis))
+        left_to_right_mean(xis), max(xis) - min(xis))
     fiber = bsk.instance.metric.fiber
     ob = fiber.obata
     devs = []

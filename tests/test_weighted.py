@@ -8,6 +8,7 @@ import pytest
 
 import smmskit.catalog as cat
 import smmskit.weighted as weighted
+from conftest import left_to_right_mean
 from smmskit.classify import classify_report
 from smmskit.errors import UnsupportedError
 from smmskit.geometry import (
@@ -21,7 +22,6 @@ from smmskit.profiles import Interval, Profile1D
 from smmskit.weighted import (
     RadialDensity,
     SmmsParams,
-    WeightedReport,
     _fiber_diagnostics,
     bakry_emery,
     einstein_residuals,
@@ -36,6 +36,11 @@ from smmskit.weighted import (
 def sphere_example():
     # lam = 1/2, n = 3, m = 2, v = 2 + cos t on the round unit three-sphere
     return cat.make("weighted_sphere", n=3, m=2.0, lam=0.5, a=2.0, b=1.0)
+
+
+def each_point(pts):
+    """The points of a grid, each with float coordinates."""
+    return [pts.at(i) for i in range(len(pts))]
 
 
 def report_for(bundle, k=64, **kw):
@@ -110,13 +115,13 @@ def test_constant_density_shifted_characteristic_constant():
     lam_eff = ((n - 1.0) * (n + 2.0 * m - 2.0) * lam / D
                - m * (m - 1.0) * mu_term / (2.0 * D))
     inst = b.instance
-    for pt in sample_points(inst.metric, inst.density, 8):
+    for pt in each_point(sample_points(inst.metric, inst.density, 8)):
         P = point_fields(inst.metric, inst.density, inst.params, pt).p
         assert P.sup_dev(lam_eff) < 1e-12
     # at m = 1 the density measure is inert: the scale stays lam for any mu
     b1 = cat.make("constant_density", n=n, m=1.0, lam=lam, a=a, mu=mu)
     inst1 = b1.instance
-    for pt in sample_points(inst1.metric, inst1.density, 8):
+    for pt in each_point(sample_points(inst1.metric, inst1.density, 8)):
         P1 = point_fields(inst1.metric, inst1.density, inst1.params, pt).p
         assert P1.sup_dev(lam) < 1e-12
 
@@ -126,7 +131,7 @@ def test_weyl_vanishes_on_weighted_space_forms():
                  "exponential_warped"):
         b = cat.make(name)
         inst = b.instance
-        for pt in sample_points(inst.metric, inst.density, 6):
+        for pt in each_point(sample_points(inst.metric, inst.density, 6)):
             assert weyl_norm(inst.metric, inst.density, inst.params, pt) < 1e-8, name
 
 
@@ -134,7 +139,8 @@ def test_weyl_detects_nonconstant_curvature():
     b = cat.make("cone_product")
     inst = b.instance
     pts = sample_points(inst.metric, inst.density, 8)
-    vals = [weyl_norm(inst.metric, inst.density, inst.params, p) for p in pts]
+    vals = [weyl_norm(inst.metric, inst.density, inst.params, p)
+            for p in each_point(pts)]
     assert max(vals) > 1e-3
 
 
@@ -182,7 +188,8 @@ def test_inert_weight_ignores_mu_bitwise():
     for other in reports[1:]:
         for fieldname in ("be_tt", "be_blocks", "rho_dev", "qe_dev", "p_dev",
                           "tau_f", "j_f", "kappa", "v", "sec_dev"):
-            assert getattr(base, fieldname) == getattr(other, fieldname), fieldname
+            assert (getattr(base, fieldname).tobytes()
+                    == getattr(other, fieldname).tobytes()), fieldname
 
 
 def test_tau_consistency_flags_wrong_mu():
@@ -207,10 +214,33 @@ def test_report_scale_matches_kappa():
 
 def test_sample_points_activates_split_axis():
     rad = cat.make("weighted_sphere").instance
-    assert all(p.s is None for p in sample_points(rad.metric, rad.density, 9))
+    pts = sample_points(rad.metric, rad.density, 9)
+    assert pts.s is None and pts.t.shape == (9,)
     split = cat.make("skew_sphere_density").instance
-    assert all(p.s is not None for p in sample_points(split.metric, split.density, 9))
+    pts = sample_points(split.metric, split.density, 9)
+    assert pts.t.shape == pts.s.shape == (9,)
+    assert np.isfinite(pts.s).all()
 
+
+
+def test_fiber_diagnostic_needs_its_condition_at_every_grid_point():
+    # v / phi = 2 + (t - t4)^2 is stationary only at the grid point t4: the
+    # fiber quasi-Einstein deviation is defined there alone, so on the grid
+    # (where it certifies v_N constant) it is undefined
+    iv = Interval(0.0, math.pi)
+    metric = WarpedMetric(iv, Profile1D.from_string("sin(t)", iv), SpaceForm(2, 1.0))
+    pts = sample_points(metric, RadialDensity(Profile1D.constant(1.0, iv)), 9)
+    t4 = float(pts.t[4])
+    density = RadialDensity(Profile1D.from_string(f"sin(t)*(2 + (t - {t4!r})**2)", iv))
+    params = SmmsParams(3, 2.0)
+    structure = density.structure(metric)
+    flat, be = _fiber_diagnostics(metric, density, params, pts, structure)
+    assert be is None and flat is not None
+    flat4, be4 = _fiber_diagnostics(metric, density, params, pts.at(4), structure)
+    assert be4 == flat4
+    rep = einstein_residuals(metric, density, params, 0.5, pts)
+    assert rep.fiber_be_dev is None and rep.fiber_be_residual is None
+    assert rep.fiber_flat_residual is not None
 
 
 def test_report_aggregates_propagate_nan():
@@ -236,7 +266,9 @@ def test_report_aggregates_propagate_nan():
             rep = einstein_residuals(inst.metric, inst.density, inst.params,
                                      b.lam, pts)
             assert not math.isnan(aggregate(rep)), fieldname
-            getattr(rep, fieldname)[int(rng.integers(1, len(pts)))] = math.nan
+            values = getattr(rep, fieldname).copy()
+            values[int(rng.integers(1, len(pts)))] = math.nan
+            setattr(rep, fieldname, values)
             assert math.isnan(aggregate(rep)), fieldname
 
 
@@ -249,59 +281,93 @@ REPORT_LISTS = ("be_tt", "be_blocks", "be_mixed", "rho_dev", "qe_dev", "p_dev",
 
 
 def _pointwise_report(inst, lam, pts):
-    """The report as a loop over points, each field from a scalar kernel call."""
+    """Every report field as a list over the points, each entry from a
+    scalar kernel call (None where a diagnostic is undefined)."""
     metric, density, params = inst.metric, inst.density, inst.params
     n, m = params.n, params.m
     structure = density.structure(metric)
-    rep = WeightedReport(params, lam, points=list(pts))
-    for p in pts:
+    ref = {fieldname: [] for fieldname in REPORT_LISTS}
+    for p in each_point(pts):
         pf = point_fields(metric, density, params, p)
-        rep.be_tt.append(pf.be.tt)
-        rep.be_blocks.append(pf.be.blocks)
-        rep.be_mixed.append(pf.be.mixed)
-        rep.rho_dev.append(pf.rho.sup_dev(2.0 * (n - 1.0) * lam))
-        rep.qe_dev.append(pf.be.sup_dev(2.0 * (n + m - 1.0) * lam))
-        rep.p_dev.append(pf.p.sup_dev(lam))
-        rep.tau_f.append(pf.tau_f)
-        rep.j_f.append(pf.j)
-        rep.kappa.append(((m + n) * lam - pf.j) * pf.v / m)
-        rep.v.append(pf.v)
+        ref["be_tt"].append(pf.be.tt)
+        ref["be_blocks"].append(pf.be.blocks)
+        ref["be_mixed"].append(pf.be.mixed)
+        ref["rho_dev"].append(pf.rho.sup_dev(2.0 * (n - 1.0) * lam))
+        ref["qe_dev"].append(pf.be.sup_dev(2.0 * (n + m - 1.0) * lam))
+        ref["p_dev"].append(pf.p.sup_dev(lam))
+        ref["tau_f"].append(pf.tau_f)
+        ref["j_f"].append(pf.j)
+        ref["kappa"].append(((m + n) * lam - pf.j) * pf.v / m)
+        ref["v"].append(pf.v)
         try:
-            rep.sec_dev.append(sectional_residual(metric, p, 2.0 * lam,
-                                                  s_active=len(structure) > 1))
+            ref["sec_dev"].append(sectional_residual(metric, p, 2.0 * lam,
+                                                     s_active=len(structure) > 1))
         except UnsupportedError:
-            rep.sec_dev.append(None)
+            ref["sec_dev"].append(None)
         flat_dev, be_dev = _fiber_diagnostics(metric, density, params, p, structure)
-        rep.fiber_flat_dev.append(flat_dev)
-        rep.fiber_be_dev.append(be_dev)
-    return rep
+        ref["fiber_flat_dev"].append(flat_dev)
+        ref["fiber_be_dev"].append(be_dev)
+    return ref
+
+
+def _pointwise_tau(params, lam, ref):
+    """tau_consistency_residual as a float loop over the reference lists."""
+    n, m = params.n, params.m
+    kbar = left_to_right_mean(ref["kappa"])
+    out = 0.0
+    for tau, v in zip(ref["tau_f"], ref["v"]):
+        out = max(out, abs(tau - 2.0 * (n + m - 1.0) * ((m + n) * lam - m * kbar / v)))
+    return out
 
 
 def _pointwise_mu(inst, lam, pts):
     n, m = inst.params.n, inst.params.m
     base = SmmsParams(n, m, 0.0)
     vals = []
-    for p in pts:
+    for p in each_point(pts):
         pf = point_fields(inst.metric, inst.density, base, p)
         j_target = pf.be.tt - (n + m - 2.0) * lam
         vals.append((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
                     / (m * (m - 1.0)))
-    return sum(vals) / len(vals), max(vals) - min(vals)
+    return left_to_right_mean(vals), max(vals) - min(vals)
 
 
 @pytest.mark.parametrize("name", cat.available())
 def test_grid_kernel_matches_pointwise_loop_bitwise(name):
+    # every report array holds the floats of the scalar loop bit for bit,
+    # and every aggregate is the builtin max/min/sum over those floats
     b = cat.make(name)
     inst = b.instance
     pts = sample_points(inst.metric, inst.density, 64)
     rep = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts)
     ref = _pointwise_report(inst, b.lam, pts)
-    assert rep.points == ref.points
+    assert rep.points is pts
     for fieldname in REPORT_LISTS:
-        got, want = getattr(rep, fieldname), getattr(ref, fieldname)
-        assert all(type(x) in (float, tuple, type(None)) for x in got), fieldname
-        assert repr(got) == repr(want), fieldname
-    assert repr(tau_consistency_residual(rep)) == repr(tau_consistency_residual(ref))
+        got, want = getattr(rep, fieldname), ref[fieldname]
+        if None in want:
+            assert want == [None] * len(pts) and got is None, fieldname
+            continue
+        want = np.array(want, dtype=float)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64, fieldname
+        assert got.shape == want.shape and got.shape[0] == len(pts), fieldname
+        assert got.tobytes() == want.tobytes(), fieldname
+    aggregates = {
+        "residual_P": max(ref["p_dev"]),
+        "residual_QE": max(ref["qe_dev"]),
+        "residual_Einstein": max(ref["rho_dev"]),
+        "kappa_mean": left_to_right_mean(ref["kappa"]),
+        "kappa_spread": max(ref["kappa"]) - min(ref["kappa"]),
+        "v_spread": max(ref["v"]) - min(ref["v"]),
+    }
+    for prop, fieldname in (("sec_residual", "sec_dev"),
+                            ("fiber_flat_residual", "fiber_flat_dev"),
+                            ("fiber_be_residual", "fiber_be_dev")):
+        aggregates[prop] = None if None in ref[fieldname] else max(ref[fieldname])
+    for prop, want in aggregates.items():
+        got = getattr(rep, prop)
+        assert type(got) is type(want) and repr(got) == repr(want), prop
+    assert repr(tau_consistency_residual(rep)) == repr(_pointwise_tau(inst.params,
+                                                                      b.lam, ref))
     if inst.params.m != 1.0:
         got = solve_mu(inst.metric, inst.density, inst.params, b.lam, pts)
         assert repr(got) == repr(_pointwise_mu(inst, b.lam, pts))
