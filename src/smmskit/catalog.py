@@ -343,6 +343,9 @@ def exponential_warped(n: int = 4, m: float = 2.0, lam: float = -0.5,
 # ---------------------------------------------------------------------------
 # exponential warping over a two-dimensional neck fiber
 
+_NECK_MAX_NODES = 100_000  # RK4 nodes of one neck trajectory, fiber_window[1] / step
+
+
 def neck_warped(m: float = 3.0, lam: float = -0.5, a: float = 1.0,
                 pair_shift: float = 0.0, fiber_window: tuple = (0.2, 6.0),
                 step: float = 1e-3) -> FamilyBundle:
@@ -360,6 +363,10 @@ def neck_warped(m: float = 3.0, lam: float = -0.5, a: float = 1.0,
     _require(a > 0.0, "warping scale must be positive")
     lo, hi = float(fiber_window[0]), float(fiber_window[1])
     _require(0.0 < lo < hi, "fiber window must satisfy 0 < lo < hi")
+    _require(step > 0.0, "RK4 step must be positive")
+    _require(hi / step <= _NECK_MAX_NODES,
+             f"fiber_window[1] / step = {hi / step:.6g} asks for more than"
+             f" {_NECK_MAX_NODES} RK4 nodes")
     w = math.sqrt(-2.0 * lam)
     omega = neck_profile(m, Interval(0.0, hi), step=step)
     om_win = omega.restricted(lo, hi)

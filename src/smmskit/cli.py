@@ -11,7 +11,8 @@ Subcommands:
                  warping, comparing frozen constants against solved ones
 
 Exit codes: 0 all checks passed, 1 at least one check failed (the report
-is still written), 2 the config could not be parsed or validated.
+is still written) or stdout was closed before the output was written, 2 the
+config could not be parsed or validated.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -548,10 +550,19 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return rc
     except (ConfigError, SmmsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

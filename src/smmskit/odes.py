@@ -10,7 +10,10 @@ A fixed-step RK4 integrator for w'' = ddw(t, w, w') builds profiles for
 warpings that have no closed form but satisfy known derivative relations; it
 steps the pair (w, w') as Python floats.  The same step, on arrays, evaluates
 an ``OdeProfile`` at a whole grid at once; ddw must then take arrays too
-(write its powers with ``jets.power``).
+(write its powers with ``jets.power``).  An ``OdeProfile`` keeps its
+trajectory once, as three read-only arrays that its views share; the neck
+trajectory is integrated once per (m, window end, step) in a process and
+shared, through views, by every ``neck_profile`` call and catalog make.
 
 The diagnostics (``ode_residual`` and the other sups below) evaluate their
 profile in one array jet call and take the sup NaN-propagating, so a NaN at
@@ -20,6 +23,7 @@ any sample is reported, never dropped.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,24 +184,27 @@ def rk4_integrate(ddw, w0: float, dw0: float, t0: float, t1: float, step: float)
     """Classical RK4 with fixed step for w'' = ddw(t, w, w').
 
     Returns (ts, ys) including endpoints, with ys[:, 0] = w and ys[:, 1] = w'.
-    Raises StepError when the state stops being finite.
+    The steps run on Python floats and each state is stored, exactly, into
+    arrays allocated up front.  Raises StepError when the state stops being
+    finite.
     """
     if step <= 0.0:
         raise StepError("step must be positive")
-    n_steps = int(math.ceil((t1 - t0) / step - 1e-12))
+    t0, t1, step = float(t0), float(t1), float(step)
+    n_steps = max(int(math.ceil((t1 - t0) / step - 1e-12)), 0)
+    ts, ys = np.empty(n_steps + 1), np.empty((n_steps + 1, 2))
+    tv, yv = memoryview(ts), memoryview(ys)  # cheaper stores than ndarray's
     w, dw = float(w0), float(dw0)
-    ts = [t0]
-    ys = [(w, dw)]
     t = t0
-    for i in range(n_steps):
+    tv[0], yv[0, 0], yv[0, 1] = t, w, dw
+    for i in range(1, n_steps + 1):
         h = min(step, t1 - t)
         w, dw = _rk4_step(ddw, t, w, dw, h)
-        t = t0 + (i + 1) * step if i + 1 < n_steps else t1
+        t = t0 + i * step if i < n_steps else t1
         if not (math.isfinite(w) and math.isfinite(dw)):
             raise StepError(f"integration left the finite range at t = {t}")
-        ts.append(t)
-        ys.append((w, dw))
-    return np.array(ts), np.array(ys)
+        tv[i], yv[i, 0], yv[i, 1] = t, w, dw
+    return ts, ys
 
 
 def _rk4_step(ddw, t, w, dw, h):
@@ -225,7 +232,9 @@ class OdeProfile:
     every point takes its substep at once, from the node a float would use.
     The last array state (w, w'), which ``value`` reads, and the last array
     jet are remembered as read-only arrays (``profiles._last_array``); views
-    start with nothing remembered.
+    start with nothing remembered.  The trajectory itself is stored once, as
+    the read-only arrays ``_nodes = (t, w, w')``; views (and, through
+    ``neck_profile``, every make with the same key) share them.
     """
 
     def __init__(self, ddw, y0, domain: Interval, step: float = 1e-3,
@@ -241,8 +250,9 @@ class OdeProfile:
         self.step = float(step)
         self._t0 = lo
         ts, ys = rk4_integrate(ddw, y0[0], y0[1], lo, hi, self.step)
-        self._ts, self._ys = ts.tolist(), ys.tolist()
-        self._nodes = (ts, ys[:, 0], ys[:, 1])  # the same trajectory as arrays
+        self._nodes = (ts, ys[:, 0], ys[:, 1])  # shared by every view
+        for a in self._nodes:
+            a.flags.writeable = False
         self._last = [None, None]  # last array state (w, w') and jet
 
     def _view(self) -> "OdeProfile":
@@ -256,15 +266,16 @@ class OdeProfile:
         if isinstance(t, np.ndarray):
             return _last_array(self._last, 0, t, self._states)
         self.domain.require(t)
+        ts, ws, dws = self._nodes
         i = int((t - self._t0) / self.step)
-        i = min(max(i, 0), len(self._ts) - 1)
-        if i > 0 and self._ts[i] > t:
+        i = min(max(i, 0), len(ts) - 1)
+        if i > 0 and ts.item(i) > t:
             i -= 1
-        h = t - self._ts[i]
-        w, dw = self._ys[i]
+        t_i, w, dw = ts.item(i), ws.item(i), dws.item(i)  # as Python floats
+        h = t - t_i
         if h == 0.0:
             return w, dw
-        return _rk4_step(self.ddw, self._ts[i], w, dw, h)
+        return _rk4_step(self.ddw, t_i, w, dw, h)
 
     def _states(self, t: np.ndarray) -> tuple:
         """_state at every entry of t, by the same node arithmetic."""
@@ -301,10 +312,10 @@ class OdeProfile:
         The nodes are the sample; the closed domain leaves no margin inset.
         """
         lo, hi = self.domain.lo, self.domain.hi
-        k = 0 if self.d3 is None else 1
-        vals = [y[k] for t, y in zip(self._ts, self._ys) if lo <= t <= hi]
-        vals.extend((self.value(lo), self.value(hi)))
-        vmin = min(vals)
+        ts = self._nodes[0]
+        vals = self._nodes[1 if self.d3 is None else 2]
+        inside = vals.min(where=(ts >= lo) & (ts <= hi), initial=math.inf)
+        vmin = min(float(inside), self.value(lo), self.value(hi))
         if vmin <= 0.0:
             raise PositivityError(f"profile {self.name} reaches {vmin}")
 
@@ -335,18 +346,30 @@ def neck_profile(m: float, domain: Interval, step: float = 1e-3) -> OdeProfile:
     """Even warping w with w(0) = 1, w'(0) = 0, w'' = (m-1)/2 w^{-m}.
 
     First integral: (w')^2 = 1 - w^{1-m}.  For m = 3 the closed form is
-    sqrt(1 + t^2).
+    sqrt(1 + t^2).  Returns a view (nothing remembered) of the one
+    trajectory integrated per (m, domain.hi, step) in this process.
     """
     if m <= 1.0:
         raise DomainError("neck profile needs m > 1")
+    if domain.lo < 0.0:
+        raise DomainError("neck profile lives on t >= 0")
+    out = _neck_trajectory(float(m), float(domain.hi), float(step))._view()
+    out.name = f"neck(m={m})"
+    return out
 
+
+@functools.lru_cache(maxsize=16)
+def _neck_trajectory(m: float, hi: float, step: float) -> OdeProfile:
+    """The neck OdeProfile on [0, hi], integrated once per key.
+
+    The bound is a few times the four weights that acceptance criterion 06
+    sweeps.  Callers get ``_view``s, so the cached base is never evaluated
+    and never changed.
+    """
     def ddw(t, w, dw):
         return 0.5 * (m - 1.0) * power(w, -m)
 
-    if domain.lo < 0.0:
-        raise DomainError("neck profile lives on t >= 0")
-    return OdeProfile(ddw, (1.0, 0.0), Interval(0.0, domain.hi), step=step,
-                      name=f"neck(m={m})")
+    return OdeProfile(ddw, (1.0, 0.0), Interval(0.0, hi), step=step)
 
 
 def neck_first_integral_drift(prof: OdeProfile, m: float, ts) -> float:

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smmskit.catalog as cat
 import smmskit.cli as cli
+import smmskit.odes as odes
 from conftest import poison_ricci_at
 from smmskit.profiles import Interval, sample_grid
 from smmskit.weighted import sample_points
@@ -247,24 +252,32 @@ def test_malformed_config_exits_two(tmp_path, capsys, command, case, edit, extra
     assert err.startswith("error: "), (case, err)
 
 
-# (case id, family, parameter overrides of the wrong shape)
+# (case id, family, bad parameter overrides, a fragment of the error line;
+# None names the parameter and family, as the shape check does)
 BAD_PARAMETERS = [
-    ("list_for_scalar", "weighted_sphere", {"a": [1, 2]}),
-    ("window_as_float", "neck_warped", {"fiber_window": 3.0}),
-    ("window_as_integer", "neck_warped", {"fiber_window": 3}),
-    ("window_too_short", "neck_warped", {"fiber_window": [1.0]}),
-    ("window_too_long", "neck_warped", {"fiber_window": [0.2, 1, 2]}),
-    ("fraction_for_integer", "weighted_sphere", {"n": 2.5}),
+    ("list_for_scalar", "weighted_sphere", {"a": [1, 2]}, None),
+    ("window_as_float", "neck_warped", {"fiber_window": 3.0}, None),
+    ("window_as_integer", "neck_warped", {"fiber_window": 3}, None),
+    ("window_too_short", "neck_warped", {"fiber_window": [1.0]}, None),
+    ("window_too_long", "neck_warped", {"fiber_window": [0.2, 1, 2]}, None),
+    ("fraction_for_integer", "weighted_sphere", {"n": 2.5}, None),
+    # the neck trajectory holds at most 10^5 RK4 nodes
+    ("tiny_step", "neck_warped", {"step": 1e-9}, "fiber_window[1] / step = 6e+09"),
+    ("subnormal_step", "neck_warped", {"step": 5e-324}, "fiber_window[1] / step = inf"),
+    ("huge_window_end", "neck_warped", {"fiber_window": [0.2, 1e12]},
+     "fiber_window[1] / step = 1e+15"),
+    ("zero_step", "neck_warped", {"step": 0.0}, "RK4 step must be positive"),
+    ("negative_step", "neck_warped", {"step": -1e-3}, "RK4 step must be positive"),
 ]
 
 
 @pytest.mark.parametrize("command", ["verify", "conformal", "catalog"])
-@pytest.mark.parametrize("case,family,overrides", BAD_PARAMETERS,
+@pytest.mark.parametrize("case,family,overrides,message", BAD_PARAMETERS,
                          ids=[c[0] for c in BAD_PARAMETERS])
-def test_parameter_of_wrong_shape_exits_two(tmp_path, capsys, command, case,
-                                            family, overrides):
+def test_parameter_of_wrong_shape_exits_two(tmp_path, capsys, monkeypatch, command,
+                                            case, family, overrides, message):
     # a config and `catalog make --set` both reach catalog.make, which checks
-    # each override against the shape of its default
+    # each override before any work starts
     if command == "catalog":
         argv = ["catalog", "make", family]
         for key, val in overrides.items():
@@ -273,10 +286,36 @@ def test_parameter_of_wrong_shape_exits_two(tmp_path, capsys, command, case,
         cfg = cat.make(family).config(k=16)
         cfg["parameters"].update(overrides)
         argv = [command, "--config", write_config(tmp_path, cfg)]
+
+    def no_integration(*args):
+        raise AssertionError("a bad parameter reached the RK4 integrator")
+
+    monkeypatch.setattr(odes, "rk4_integrate", no_integration)
+    odes._neck_trajectory.cache_clear()
     assert cli.main(argv) == 2, case
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, (case, err)
-    assert f"parameter {next(iter(overrides))} of {family}" in err, (case, err)
+    if message is None:
+        message = f"parameter {next(iter(overrides))} of {family}"
+    assert message in err, (case, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "make", "constant_density", "--points", "16"],
+    ["catalog", "list"],
+    ["table", "--points", "8"],
+], ids=["catalog-make", "catalog-list", "table"])
+def test_closed_stdout_exits_one_without_a_traceback(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "smmskit.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_table_rejects_degenerate_grid(capsys):

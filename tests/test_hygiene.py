@@ -57,3 +57,43 @@ def test_declared_dependencies_are_the_imported_ones():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
                 for dep in project["project"]["dependencies"]}
     assert _third_party_imports() == declared
+
+
+def _caches(path: Path) -> list:
+    """(line, name, call or None) of each functools cache a file names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "functools"
+               for alias in node.names}
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            name = node.attr
+        elif isinstance(node, ast.Name) and node.id in aliases:
+            name = aliases[node.id]
+        else:
+            continue
+        if name in ("cache", "lru_cache"):
+            found.append((node.lineno, name, calls.get(id(node))))
+    return found
+
+
+def _integer_maxsize(call) -> bool:
+    """The lru_cache call gives maxsize as an integer literal (not None)."""
+    if call is None:
+        return False
+    sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+    return (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+            and type(sizes[0].value) is int)
+
+
+def test_every_cache_is_bounded():
+    # process-wide caches live as long as the process; each needs a bound
+    found = {f"{path.name}:{line} {name}": call for path in sorted(SRC.glob("*.py"))
+             for line, name, call in _caches(path)}
+    assert {hit.split(":")[0] for hit in found} >= {"profiles.py", "odes.py"}
+    unbounded = [hit for hit, call in found.items()
+                 if not (hit.endswith(" lru_cache") and _integer_maxsize(call))]
+    assert unbounded == []

@@ -1,16 +1,23 @@
 """Characteristic second-order ODE: closed forms, RK4 trajectories, necks."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smmskit.catalog as cat
+import smmskit.cli as cli
+import smmskit.odes as odes
 from conftest import left_to_right_mean
 from smmskit.errors import DomainError, PositivityError
 from smmskit.odes import (
     ObataSolution,
+    _rk4_step,
     fiber_obata_residual,
     first_integral_drift,
     neck_first_integral_drift,
@@ -161,6 +168,111 @@ def test_restricted_windows():
     # the unrestricted derivative vanishes at 0 and is not positive there
     with pytest.raises(PositivityError):
         dprof.check_positive()
+
+
+def test_rk4_integrate_stores_the_float_steps_exactly():
+    # the chained float steps, one list entry per node
+    m, step, hi = 2.5, 1e-3, 1.2345
+
+    def ddw(t, w, dw):
+        return 0.5 * (m - 1.0) * w ** -m
+
+    want_t, want_y, t, w, dw = [0.0], [(1.0, 0.0)], 0.0, 1.0, 0.0
+    n = math.ceil(hi / step - 1e-12)
+    for i in range(1, n + 1):
+        w, dw = _rk4_step(ddw, t, w, dw, min(step, hi - t))
+        t = i * step if i < n else hi
+        want_t.append(t)
+        want_y.append((w, dw))
+    ts, ys = rk4_integrate(ddw, 1.0, 0.0, 0.0, hi, step)
+    assert ts.tolist() == want_t and ts[-1] == hi
+    assert [tuple(y) for y in ys.tolist()] == want_y
+
+
+# ---------------------------------------------------------------------------
+# one neck trajectory per (m, window end, step), shared read-only
+
+
+def _fiber_density(bundle):
+    return bundle.instance.density.v_n
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """The calls of odes.rk4_integrate from here on, with the neck cache empty."""
+    calls = []
+    real = odes.rk4_integrate
+    monkeypatch.setattr(odes, "rk4_integrate",
+                        lambda *args: calls.append(args) or real(*args))
+    odes._neck_trajectory.cache_clear()
+    return calls
+
+
+def test_makes_with_one_key_share_one_trajectory(integrations):
+    first = _fiber_density(cat.make("neck_warped", m=2.5))
+    second = _fiber_density(cat.make("neck_warped", m=2.5, fiber_window=[0.5, 6.0]))
+    assert all(a is b for a, b in zip(first._nodes, second._nodes))
+    assert len(integrations) == 1
+    # each of the three keys integrates again
+    for change in ({"m": 2.2}, {"fiber_window": [0.2, 5.0]}, {"step": 2e-3}):
+        other = _fiber_density(cat.make("neck_warped", **{"m": 2.5, **change}))
+        assert other._nodes[0] is not first._nodes[0], change
+    assert len(integrations) == 4
+    # and an equal key given as an integer is the same key
+    assert neck_profile(3, Interval(0.0, 6)).name == "neck(m=3)"
+    assert neck_profile(3.0, Interval(0.0, 6.0))._nodes[0] is \
+        neck_profile(3, Interval(0, 6))._nodes[0]
+    assert len(integrations) == 5
+
+
+def test_the_shared_trajectory_rejects_writes():
+    prof = neck_profile(3.0, Interval(0.0, 6.0))
+    dprof = prof.derivative(lambda t, w, dw: -3.0 * w ** (-4.0) * dw, "neck'")
+    for view in (prof, prof.restricted(0.2, 5.0), dprof):
+        for part in view._nodes:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 2.0
+    assert prof.value(0.0) == 1.0
+
+
+def test_views_of_one_trajectory_keep_separate_memos():
+    ts = np.linspace(0.0, 6.0, 41)
+    one, two = neck_profile(3.0, Interval(0.0, 6.0)), neck_profile(3.0, Interval(0.0, 6.0))
+    assert one is not two and one._nodes[0] is two._nodes[0]
+    got = one.jet(ts)
+    assert two._last == [None, None] and one._last[1] is not None
+    again = two.jet(ts)
+    assert again.value is not got.value
+    assert (again.value.tobytes(), again.d1.tobytes(), again.d2.tobytes()) == \
+        (got.value.tobytes(), got.d1.tobytes(), got.d2.tobytes())
+
+
+def test_check_positive_on_a_window_that_reaches_zero():
+    prof = neck_profile(3.0, Interval(0.0, 6.0))
+    dprof = prof.derivative(lambda t, w, dw: -3.0 * w ** (-4.0) * dw, "neck'")
+    # w' = 0 at t = 0, the first node and the window's lower end
+    with pytest.raises(PositivityError, match=r"profile neck' reaches 0\.0$"):
+        dprof.check_positive()
+    with pytest.raises(PositivityError, match=r"reaches 0\.0$"):
+        dprof.restricted(0.0, 4e-4).check_positive()
+    # a window narrower than one step holds no node: only its ends count
+    dprof.restricted(0.2001, 0.2004).check_positive()
+    prof.check_positive()
+
+
+def test_verify_neck_twice_in_one_process_matches_golden(tmp_path):
+    golden = Path(__file__).resolve().parent / "golden" / "verify_neck_warped.json"
+    config = tmp_path / "neck.json"
+    config.write_text(json.dumps(cat.make("neck_warped").config(k=64)), encoding="utf-8")
+    odes._neck_trajectory.cache_clear()
+    for run in ("cold", "cache hit"):
+        out = tmp_path / f"{run}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify", "--config", str(config), "--points", "64",
+                      "--out", str(out)])
+        assert out.read_bytes() == golden.read_bytes(), run
+    assert odes._neck_trajectory.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,8 @@ def test_interval_require_names_the_first_bad_entry():
 
 def test_ode_profiles_match_scalar_evaluation_bitwise():
     prof = neck_profile(3.0, Interval(0.0, 6.0))
-    nodes = np.array(prof._ts[150:450] + prof._ts[::97] + [prof._ts[-1]])
+    ts = prof._nodes[0]
+    nodes = np.concatenate((ts[150:450], ts[::97], ts[-1:]))
     between = np.linspace(0.0, 6.0, 301)[1:-1] + 1.7e-4
     # one ulp below a node, (t - t0) / step can round up to the node's index
     below = np.nextafter(nodes, -1.0)
