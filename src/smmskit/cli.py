@@ -101,12 +101,10 @@ def _grid_size(k: int) -> int:
     return k
 
 
-def _instance_from_config(cfg: dict):
-    """Returns (instance, bundle-or-None)."""
+def _instance_from_config(cfg: dict) -> Instance:
     if "family" in cfg:
         # catalog.make checks each parameter against the shape of its default
-        bundle = catalog.make(str(cfg["family"]), **_section(cfg, "parameters"))
-        return bundle.instance, bundle
+        return catalog.make(str(cfg["family"]), **_section(cfg, "parameters")).instance
     flags = _section(cfg, "flags")
     for key, val in flags.items():
         if not isinstance(val, bool):
@@ -121,7 +119,7 @@ def _instance_from_config(cfg: dict):
         raise ConfigError(f"custom instance needs the key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed custom instance: {exc}") from exc
-    return inst, None
+    return inst
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -219,11 +217,9 @@ class Checks:
 
 
 def _write_report(path: str | None, report: dict):
-    text = json.dumps(report, indent=2, sort_keys=True)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, rep):
@@ -257,7 +253,7 @@ def _transformed_residuals(result, lam_hat: float, k: int, margin: float,
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    inst, bundle = _instance_from_config(cfg)
+    inst = _instance_from_config(cfg)
     tol = _tolerances(cfg)
     k, margin, cap = _grid_args(cfg, args)
     expect = _expectations(cfg)
@@ -367,7 +363,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_conformal(args) -> int:
     cfg = _load_config(args.config)
-    inst, bundle = _instance_from_config(cfg)
+    inst = _instance_from_config(cfg)
     tol = _tolerances(cfg)
     k, margin, cap = _grid_args(cfg, args)
     expect = _expectations(cfg)
@@ -464,11 +460,8 @@ def _cmd_table(args) -> int:
                                  bundle.lam, pts)
         mu_mean, mu_spread = solve_mu(inst.metric, inst.density, inst.params,
                                       bundle.lam, pts)
-        hat = apply_conformal(inst, bundle.pair.u).instance
-        hat_pts = sample_points(hat.metric, hat.density, k, margin=0.05)
-        hat_rep = einstein_residuals(hat.metric, hat.density, hat.params,
-                                     bundle.pair.lam_hat, hat_pts,
-                                     with_diagnostics=False)
+        hat_rep, _ = _transformed_residuals(apply_conformal(inst, bundle.pair.u),
+                                            bundle.pair.lam_hat, k, 0.05, DEFAULT_CAP)
         row = {
             "sign": sign,
             "lambda": bundle.lam,

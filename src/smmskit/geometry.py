@@ -125,10 +125,6 @@ class FiberDesc:
         """Whether the fiber intrinsically has two blocks (nested case)."""
         return False
 
-    def supports_probe(self) -> bool:
-        """Whether a probe coordinate s with radial fiber data is available."""
-        return False
-
     def probe_domain(self) -> Interval | None:
         return None
 
@@ -176,9 +172,6 @@ class SpaceForm(FiberDesc):
 
     def __repr__(self):
         return f"SpaceForm(dim={self.dim}, curvature={self.curvature})"
-
-    def supports_probe(self) -> bool:
-        return self.dim >= 2
 
     def probe_domain(self) -> Interval:
         c = self.curvature
@@ -239,9 +232,6 @@ class EinsteinFiber(FiberDesc):
     def __repr__(self):
         return f"EinsteinFiber(dim={self.dim}, beta={self.beta})"
 
-    def supports_probe(self) -> bool:
-        return self.obata is not None
-
     def probe_domain(self) -> Interval | None:
         return self.obata.v_n.domain if self.obata is not None else None
 
@@ -290,9 +280,6 @@ class NestedFiber(FiberDesc):
         return f"NestedFiber({self.metric!r})"
 
     def natural_split(self) -> bool:
-        return True
-
-    def supports_probe(self) -> bool:
         return True
 
     def probe_domain(self) -> Interval:

@@ -15,17 +15,24 @@ in the last bits, so on arrays every transcendental and every power goes
 through ``fmap`` and ``power``, which call the scalar functions entry by
 entry.  Array results are therefore bitwise equal to scalar ones.
 
-``JET_SOURCE`` and ``UNARY_SOURCE`` state the same rules as Python source on
-floats; compiled profiles are built from them.  ``array_rule`` rewrites one
-such statement for arrays, and ``UNARY`` is generated from the rewritten
-table, so it takes jets of either kind.
+``JET_SOURCE`` and ``UNARY_SOURCE`` state the same rules once, as Python
+source that runs on floats and on arrays alike: a power is written
+``_pow(a, p)`` and a guard ``if _any(test): raise ...``.  What those names
+mean comes from the namespace the compiled code runs in.
+``FLOAT_NAMESPACE`` holds the real ``math``, ``operator.pow`` and ``bool``,
+so floats run plain CPython arithmetic; ``ARRAY_NAMESPACE`` holds ``math``
+functions wrapped by ``fmap``, ``power`` and ``_any``.  A compiled profile
+runs one code object, shared by every tree of its shape, in both; ``UNARY``
+is generated from the table in the array namespace, so it takes jets of
+either kind.
 """
 
 from __future__ import annotations
 
-import ast
+import functools
 import math
-import re
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 from numpy import ndarray
@@ -182,10 +189,13 @@ class Jet2:
         return self.chain(power(x, p), p * power(x, p - 1), p * (p - 1) * power(x, p - 2))
 
 
-# Each Jet2 rule above as straight-line statements on floats, with the same
-# operands in the same order, for the compiled profiles of ``profiles``.  A jet
-# operand ``a`` is the three names ``a0, a1, a2`` (value, d1, d2) and ``r0, r1,
-# r2`` name the result; ``chain`` reads the outer ``u, du, ddu``.
+# Each Jet2 rule above as straight-line statements on floats or arrays, with
+# the same operands in the same order, for the compiled profiles of
+# ``profiles``.  A jet operand ``a`` is the three names ``a0, a1, a2`` (value,
+# d1, d2) and ``r0, r1, r2`` name the result; ``chain`` reads the outer ``u,
+# du, ddu``.  In an ``and`` guard only the array part is wrapped in ``_any``:
+# ``{p}`` is a float constant, and ``round({p})`` runs only when the first
+# part holds, as in ``Jet2.__pow__`` (``round(inf)`` raises).
 _CHAIN = (
     "{r0} = _check(u)",
     "{r1} = du * {a1}",
@@ -201,7 +211,7 @@ JET_SOURCE = {
         "{r2} = {a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
     ),
     "div": (
-        "if {b0} == 0.0: raise EvalError('division by zero')",
+        "if _any({b0} == 0.0): raise EvalError('division by zero')",
         "{r0} = {a0} / {b0}",
         "{r1} = ({a1} - {r0} * {b1}) / {b0}",
         "{r2} = ({a2} - {r0} * {b2} - 2.0 * {r1} * {b1}) / {b0}",
@@ -210,13 +220,13 @@ JET_SOURCE = {
     "chain": _CHAIN,
     # __pow__ with a constant exponent p
     "pow": (
-        "if {a0} == 0.0 and {p} < 2: "
+        "if _any({a0} == 0.0) and {p} < 2: "
         "raise EvalError('power of zero with exponent < 2 has no 2-jet')",
-        "if {a0} < 0.0 and {p} != round({p}): "
+        "if _any({a0} < 0.0) and {p} != round({p}): "
         "raise EvalError('fractional power of a negative base')",
-        "u = {a0} ** {p}",
-        "du = {p} * {a0} ** ({p} - 1)",
-        "ddu = {p} * ({p} - 1) * {a0} ** ({p} - 2)",
+        "u = _pow({a0}, {p})",
+        "du = {p} * _pow({a0}, {p} - 1)",
+        "ddu = {p} * ({p} - 1) * _pow({a0}, {p} - 2)",
         *_CHAIN,
     ),
 }
@@ -336,83 +346,29 @@ class BiJet2:
 # Each unary rule as Python source in the argument value ``x``: a guard (or
 # None), then the outer function u and its derivatives du and ddu.  UNARY below
 # and the compiled jets of ``profiles`` are both generated from this table.
-_POSITIVE = "if {x} <= 0.0: raise EvalError('argument must be positive, got ' + repr({x}))"
-_EXP_OVERFLOW = "if {x} > 700.0: raise EvalError('exp overflow')"
+_POSITIVE = "if _any({x} <= 0.0): raise EvalError('argument must be positive, got ' + repr({x}))"
+_EXP_OVERFLOW = "if _any({x} > 700.0): raise EvalError('exp overflow')"
 UNARY_SOURCE = {
     "exp": (_EXP_OVERFLOW, "math.exp({x})", "math.exp({x})", "math.exp({x})"),
-    "log": (_POSITIVE, "math.log({x})", "1.0 / {x}", "-1.0 / {x} ** 2"),
+    "log": (_POSITIVE, "math.log({x})", "1.0 / {x}", "-1.0 / _pow({x}, 2)"),
     "sin": (None, "math.sin({x})", "math.cos({x})", "-math.sin({x})"),
     "cos": (None, "math.cos({x})", "-math.sin({x})", "-math.cos({x})"),
     "sinh": (_EXP_OVERFLOW, "math.sinh({x})", "math.cosh({x})", "math.sinh({x})"),
     "cosh": (_EXP_OVERFLOW, "math.cosh({x})", "math.sinh({x})", "math.cosh({x})"),
-    "sqrt": (_POSITIVE, "math.sqrt({x})", "0.5 / math.sqrt({x})", "-0.25 / {x} ** 1.5"),
+    "sqrt": (_POSITIVE, "math.sqrt({x})", "0.5 / math.sqrt({x})", "-0.25 / _pow({x}, 1.5)"),
 }
 
 
-class _ArrayRewrite(ast.NodeTransformer):
-    """The statement on floats as one on floats or arrays (see ``array_rule``)."""
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, ast.Pow):
-            return _call("_pow", node.left, node.right)
-        return node
-
-    def visit_Call(self, node):
-        self.generic_visit(node)
-        fn = node.func
-        if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
-                and fn.value.id == "math"):
-            return _call("_map", fn, *node.args)
-        return node
-
-    def visit_If(self, node):
-        self.generic_visit(node)
-        test = node.test
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            # a and b: _any(a) and _any(a & b), so that b is evaluated only
-            # when a holds somewhere, as on floats (round(inf) raises)
-            both, tests = None, []
-            for part in test.values:
-                both = part if both is None else ast.BinOp(both, ast.BitAnd(), part)
-                tests.append(_call("_any", both))
-            node.test = ast.BoolOp(ast.And(), tests)
-        else:
-            node.test = _call("_any", test)
-        return node
-
-
-def _call(name: str, *args) -> ast.Call:
-    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
-
-
-def array_rule(rule: str) -> str:
-    """One rule statement (a template in ``{name}`` fields) for arrays.
-
-    ``math.f(a)`` becomes ``_map(math.f, a)``, ``a ** b`` becomes
-    ``_pow(a, b)`` and a guard ``if test: raise ...`` fires when the test
-    holds at any entry (``_any``).  The result runs on floats too, where it
-    computes what the rule does.
-    """
-    fields = set(re.findall(r"\{(\w+)\}", rule))
-    tree = ast.parse(rule.format(**{f: f"__{f}__" for f in fields}))
-    stmt = _ArrayRewrite().visit(tree).body[0]
-    if isinstance(stmt, ast.If):  # a guard keeps its one-line form
-        out = f"if {ast.unparse(stmt.test)}: {ast.unparse(stmt.body[0])}"
-    else:
-        out = ast.unparse(stmt)
-    for f in fields:
-        out = out.replace(f"__{f}__", f"{{{f}}}")
-    return out
-
-
-ARRAY_NAMESPACE = {"math": math, "EvalError": EvalError, "_check": _check,
-                   "_map": fmap, "_pow": power, "_any": _any}
-
-ARRAY_JET_SOURCE = {op: tuple(map(array_rule, rule)) for op, rule in JET_SOURCE.items()}
-ARRAY_UNARY_SOURCE = {
-    name: (None if guard is None else array_rule(guard), *map(array_rule, outer))
-    for name, (guard, *outer) in UNARY_SOURCE.items()
+# The two namespaces a rule runs in.  Floats get the real ``math``, CPython's
+# float power and ``bool``, so a compiled float profile runs exactly what its
+# text says; arrays get the same functions mapped entry by entry, and a guard
+# fires when its test holds at any entry.
+FLOAT_NAMESPACE = {"math": math, "EvalError": EvalError, "_check": _check,
+                   "_pow": operator.pow, "_any": bool}
+ARRAY_NAMESPACE = {
+    "math": SimpleNamespace(**{name: functools.partial(fmap, getattr(math, name))
+                               for name in UNARY_SOURCE}),
+    "EvalError": EvalError, "_check": _check, "_pow": power, "_any": _any,
 }
 
 
@@ -430,5 +386,5 @@ def _unary(name, guard, *outer):
     return namespace[name]
 
 
-UNARY = {name: _unary(name, *rule) for name, rule in ARRAY_UNARY_SOURCE.items()}
+UNARY = {name: _unary(name, *rule) for name, rule in UNARY_SOURCE.items()}
 exp, log, sin, cos, sinh, cosh, sqrt = (UNARY[name] for name in UNARY_SOURCE)

@@ -9,11 +9,12 @@ satisfies the constant identity 2 lam phi^2 + (phi')^2 = nu^2 - 4 lam lam_hat.
 A fixed-step RK4 integrator for w'' = ddw(t, w, w') builds profiles for
 warpings that have no closed form but satisfy known derivative relations; it
 steps the pair (w, w') as Python floats.  The same step, on arrays, evaluates
-an ``OdeProfile`` at a whole grid at once; ddw must then take arrays too
-(write its powers with ``jets.power``).  An ``OdeProfile`` keeps its
-trajectory once, as three read-only arrays that its views share; the neck
-trajectory is integrated once per (m, window end, step) in a process and
-shared, through views, by every ``neck_profile`` call and catalog make.
+an ``OdeProfile`` at a whole grid at once, and at a float as a one-entry
+grid; ddw must take arrays (write its powers with ``jets.power``).  An
+``OdeProfile`` keeps its trajectory once, as three read-only arrays that its
+views share; the neck trajectory is integrated once per (m, window end,
+step) in a process and shared, through views, by every ``neck_profile``
+call and catalog make.
 
 The diagnostics (``ode_residual`` and the other sups below) evaluate their
 profile in one array jet call and take the sup NaN-propagating, so a NaN at
@@ -229,7 +230,8 @@ class OdeProfile:
     ddw(w, w', t) so jets satisfy the defining equation identically.  A
     derivative view (see ``derivative``) reads w' from the same trajectory.
     ``value`` and ``jet`` take a float or a 1-D array of points; on an array
-    every point takes its substep at once, from the node a float would use.
+    every point takes its substep at once, and a float is evaluated as the
+    one-entry array, so both run the same node arithmetic.
     The last array state (w, w'), which ``value`` reads, and the last array
     jet are remembered as read-only arrays (``profiles._last_array``); views
     start with nothing remembered.  The trajectory itself is stored once, as
@@ -265,20 +267,13 @@ class OdeProfile:
     def _state(self, t) -> tuple:
         if isinstance(t, np.ndarray):
             return _last_array(self._last, 0, t, self._states)
-        self.domain.require(t)
-        ts, ws, dws = self._nodes
-        i = int((t - self._t0) / self.step)
-        i = min(max(i, 0), len(ts) - 1)
-        if i > 0 and ts.item(i) > t:
-            i -= 1
-        t_i, w, dw = ts.item(i), ws.item(i), dws.item(i)  # as Python floats
-        h = t - t_i
-        if h == 0.0:
-            return w, dw
-        return _rk4_step(self.ddw, t_i, w, dw, h)
+        # a float is the one-entry grid, unremembered: it never evicts a grid
+        w, dw = self._states(np.array([float(t)]))
+        return w.item(), dw.item()
 
     def _states(self, t: np.ndarray) -> tuple:
-        """_state at every entry of t, by the same node arithmetic."""
+        """(w, w') at every entry of t: one RK4 substep from the stored
+        node at or below each entry, or that node's state on a node."""
         self.domain.require(t)
         ts, ws, dws = self._nodes
         i = np.clip(((t - self._t0) / self.step).astype(int), 0, len(ts) - 1)

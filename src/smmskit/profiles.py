@@ -11,16 +11,15 @@ failing point raises on its own.  Every implementation keeps its last array
 value and jet (``_last_array``), keyed by the bytes of the query, so the
 consumers of one grid share one evaluation; the arrays it hands out are
 read-only.  The three implementations are the expression tree
-:class:`Profile1D`, compiled once, at construction, into straight-line
-Python functions for the value and for the exact jet (the rules of
-:mod:`smmskit.jets`, with the guards of the tree in tree order), and on the
-first array call into the same functions for arrays (the rules rewritten by
-``jets.array_rule``), where the code of each source text is compiled once
-per process (``_code``); the RK4 trajectory ``odes.OdeProfile`` with its
-derivative view, which adds ``restricted``; and the pullback
-``conformal.ReparamProfile`` through a conformal coordinate change.  A
-separate central-difference routine provides an independent derivative
-oracle.
+:class:`Profile1D`, compiled at construction into straight-line Python
+functions for the value and for the exact jet (the rules of
+:mod:`smmskit.jets`, with the guards of the tree in tree order): one source
+text per tree, whose code is compiled once per process (``_code``) and run
+in two namespaces, one for floats and one for arrays; the RK4 trajectory
+``odes.OdeProfile`` with its derivative view, which adds ``restricted``;
+and the pullback ``conformal.ReparamProfile`` through a conformal
+coordinate change.  A separate central-difference routine provides an
+independent derivative oracle.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ import numpy as np
 from numpy import ndarray
 
 from .errors import DomainError, EvalError, PositivityError
-from .jets import ARRAY_JET_SOURCE, ARRAY_NAMESPACE, ARRAY_UNARY_SOURCE
-from .jets import JET_SOURCE as _JET_SOURCE, UNARY_SOURCE as _UNARY_SOURCE
-from .jets import UNARY, Jet2, array_rule
+from .jets import ARRAY_NAMESPACE, FLOAT_NAMESPACE, JET_SOURCE, UNARY, UNARY_SOURCE, Jet2
 
 DEFAULT_CAP = 10.0
 
@@ -399,35 +396,34 @@ def _parse_atom(toks):
 
 _JET_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
 
-# The float walk of each node kind as statements: ``a`` and ``b`` name the
-# operands, ``r`` the result, ``p`` a constant exponent and ``fn`` a function.
+# The value of each node kind as statements on floats or arrays, in the form
+# of ``jets.JET_SOURCE``: ``a`` and ``b`` name the operands, ``r`` the result,
+# ``p`` a constant exponent and ``fn`` a function.
 VALUE_SOURCE = {
     "add": ("{r} = {a} + {b}",),
     "sub": ("{r} = {a} - {b}",),
     "mul": ("{r} = {a} * {b}",),
-    "div": ("if {b} == 0.0: raise EvalError('division by zero')", "{r} = {a} / {b}"),
+    "div": ("if _any({b} == 0.0): raise EvalError('division by zero')", "{r} = {a} / {b}"),
     "neg": ("{r} = -{a}",),
-    "positive": ("if {a} <= 0.0: raise EvalError('{fn} of nonpositive value ' + repr({a}))",),
-    "overflow": ("if {a} > 700.0: raise EvalError('{fn} overflow')",),
+    "positive": ("if _any({a} <= 0.0): "
+                 "raise EvalError('{fn} of nonpositive value ' + repr({a}))",),
+    "overflow": ("if _any({a} > 700.0): raise EvalError('{fn} overflow')",),
     "call": ("{r} = math.{fn}({a})",),
     "pow": (
-        "if {a} == 0.0 and {p} < 0: raise EvalError('zero base with negative exponent')",
-        "if {a} < 0.0 and {p} != round({p}): "
+        "if _any({a} == 0.0) and {p} < 0: "
+        "raise EvalError('zero base with negative exponent')",
+        "if _any({a} < 0.0) and {p} != round({p}): "
         "raise EvalError('fractional power of a negative base')",
-        "{r} = {a} ** {p}",
+        "{r} = _pow({a}, {p})",
     ),
     # a ** b for a general exponent b
     "general_pow": (
-        "if {a} <= 0.0: raise EvalError('general power needs a positive base')",
+        "if _any({a} <= 0.0): raise EvalError('general power needs a positive base')",
         "{r} = {b} * math.log({a})",
-        "if {r} > 700.0: raise EvalError('exp overflow in general power')",
+        "if _any({r} > 700.0): raise EvalError('exp overflow in general power')",
         "{r} = math.exp({r})",
     ),
 }
-_ARRAY_VALUE_SOURCE = {kind: tuple(map(array_rule, rule))
-                       for kind, rule in VALUE_SOURCE.items()}
-_SCALAR = (VALUE_SOURCE, _JET_SOURCE, _UNARY_SOURCE)
-_ARRAY = (_ARRAY_VALUE_SOURCE, ARRAY_JET_SOURCE, ARRAY_UNARY_SOURCE)
 
 
 class _Emitter:
@@ -437,12 +433,12 @@ class _Emitter:
     is the parameter ``x``, so no input text reaches the source; function
     names come from the parser's whitelist.  Children are emitted left to
     right before their parent, so the guards fire in tree-walk order.  The
-    statements come from one set of rule tables: the float rules, or the
-    same rules rewritten by ``array_rule``.
+    statements come from the one set of rule tables (``VALUE_SOURCE``,
+    ``jets.JET_SOURCE``, ``jets.UNARY_SOURCE``), which runs on floats and on
+    arrays alike.
     """
 
-    def __init__(self, tables: tuple):
-        self.value_source, self.jet_source, self.unary_source = tables
+    def __init__(self):
         self.lines = []
         self.consts = []
         self.n = 0
@@ -456,10 +452,10 @@ class _Emitter:
         return f"v{self.n}"
 
     def emit(self, kind: str, **names):
-        self.lines += [line.format(**names) for line in self.value_source[kind]]
+        self.lines += [line.format(**names) for line in VALUE_SOURCE[kind]]
 
     def value(self, node: Node) -> str:
-        """Name of the tree's float value, with the guards of the float walk."""
+        """Name of the tree's value, with the guards of the tree walk."""
         if isinstance(node, Const):
             return self.const(node.c)
         if isinstance(node, Var):
@@ -505,7 +501,7 @@ class _Emitter:
         return self.rule(_JET_OPS[type(node)], a, b)
 
     def unary(self, fn: str, a: tuple) -> tuple:
-        guard, *outer = self.unary_source[fn]
+        guard, *outer = UNARY_SOURCE[fn]
         if guard is not None:
             self.lines.append(guard.format(x=a[0]))
         self.lines += [f"{name} = {expr.format(x=a[0])}"
@@ -516,7 +512,7 @@ class _Emitter:
         out = (self.temp(), self.temp(), self.temp())
         for part, jet in (("a", a), ("b", b), ("r", out)):
             names.update({f"{part}{k}": jet[k] for k in range(3)})
-        self.lines += [line.format(**names) for line in self.jet_source[op]]
+        self.lines += [line.format(**names) for line in JET_SOURCE[op]]
         return out
 
 
@@ -530,24 +526,29 @@ def _code(src: str):
     return compile(src, "<profile>", "exec")
 
 
-def _compile(node: Node, tables: tuple = _SCALAR):
-    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree as Python functions.
+def _compile(node: Node) -> tuple:
+    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree as Python
+    functions: ``((value, jet) on floats, (value, jet) on arrays)``.
 
-    With the array tables both take a 1-D array x as well as a float; a
-    part that does not depend on x stays a float.  The code is compiled once
-    per source text (``_code``) and run in a namespace holding this tree's
-    constants.
+    The tree's one source text is compiled once (``_code``) and its code
+    object run twice, with this tree's constants, in ``jets.FLOAT_NAMESPACE``
+    and in ``jets.ARRAY_NAMESPACE``.  The array pair takes a 1-D array x (a
+    float too); a part that does not depend on x stays a float.
     """
-    em = _Emitter(tables)
+    em = _Emitter()
     result = em.value(node)
     src = ["def value(x):", *(f"    {s}" for s in em.lines), f"    return {result}"]
     em.lines = []
     result = em.jet(node)
     src += ["def jet(x):", *(f"    {s}" for s in em.lines),
             f"    return ({', '.join(result)})"]
-    namespace = {**ARRAY_NAMESPACE, "_c": tuple(em.consts)}
-    exec(_code("\n".join(src)), namespace)
-    return namespace["value"], namespace["jet"]
+    code, consts = _code("\n".join(src)), tuple(em.consts)
+    pairs = []
+    for base in (FLOAT_NAMESPACE, ARRAY_NAMESPACE):
+        namespace = {**base, "_c": consts}
+        exec(code, namespace)
+        pairs.append((namespace["value"], namespace["jet"]))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +598,7 @@ class Profile1D:
         inferred = node.free_var()
         if var is not None and inferred is not None and inferred != var:
             raise EvalError(f"expression uses {inferred!r}, declared variable is {var!r}")
-        self._value, self._jet = _compile(node)
-        self._arrays = None  # (value, jet) on arrays, compiled on first use
+        (self._value, self._jet), self._arrays = _compile(node)
         self._last = [None, None]  # last array value and jet, see _last_array
 
     @classmethod
@@ -658,8 +658,6 @@ class Profile1D:
 
     def _evaluate(self, ts: np.ndarray, which: int) -> tuple:
         self.domain.require(ts)
-        if self._arrays is None:
-            self._arrays = _compile(self.node, _ARRAY)
         try:
             with np.errstate(all="ignore"):  # floats overflow to inf silently too
                 out = self._arrays[which](ts)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormError, PositivityError, UnsupportedError
+from .errors import FormError, PositivityError, SmmsError, UnsupportedError
 from .geometry import (
     PointSpec,
     Tensor2Blocks,
@@ -414,12 +414,13 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
     The second is only defined where the density restricts to the fiber as
     v_N (split form with vanishing alpha, or radial v proportional to phi);
     None elsewhere.  On a grid point it is defined when that holds at every
-    point of the grid.
+    point of the grid.  Both are None when the fiber's Ricci coefficients
+    are undefined there (an ``SmmsError``); any other error propagates.
     """
     split = len(structure) > 1
     try:
         coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
-    except Exception:
+    except SmmsError:  # the fiber does not pin its Ricci down here
         return None, None
     flat_dev = functools.reduce(_nan_max, (abs(c) for c in coeffs))
     m = params.m

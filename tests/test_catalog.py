@@ -127,8 +127,8 @@ def test_bundle_config_round_trips_through_loader():
         b = cat.make(name)
         cfg = b.config(k=32)
         assert cfg["schema"] == 1
-        inst, bundle = _instance_from_config(cfg)
-        assert bundle is not None and bundle.lam == b.lam
+        inst = _instance_from_config(cfg)
+        assert cfg["expectations"]["lambda"] == b.lam
         assert inst.params == b.instance.params
         rep = report_for(inst, b.lam, k=16)
         assert rep.residual_P < 1e-8, name

@@ -50,10 +50,8 @@ def evaluations(monkeypatch):
     tags = itertools.count()
     real_compile = profiles._compile
 
-    def counting_compile(node, tables=profiles._SCALAR):
-        value, jet = real_compile(node, tables)
-        if tables is not profiles._ARRAY:
-            return value, jet
+    def counting_compile(node):
+        floats, (value, jet) = real_compile(node)
         tag = next(tags)
 
         def counted_value(x):
@@ -64,7 +62,7 @@ def evaluations(monkeypatch):
             calls[(tag, "jet")] += 1
             return jet(x)
 
-        return counted_value, counted_jet
+        return floats, (counted_value, counted_jet)
 
     real_states = OdeProfile._states
 
@@ -103,6 +101,22 @@ def test_a_second_make_compiles_nothing(name, monkeypatch):
     sources.clear()
     _one_pass(cat.make(name))
     assert sources == []
+
+
+def test_a_profile_compiles_one_source_for_floats_and_arrays(monkeypatch):
+    sources = []
+    real = builtins.compile
+
+    def counting(source, *args, **kwargs):
+        sources.append(source)
+        return real(source, *args, **kwargs)
+
+    profiles._code.cache_clear()
+    monkeypatch.setattr(builtins, "compile", counting)
+    prof = Profile1D.from_string("exp(0.3*t) + t^2 / sqrt(2 + t)", Interval(-1.0, 2.0))
+    ts = np.linspace(-0.9, 1.9, 7)
+    prof.value(0.5), prof.jet(0.5), prof.value(ts), prof.jet(ts)
+    assert len(sources) == 1
 
 
 # ---------------------------------------------------------------------------

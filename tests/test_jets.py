@@ -1,11 +1,13 @@
 """Second-order jet arithmetic: exact derivative propagation."""
 
 import math
+import re
 
 import pytest
 
 import smmskit.jets as J
 from smmskit.errors import EvalError
+from smmskit.profiles import VALUE_SOURCE
 
 APPROX = dict(rel=1e-12, abs=1e-12)
 
@@ -127,3 +129,31 @@ def test_bijet_sum_and_chain():
     sq = v.chain(v.value ** 2, 2.0 * v.value, 2.0)
     assert sq.dt == pytest.approx(2.0 * v.value * v.dt, **APPROX)
     assert sq.dts == pytest.approx(2.0 * (v.dt * v.ds + v.value * v.dts), **APPROX)
+
+
+def _rule_statements():
+    """Every statement of the shared rule tables, with where it comes from."""
+    for table, rules in (("JET_SOURCE", J.JET_SOURCE), ("VALUE_SOURCE", VALUE_SOURCE)):
+        for op, rule in rules.items():
+            for stmt in rule:
+                yield f"{table}[{op!r}]", stmt
+    for name, rule in J.UNARY_SOURCE.items():
+        for stmt in rule:
+            if stmt is not None:
+                yield f"UNARY_SOURCE[{name!r}]", stmt
+
+
+def test_rule_texts_run_on_floats_and_arrays_alike():
+    # one text runs in both namespaces only if every power, guard and math
+    # function goes through a name the namespace binds: a bare ** would put
+    # numpy's power on arrays and move their last bits
+    statements = list(_rule_statements())
+    assert len(statements) > 40
+    for where, stmt in statements:
+        assert "**" not in stmt, where
+        if stmt.startswith("if ") or "raise" in stmt:
+            assert stmt.startswith("if _any("), where
+        for fn in re.findall(r"math\.([^(]+)\(", stmt):
+            assert fn in J.UNARY_SOURCE or fn == "{fn}", where
+    # {fn} is a parsed function name, which the parser takes from UNARY alone
+    assert set(J.ARRAY_NAMESPACE["math"].__dict__) == set(J.UNARY_SOURCE)

@@ -10,8 +10,9 @@ import smmskit.catalog as cat
 import smmskit.weighted as weighted
 from conftest import left_to_right_mean
 from smmskit.classify import classify_report
-from smmskit.errors import UnsupportedError
+from smmskit.errors import DomainError, UnsupportedError
 from smmskit.geometry import (
+    FiberDesc,
     PointSpec,
     SpaceForm,
     Tensor2Blocks,
@@ -241,6 +242,39 @@ def test_fiber_diagnostic_needs_its_condition_at_every_grid_point():
     rep = einstein_residuals(metric, density, params, 0.5, pts)
     assert rep.fiber_be_dev is None and rep.fiber_be_residual is None
     assert rep.fiber_flat_residual is not None
+
+
+class _FailingFiber(FiberDesc):
+    """A one-block fiber whose Ricci coefficients raise a given error."""
+
+    dim = 2
+
+    def __init__(self, error):
+        self.error = error
+
+    def blocks(self, split):
+        return (("fiber", self.dim),)
+
+    def ricci_coeffs(self, s, split):
+        raise self.error
+
+
+def test_fiber_diagnostics_catch_only_package_errors():
+    # an undefined fiber Ricci is "diagnostic undefined"; a programming
+    # error in a fiber must not silently become one
+    iv = Interval(0.0, math.pi)
+    phi = Profile1D.from_string("sin(t)", iv)
+    density = RadialDensity(Profile1D.constant(1.0, iv))
+    params = SmmsParams(3, 2.0)
+    pts = sample_points(WarpedMetric(iv, phi, SpaceForm(2, 1.0)), density, 9)
+
+    undefined = WarpedMetric(iv, phi, _FailingFiber(DomainError("no probe here")))
+    structure = density.structure(undefined)
+    assert _fiber_diagnostics(undefined, density, params, pts, structure) == (None, None)
+
+    broken = WarpedMetric(iv, phi, _FailingFiber(TypeError("a bug in the fiber")))
+    with pytest.raises(TypeError, match="a bug in the fiber"):
+        _fiber_diagnostics(broken, density, params, pts, structure)
 
 
 def test_report_aggregates_propagate_nan():
