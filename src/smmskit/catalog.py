@@ -52,7 +52,6 @@ class PairData:
     u: object
     nu: float
     lam_hat: float
-    note: str = ""
 
 
 @dataclass
@@ -67,7 +66,6 @@ class FamilyBundle:
     branch_global: str
     parameters: dict
     pair: PairData | None = None
-    notes: str = ""
 
     @property
     def params(self) -> SmmsParams:
@@ -140,7 +138,6 @@ def weighted_sphere(n: int = 4, m: float = 2.0, lam: float = 0.5,
         Profile1D.from_string(v.to_string(), iv, var="t"),
         nu=2.0 * lam * a,
         lam_hat=lam * (a * a - b * b),
-        note="u = v collapses the density; the image is a round sphere",
     )
     local = "Trivial" if b == 0.0 else "Einstein"
     return FamilyBundle(
@@ -148,7 +145,6 @@ def weighted_sphere(n: int = 4, m: float = 2.0, lam: float = 0.5,
         branch_local=local, branch_global="SpaceForm",
         parameters={"n": n, "m": m, "lam": lam, "a": a, "b": b},
         pair=pair,
-        notes="compact positive-curvature model; kappa = 2 lam a",
     )
 
 
@@ -174,7 +170,6 @@ def weighted_euclidean(n: int = 4, m: float = 2.0, a: float = 1.0,
     pair = PairData(
         Profile1D.from_string(v.to_string(), iv, var="t"),
         nu=2.0 * b, lam_hat=2.0 * a * b,
-        note="u = v collapses the density",
     )
     local = "Trivial" if b == 0.0 else "Einstein"
     return FamilyBundle(
@@ -182,7 +177,6 @@ def weighted_euclidean(n: int = 4, m: float = 2.0, a: float = 1.0,
         branch_local=local, branch_global="SpaceForm",
         parameters={"n": n, "m": m, "a": a, "b": b},
         pair=pair,
-        notes="flat model at lam = 0; kappa = 2 b",
     )
 
 
@@ -211,7 +205,6 @@ def weighted_hyperbolic(n: int = 4, m: float = 2.0, lam: float = -0.5,
     pair = PairData(
         Profile1D.from_string(v.to_string(), iv, var="t"),
         nu=2.0 * lam * a, lam_hat=lam * (a * a - b * b),
-        note="u = v collapses the density",
     )
     local = "Trivial" if b == 0.0 else "Einstein"
     return FamilyBundle(
@@ -219,7 +212,6 @@ def weighted_hyperbolic(n: int = 4, m: float = 2.0, lam: float = -0.5,
         branch_local=local, branch_global="SpaceForm",
         parameters={"n": n, "m": m, "lam": lam, "a": a, "b": b},
         pair=pair,
-        notes="negative-curvature model; a = 0 gives the kappa = 0 case",
     )
 
 
@@ -272,14 +264,12 @@ def warping_density(n: int = 4, m: float = 3.0, lam: float = 0.5,
     metric = WarpedMetric(iv, phi, EinsteinFiber(n - 1, beta))
     params = SmmsParams(n, m, beta / (m - 1.0))
     inst = Instance(metric, RadialDensity(phi), params, complete=False, compact=False)
-    pair = PairData(u, nu=nu, lam_hat=lam_hat,
-                    note="u' is proportional to the warping")
+    pair = PairData(u, nu=nu, lam_hat=lam_hat)
     return FamilyBundle(
         "warping_density", inst, lam=lam, kappa=0.0,
         branch_local="QuasiEinstein", branch_global="NotApplicable",
         parameters={"n": n, "m": m, "lam": lam, "c": c, "pair_k": k},
         pair=pair,
-        notes=f"v = phi; energy C = {cc!r}, fiber constant beta = {beta!r}",
     )
 
 
@@ -321,8 +311,7 @@ def exponential_warped(n: int = 4, m: float = 2.0, lam: float = -0.5,
     d = float(pair_shift)
     _require(d >= 0.0, "pair shift must be nonnegative")
     u = Profile1D.from_string(f"{a / w!r}*exp({w!r}*t) + {d!r}", iv, var="t")
-    pair = PairData(u, nu=2.0 * lam * d, lam_hat=lam * d * d,
-                    note="u' is proportional to the warping")
+    pair = PairData(u, nu=2.0 * lam * d, lam_hat=lam * d * d)
     if not complete:
         branch_global = "NotApplicable"
     elif kappa == 0.0:
@@ -336,7 +325,6 @@ def exponential_warped(n: int = 4, m: float = 2.0, lam: float = -0.5,
         parameters={"n": n, "m": m, "lam": lam, "a": a, "b": b,
                     "kappa": kappa, "pair_shift": d},
         pair=pair,
-        notes="horospherical space form; mu = -kappa^2/(2 lam)",
     )
 
 
@@ -384,15 +372,13 @@ def neck_warped(m: float = 3.0, lam: float = -0.5, a: float = 1.0,
     d = float(pair_shift)
     _require(d >= 0.0, "pair shift must be nonnegative")
     u = Profile1D.from_string(f"{a / w!r}*exp({w!r}*t) + {d!r}", iv, var="t")
-    pair = PairData(u, nu=2.0 * lam * d, lam_hat=lam * d * d,
-                    note="u' is proportional to the warping")
+    pair = PairData(u, nu=2.0 * lam * d, lam_hat=lam * d * d)
     return FamilyBundle(
         "neck_warped", inst, lam=lam, kappa=0.0,
         branch_local="QuasiEinstein", branch_global="ExpQuasiEinstein",
         parameters={"m": m, "lam": lam, "a": a, "pair_shift": d,
                     "fiber_window": [lo, hi], "step": step},
         pair=pair,
-        notes="neck energy normalization fixes mu = 1",
     )
 
 
@@ -425,15 +411,13 @@ def cone_product(n: int = 4, m: float = 2.0, scale: float = 1.0,
     sa, sb = float(pair_slope), float(pair_shift)
     u = Profile1D.from_string(f"{sa!r}*t + {sb!r}", iv, var="t")
     _positive_density(u, "pair factor")
-    pair = PairData(u, nu=0.0, lam_hat=-sa * sa / 2.0,
-                    note="affine factor along the product line")
+    pair = PairData(u, nu=0.0, lam_hat=-sa * sa / 2.0)
     return FamilyBundle(
         "cone_product", inst, lam=0.0, kappa=0.0,
         branch_local="QuasiEinstein", branch_global="NotApplicable",
         parameters={"n": n, "m": m, "scale": scale,
                     "pair_slope": sa, "pair_shift": sb},
         pair=pair,
-        notes="cone vertex keeps the product incomplete",
     )
 
 
@@ -475,15 +459,13 @@ def skew_sphere_density(m: float = 2.0, lam: float = 0.5, fiber_amp: float = 0.2
     _require(pair_nu > 1.0, "pair parameter nu must exceed 1 for positivity")
     u = Profile1D.from_string(f"({pair_nu!r} - cos({w!r}*t))/{2.0 * lam!r}", iv, var="t")
     pair = PairData(u, nu=float(pair_nu),
-                    lam_hat=(pair_nu ** 2 - 1.0) / (4.0 * lam),
-                    note="rotated-axis factor; u' equals the warping")
+                    lam_hat=(pair_nu ** 2 - 1.0) / (4.0 * lam))
     return FamilyBundle(
         "skew_sphere_density", inst, lam=lam, kappa=kappa,
         branch_local="Einstein", branch_global="SpaceForm",
         parameters={"m": m, "lam": lam, "fiber_amp": fiber_amp,
                     "base_amp": base_amp, "kappa": kappa, "pair_nu": pair_nu},
         pair=pair,
-        notes="density axis is misaligned with the warping axis",
     )
 
 
@@ -533,8 +515,7 @@ def constant_density(n: int = 4, m: float = 2.0, lam: float = 0.5,
     pair = None
     if canonical:
         pair = PairData(Profile1D.constant(a, iv, var="t"),
-                        nu=2.0 * lam * a, lam_hat=lam * a * a,
-                        note="constant factor rescales the space form")
+                        nu=2.0 * lam * a, lam_hat=lam * a * a)
     if canonical:
         branch_global = "SpaceForm"
     elif lam > 0.0:
@@ -547,8 +528,6 @@ def constant_density(n: int = 4, m: float = 2.0, lam: float = 0.5,
         parameters={"n": n, "m": m, "lam": lam, "a": a,
                     "mu": None if mu is None else float(mu)},
         pair=pair,
-        notes=("canonical mu = -2 lam a^2" if canonical
-               else f"shifted mu; verified constant moves to {lam_eff!r}"),
     )
 
 

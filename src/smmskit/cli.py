@@ -449,7 +449,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_table(args) -> int:
     k = _grid_size(400 if args.points is None else args.points)
-    gate = 1e-8
+    gate = DEFAULT_TOLERANCES["residual"]
     rows = []
     ok = True
     for sign, lam in (("positive", 0.5), ("zero", 0.0), ("negative", -0.5)):
@@ -475,7 +475,7 @@ def _cmd_table(args) -> int:
         }
         rows.append(row)
         ok = ok and (rep.residual_QE <= gate and mu_spread <= gate
-                     and abs(mu_mean - inst.params.mu) <= 1e-6
+                     and abs(mu_mean - inst.params.mu) <= DEFAULT_TOLERANCES["mu"]
                      and hat_rep.residual_P <= gate)
     header = (f"{'sign':9s} {'lambda':>8s} {'mu decl':>10s} {'mu solved':>12s} "
               f"{'QE resid':>10s} {'kap sprd':>10s} {'lam_hat':>9s} {'hat resid':>10s}")

@@ -11,21 +11,27 @@ failing point raises on its own.  Every implementation keeps its last array
 value and jet (``_last_array``), keyed by the bytes of the query, so the
 consumers of one grid share one evaluation; the arrays it hands out are
 read-only.  The three implementations are the expression tree
-:class:`Profile1D`, compiled at construction into straight-line Python
-functions for the value and for the exact jet (the rules of
-:mod:`smmskit.jets`, with the guards of the tree in tree order): one source
-text per tree, whose code is compiled once per process (``_code``) and run
-in two namespaces, one for floats and one for arrays; the RK4 trajectory
-``odes.OdeProfile`` with its derivative view, which adds ``restricted``;
-and the pullback ``conformal.ReparamProfile`` through a conformal
-coordinate change.  A separate central-difference routine provides an
-independent derivative oracle.
+:class:`Profile1D`, a tree of ``ast`` nodes that :func:`parse_expression`
+gets from Python's ``ast.parse`` and checks against the grammar, compiled
+at construction into straight-line Python functions for the value and for
+the exact jet (the rules of :mod:`smmskit.jets`, with the guards of the
+tree in tree order): one source text per tree, whose code is compiled
+once per process (``_code``) and run in two namespaces, one for floats and
+one for arrays; the RK4 trajectory ``odes.OdeProfile`` with its derivative
+view, which adds ``restricted``; and the pullback
+``conformal.ReparamProfile`` through a conformal coordinate change.  A
+separate central-difference routine provides an independent derivative
+oracle.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import re
+import reprlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,44 +117,84 @@ def sample_grid(domain: Interval, k: int, margin: float = 0.05,
 
 
 # ---------------------------------------------------------------------------
-# expression nodes
+# parsing into ast nodes
 
-class Node:
-    """Base expression node; the parser builds every tree."""
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_MAX_DEPTH = 200  # Python's own limit on nested parentheses
+_BAD_CHARACTER = re.compile(r"[^\w.+\-*/^()\s]", re.ASCII)
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
-    __slots__ = ()
+
+def parse_expression(text: str) -> ast.expr:
+    """Parse an infix expression over one variable into a tree of ``ast`` nodes.
+
+    Grammar: ``+ - * / ^`` (also ``**``), parentheses, the functions
+    exp/log/sin/cos/sinh/cosh/sqrt of one argument, constants ``pi`` and
+    ``e``, decimal literals, and a single free variable (an ASCII name such
+    as t or s), nested at most 200 deep.  Python's ``ast`` parses the text
+    once ``^`` is spelled ``**``; the tree keeps only ``Constant`` (a
+    float), ``Name``, ``UnaryOp`` (``-``), ``BinOp`` and ``Call``.
+    """
+    src = " ".join(text.split())
+    bad = _BAD_CHARACTER.search(src)
+    if bad:
+        raise EvalError(f"unexpected character {bad.group()!r} in expression")
+    src = _LEADING_ZEROS.sub("", src.replace("^", "**"))
+    try:
+        with warnings.catch_warnings():  # "1if ...": an error, not a line on stderr
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(src, mode="eval")
+    except (SyntaxError, RecursionError, MemoryError, ValueError) as exc:
+        why = exc.msg if isinstance(exc, SyntaxError) else exc
+        raise EvalError(f"cannot parse {reprlib.repr(text)}: {why}") from None
+    return _checked(tree.body, src, 1)
 
 
-class Const(Node):
-    __slots__ = ("c",)
+def _checked(node: ast.expr, src: str, depth: int) -> ast.expr:
+    """The node of ``ast.parse(src)``, its children checked in place, if it
+    is a node of the grammar; any other kind raises EvalError."""
+    if depth > _MAX_DEPTH:
+        raise EvalError(f"expression nested deeper than {_MAX_DEPTH}")
+    depth += 1
+    kind = type(node)
+    if kind is ast.Constant:
+        literal = src[node.col_offset:node.end_col_offset]  # ASCII: bytes are characters
+        if _DECIMAL.fullmatch(literal):
+            node.value = float(literal)
+            return node
+    elif kind is ast.Name:
+        return ast.Constant(_CONSTANTS[node.id]) if node.id in _CONSTANTS else node
+    elif kind is ast.UnaryOp and type(node.op) in (ast.USub, ast.UAdd):
+        node.operand = _checked(node.operand, src, depth)
+        return node if type(node.op) is ast.USub else node.operand
+    elif kind is ast.BinOp and type(node.op) in _BINOPS:
+        node.left = _checked(node.left, src, depth)
+        node.right = _checked(node.right, src, depth)
+        return node
+    elif kind is ast.Call and type(node.func) is ast.Name:
+        if node.func.id not in UNARY:
+            raise EvalError(f"unknown function {node.func.id!r}")
+        if len(node.args) == 1 and not node.keywords and type(node.args[0]) is not ast.Starred:
+            node.args[0] = _checked(node.args[0], src, depth)
+            return node
+    part = src[node.col_offset:node.end_col_offset]
+    raise EvalError(f"unexpected {reprlib.repr(part)} in expression")
 
-    def __init__(self, c: float):
-        self.c = float(c)
 
-    def free_var(self):
+def _free_var(node: ast.expr):
+    """The one variable a tree names, or None; two raise EvalError."""
+    kind = type(node)
+    if kind is ast.Constant:
         return None
-
-    def to_str(self, prec=0):
-        if self.c < 0:
-            s = repr(self.c)
-            return f"({s})" if prec > 1 else s
-        return repr(self.c)
-
-
-class Var(Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def free_var(self):
-        return self.name
-
-    def to_str(self, prec=0):
-        return self.name
-
-
-def _merge_vars(a, b):
+    if kind is ast.Name:
+        return node.id
+    if kind is ast.UnaryOp:
+        return _free_var(node.operand)
+    if kind is ast.Call:
+        return _free_var(node.args[0])
+    a, b = _free_var(node.left), _free_var(node.right)
     if a is None:
         return b
     if b is None or a == b:
@@ -156,245 +202,36 @@ def _merge_vars(a, b):
     raise EvalError(f"expression mixes variables {a!r} and {b!r}")
 
 
-class _Binary(Node):
-    __slots__ = ("l", "r")
-    op = "?"
-    prec = 0
-
-    def __init__(self, l: Node, r: Node):
-        self.l = l
-        self.r = r
-
-    def free_var(self):
-        return _merge_vars(self.l.free_var(), self.r.free_var())
-
-    def to_str(self, prec=0):
-        left = self.l.to_str(self.prec)
-        right = self.r.to_str(self.prec + 1)
-        s = f"{left} {self.op} {right}"
-        return f"({s})" if prec > self.prec else s
+# operator -> (symbol, precedence) of a BinOp in to_string
+_INFIX = {ast.Add: ("+", 1), ast.Sub: ("-", 1), ast.Mult: ("*", 2), ast.Div: ("/", 2)}
 
 
-class Add(_Binary):
-    __slots__ = ()
-    op, prec = "+", 1
-
-
-class Sub(_Binary):
-    __slots__ = ()
-    op, prec = "-", 1
-
-
-class Mul(_Binary):
-    __slots__ = ()
-    op, prec = "*", 2
-
-
-class Div(_Binary):
-    __slots__ = ()
-    op, prec = "/", 2
-
-
-class Neg(Node):
-    __slots__ = ("a",)
-
-    def __init__(self, a: Node):
-        self.a = a
-
-    def free_var(self):
-        return self.a.free_var()
-
-    def to_str(self, prec=0):
-        s = f"-{self.a.to_str(3)}"
+def _to_str(node: ast.expr, prec: int = 0) -> str:
+    """The tree in the grammar's notation, parenthesized where the context
+    binds tighter (``prec``) than the node."""
+    kind = type(node)
+    if kind is ast.Constant:
+        s = repr(node.value)
+        return f"({s})" if node.value < 0 and prec > 1 else s
+    if kind is ast.Name:
+        return node.id
+    if kind is ast.UnaryOp:
+        s = f"-{_to_str(node.operand, 3)}"
         return f"({s})" if prec > 1 else s
-
-
-class Pow(Node):
-    __slots__ = ("base", "expo")
-
-    def __init__(self, base: Node, expo: Node):
-        self.base = base
-        self.expo = expo
-
-    def free_var(self):
-        return _merge_vars(self.base.free_var(), self.expo.free_var())
-
-    def to_str(self, prec=0):
-        s = f"{self.base.to_str(4)}^{self.expo.to_str(4)}"
+    if kind is ast.Call:
+        return f"{node.func.id}({_to_str(node.args[0], 0)})"
+    if type(node.op) is ast.Pow:
+        s = f"{_to_str(node.left, 4)}^{_to_str(node.right, 4)}"
         return f"({s})" if prec > 3 else s
-
-
-class Call(Node):
-    __slots__ = ("fn", "a")
-
-    def __init__(self, fn: str, a: Node):
-        if fn not in UNARY:
-            raise EvalError(f"unknown function {fn!r}")
-        self.fn = fn
-        self.a = a
-
-    def free_var(self):
-        return self.a.free_var()
-
-    def to_str(self, prec=0):
-        return f"{self.fn}({self.a.to_str(0)})"
-
-
-# ---------------------------------------------------------------------------
-# infix parser
-
-_CONSTANTS = {"pi": math.pi, "e": math.e}
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        text, i, n = self.text, 0, len(self.text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                seen_e = False
-                while j < n and (text[j].isdigit() or text[j] == "."
-                                 or text[j] in "eE"
-                                 or (seen_e and text[j] in "+-" and text[j - 1] in "eE")):
-                    if text[j] in "eE":
-                        if seen_e or j + 1 >= n or not (text[j + 1].isdigit() or text[j + 1] in "+-"):
-                            break
-                        seen_e = True
-                    j += 1
-                try:
-                    self.toks.append(("num", float(text[i:j])))
-                except ValueError:
-                    raise EvalError(f"bad number near {text[i:j]!r}")
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-                continue
-            if text.startswith("**", i):
-                self.toks.append(("op", "^"))
-                i += 2
-                continue
-            if ch in "+-*/^()":
-                self.toks.append(("op", ch))
-                i += 1
-                continue
-            raise EvalError(f"unexpected character {ch!r} in expression")
-
-    def peek(self):
-        return self.toks[self.idx] if self.idx < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.idx += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise EvalError(f"expected {op!r}, found {val!r}")
-
-
-def parse_expression(text: str) -> Node:
-    """Parse an infix expression over one variable into a node tree.
-
-    Grammar: ``+ - * / ^`` (also ``**``), parentheses, the functions
-    exp/log/sin/cos/sinh/cosh/sqrt, constants ``pi`` and ``e``, numeric
-    literals, and a single free variable (t, x, theta, s or r).
-    """
-    toks = _Tokens(text)
-    node = _parse_sum(toks)
-    kind, val = toks.peek()
-    if kind is not None:
-        raise EvalError(f"trailing input at {val!r}")
-    return node
-
-
-def _parse_sum(toks):
-    node = _parse_product(toks)
-    while True:
-        kind, val = toks.peek()
-        if kind == "op" and val in "+-":
-            toks.next()
-            rhs = _parse_product(toks)
-            node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-        else:
-            return node
-
-
-def _parse_product(toks):
-    node = _parse_unary(toks)
-    while True:
-        kind, val = toks.peek()
-        if kind == "op" and val in "*/":
-            toks.next()
-            rhs = _parse_unary(toks)
-            node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-        else:
-            return node
-
-
-def _parse_unary(toks):
-    kind, val = toks.peek()
-    if kind == "op" and val == "-":
-        toks.next()
-        return Neg(_parse_unary(toks))
-    if kind == "op" and val == "+":
-        toks.next()
-        return _parse_unary(toks)
-    return _parse_power(toks)
-
-
-def _parse_power(toks):
-    base = _parse_atom(toks)
-    kind, val = toks.peek()
-    if kind == "op" and val == "^":
-        toks.next()
-        return Pow(base, _parse_unary(toks))
-    return base
-
-
-def _parse_atom(toks):
-    kind, val = toks.next()
-    if kind == "num":
-        return Const(val)
-    if kind == "name":
-        nxt_kind, nxt_val = toks.peek()
-        if nxt_kind == "op" and nxt_val == "(":
-            if val not in UNARY:
-                raise EvalError(f"unknown function {val!r}")
-            toks.next()
-            arg = _parse_sum(toks)
-            toks.expect_op(")")
-            return Call(val, arg)
-        if val in _CONSTANTS:
-            return Const(_CONSTANTS[val])
-        return Var(val)
-    if kind == "op" and val == "(":
-        node = _parse_sum(toks)
-        toks.expect_op(")")
-        return node
-    raise EvalError(f"unexpected token {val!r}")
+    op, own = _INFIX[type(node.op)]
+    s = f"{_to_str(node.left, own)} {op} {_to_str(node.right, own + 1)}"
+    return f"({s})" if prec > own else s
 
 
 # ---------------------------------------------------------------------------
 # compiling a tree to straight-line code
 
-_JET_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
+_JET_OPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
 
 # The value of each node kind as statements on floats or arrays, in the form
 # of ``jets.JET_SOURCE``: ``a`` and ``b`` name the operands, ``r`` the result,
@@ -429,13 +266,16 @@ VALUE_SOURCE = {
 class _Emitter:
     """Straight-line statements for one tree, one temporary per result.
 
-    Constants are read by index from the tuple ``_c`` and the free variable
-    is the parameter ``x``, so no input text reaches the source; function
-    names come from the parser's whitelist.  Children are emitted left to
-    right before their parent, so the guards fire in tree-walk order.  The
-    statements come from the one set of rule tables (``VALUE_SOURCE``,
-    ``jets.JET_SOURCE``, ``jets.UNARY_SOURCE``), which runs on floats and on
-    arrays alike.
+    The tree holds the ``ast`` node kinds that ``parse_expression`` keeps:
+    ``Constant`` (a float), ``Name`` (the variable), ``UnaryOp`` (``-``),
+    ``BinOp`` (``+ - * / **``) and ``Call`` (a name of ``jets.UNARY``, one
+    argument).  Constants are read by index from the tuple ``_c`` and the
+    free variable is the parameter ``x``, so no input text reaches the
+    source; function names come from the parser's whitelist.  Children are
+    emitted left to right before their parent, so the guards fire in
+    tree-walk order.  The statements come from the one set of rule tables
+    (``VALUE_SOURCE``, ``jets.JET_SOURCE``, ``jets.UNARY_SOURCE``), which
+    runs on floats and on arrays alike.
     """
 
     def __init__(self):
@@ -454,51 +294,53 @@ class _Emitter:
     def emit(self, kind: str, **names):
         self.lines += [line.format(**names) for line in VALUE_SOURCE[kind]]
 
-    def value(self, node: Node) -> str:
+    def value(self, node: ast.expr) -> str:
         """Name of the tree's value, with the guards of the tree walk."""
-        if isinstance(node, Const):
-            return self.const(node.c)
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is ast.Constant:
+            return self.const(node.value)
+        if kind is ast.Name:
             return "x"
         out = self.temp()
-        if isinstance(node, Neg):
-            self.emit("neg", r=out, a=self.value(node.a))
-        elif isinstance(node, Call):
-            a = self.value(node.a)
-            if node.fn in ("log", "sqrt"):
-                self.emit("positive", a=a, fn=node.fn)
-            elif node.fn in ("exp", "sinh", "cosh"):
-                self.emit("overflow", a=a, fn=node.fn)
-            self.emit("call", r=out, a=a, fn=node.fn)
-        elif isinstance(node, Pow) and isinstance(node.expo, Const):
-            b = self.value(node.base)
-            self.emit("pow", r=out, a=b, p=self.const(node.expo.c))
-        elif isinstance(node, Pow):
-            b, e = self.value(node.base), self.value(node.expo)
+        if kind is ast.UnaryOp:
+            self.emit("neg", r=out, a=self.value(node.operand))
+        elif kind is ast.Call:
+            fn, a = node.func.id, self.value(node.args[0])
+            if fn in ("log", "sqrt"):
+                self.emit("positive", a=a, fn=fn)
+            elif fn in ("exp", "sinh", "cosh"):
+                self.emit("overflow", a=a, fn=fn)
+            self.emit("call", r=out, a=a, fn=fn)
+        elif type(node.op) is ast.Pow and type(node.right) is ast.Constant:
+            b = self.value(node.left)
+            self.emit("pow", r=out, a=b, p=self.const(node.right.value))
+        elif type(node.op) is ast.Pow:
+            b, e = self.value(node.left), self.value(node.right)
             self.emit("general_pow", r=out, a=b, b=e)
         else:
-            a, b = self.value(node.l), self.value(node.r)
-            self.emit(_JET_OPS[type(node)], r=out, a=a, b=b)
+            a, b = self.value(node.left), self.value(node.right)
+            self.emit(_JET_OPS[type(node.op)], r=out, a=a, b=b)
         return out
 
-    def jet(self, node: Node) -> tuple:
+    def jet(self, node: ast.expr) -> tuple:
         """Names of the tree's (value, d1, d2), by the rules of ``Jet2``."""
-        if isinstance(node, Const):
-            return (self.const(node.c), "0.0", "0.0")
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is ast.Constant:
+            return (self.const(node.value), "0.0", "0.0")
+        if kind is ast.Name:
             return ("x", "1.0", "0.0")
-        if isinstance(node, Neg):
-            return self.rule("neg", self.jet(node.a))
-        if isinstance(node, Call):
-            return self.unary(node.fn, self.jet(node.a))
-        if isinstance(node, Pow) and isinstance(node.expo, Const):
-            return self.rule("pow", self.jet(node.base), p=self.const(node.expo.c))
-        if isinstance(node, Pow):
+        if kind is ast.UnaryOp:
+            return self.rule("neg", self.jet(node.operand))
+        if kind is ast.Call:
+            return self.unary(node.func.id, self.jet(node.args[0]))
+        if type(node.op) is ast.Pow and type(node.right) is ast.Constant:
+            return self.rule("pow", self.jet(node.left), p=self.const(node.right.value))
+        if type(node.op) is ast.Pow:
             # Jet2.__pow__ with a jet exponent: exp(e * log b)
-            b, e = self.jet(node.base), self.jet(node.expo)
+            b, e = self.jet(node.left), self.jet(node.right)
             return self.unary("exp", self.rule("mul", e, self.unary("log", b)))
-        a, b = self.jet(node.l), self.jet(node.r)
-        return self.rule(_JET_OPS[type(node)], a, b)
+        a, b = self.jet(node.left), self.jet(node.right)
+        return self.rule(_JET_OPS[type(node.op)], a, b)
 
     def unary(self, fn: str, a: tuple) -> tuple:
         guard, *outer = UNARY_SOURCE[fn]
@@ -526,9 +368,10 @@ def _code(src: str):
     return compile(src, "<profile>", "exec")
 
 
-def _compile(node: Node) -> tuple:
-    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree as Python
-    functions: ``((value, jet) on floats, (value, jet) on arrays)``.
+def _compile(node: ast.expr) -> tuple:
+    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree of ``ast`` nodes
+    (as ``parse_expression`` returns it) as Python functions:
+    ``((value, jet) on floats, (value, jet) on arrays)``.
 
     The tree's one source text is compiled once (``_code``) and its code
     object run twice, with this tree's constants, in ``jets.FLOAT_NAMESPACE``
@@ -592,12 +435,12 @@ class Profile1D:
     arrays.
     """
 
-    def __init__(self, node: Node, domain: Interval, var: str | None = None):
+    def __init__(self, node: ast.expr, domain: Interval, var: str | None = None):
         self.node = node
         self.domain = domain
-        inferred = node.free_var()
-        if var is not None and inferred is not None and inferred != var:
-            raise EvalError(f"expression uses {inferred!r}, declared variable is {var!r}")
+        self._var = _free_var(node)
+        if var is not None and self._var is not None and self._var != var:
+            raise EvalError(f"expression uses {self._var!r}, declared variable is {var!r}")
         (self._value, self._jet), self._arrays = _compile(node)
         self._last = [None, None]  # last array value and jet, see _last_array
 
@@ -608,13 +451,13 @@ class Profile1D:
 
     @classmethod
     def constant(cls, c: float, domain: Interval, var: str = "t") -> "Profile1D":
-        return cls(Const(float(c)), domain, var=var)
+        return cls(ast.Constant(float(c)), domain, var=var)
 
     def __repr__(self):
         return f"Profile1D({self.to_string()!r} on ({self.domain.lo}, {self.domain.hi}))"
 
     def to_string(self) -> str:
-        return self.node.to_str()
+        return _to_str(self.node)
 
     def value(self, t):
         if type(t) is ndarray:
@@ -669,7 +512,7 @@ class Profile1D:
         return parts
 
     def is_constant(self) -> bool:
-        return self.node.free_var() is None
+        return self._var is None
 
     def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
         """Sampled positivity check, in one array evaluation; raises

@@ -105,9 +105,6 @@ class DensitySpec:
         """Hessian of v from the displayed closed-form decomposition."""
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class RadialDensity(DensitySpec):
     """v depends on the base coordinate t alone."""
@@ -132,9 +129,6 @@ class RadialDensity(DensitySpec):
     def hessian_v(self, metric, point) -> Tensor2Blocks:
         return hessian_radial(metric, self.v, point,
                               structure=self.structure(metric))
-
-    def to_config(self) -> dict:
-        return {"kind": "radial", "v": self.v.to_string()}
 
 
 class SplitDensity(DensitySpec):
@@ -162,10 +156,6 @@ class SplitDensity(DensitySpec):
 
     def hessian_v(self, metric, point) -> Tensor2Blocks:
         return hessian_split(metric, self.v_n, self.alpha, point)
-
-    def to_config(self) -> dict:
-        return {"kind": "split", "v_n": self.v_n.to_string(),
-                "alpha": self.alpha.to_string()}
 
 
 @dataclass

@@ -235,6 +235,8 @@ MALFORMED_CONFIGS = [
     ("tolerance_negative", _set("tolerances", {"kappa": -1e-9}), []),
     ("grid_not_object", _set("grid", [16]), []),
     ("factor_not_string", _set("conformal.u", 1.5), []),
+    ("factor_nested_too_deep", _set("conformal.u", "(" * 250 + "t" + ")" * 250), []),
+    ("factor_sum_too_long", _set("conformal.u", "+".join(["t"] * 3000)), []),
     ("custom_without_m", _drop_custom_m, []),
 ]
 

@@ -90,9 +90,10 @@ def test_a_second_make_compiles_nothing(name, monkeypatch):
     sources = []
     real = builtins.compile
 
-    def counting(source, *args, **kwargs):
-        sources.append(source)
-        return real(source, *args, **kwargs)
+    def counting(source, filename, *args, **kwargs):
+        if filename == "<profile>":  # ast.parse compiles the text to a tree
+            sources.append(source)
+        return real(source, filename, *args, **kwargs)
 
     profiles._code.cache_clear()
     monkeypatch.setattr(builtins, "compile", counting)
@@ -107,9 +108,10 @@ def test_a_profile_compiles_one_source_for_floats_and_arrays(monkeypatch):
     sources = []
     real = builtins.compile
 
-    def counting(source, *args, **kwargs):
-        sources.append(source)
-        return real(source, *args, **kwargs)
+    def counting(source, filename, *args, **kwargs):
+        if filename == "<profile>":  # ast.parse compiles the text to a tree
+            sources.append(source)
+        return real(source, filename, *args, **kwargs)
 
     profiles._code.cache_clear()
     monkeypatch.setattr(builtins, "compile", counting)

@@ -97,3 +97,40 @@ def test_every_cache_is_bounded():
     unbounded = [hit for hit, call in found.items()
                  if not (hit.endswith(" lru_cache") and _integer_maxsize(call))]
     assert unbounded == []
+
+
+def _public_definitions(path: Path) -> list:
+    """(line, name) of the public module-level functions and classes of a
+    file, and of the public methods of those classes."""
+    found = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        found.append((stmt.lineno, stmt.name))
+        if isinstance(stmt, ast.ClassDef):
+            found += [(m.lineno, m.name) for m in stmt.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return found
+
+
+def _names_in_use() -> set:
+    """Every word of the Python files under src/, tests/ and bench/, except
+    the name a def or class line defines."""
+    words = set()
+    for tree in ("src", "tests", "bench"):
+        for path in (ROOT / tree).rglob("*.py"):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                found = re.findall(r"\w+", line)
+                defined = re.match(r"\s*(?:def|class)\s+(\w+)", line)
+                if defined:
+                    found.remove(defined.group(1))
+                words.update(found)
+    return words
+
+
+def test_every_public_name_is_used():
+    # a public function, class or method that nothing names is dead code
+    used = _names_in_use()
+    unused = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+              for line, name in _public_definitions(path) if name not in used]
+    assert unused == []

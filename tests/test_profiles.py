@@ -1,6 +1,7 @@
 """Expression parsing, domain handling, grids, finite differences and the
 profile protocol."""
 
+import ast
 import math
 import random
 import re
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 import smmskit.catalog as cat
-import smmskit.profiles as P
 from smmskit.conformal import ConformalMap, ReparamProfile
 from smmskit.errors import DomainError, EvalError, PositivityError
 from smmskit.jets import UNARY, Jet2
@@ -51,9 +51,32 @@ def test_to_string_round_trip_is_exact():
 
 
 def test_parse_rejects_malformed_input():
-    for bad in ("2**", "sin(", "t + * 2", "foo(t)", "", ")("):
+    for bad in ("2**", "sin(", "t + * 2", "foo(t)", "", ")(",
+                "1_0", "0x10", "1j", "t # c", "t if t else t", "t.real", "sin(*t)",
+                "sin(t=1)", "True", "(" * 201 + "t" + ")" * 201):
         with pytest.raises(EvalError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize("text, shown", [
+    (" t ", "t"),
+    ("t\n+ 1", "t + 1.0"),
+    ("+t", "t"),
+    ("t^+2", "t^2.0"),
+    ("2*-t", "2.0 * (-t)"),
+    ("-t^2", "-t^2.0"),
+    ("(-t)^2", "(-t)^2.0"),
+    ("2^-t^2", "2.0^(-t^2.0)"),
+    ("e^t", "2.718281828459045^t"),
+    ("pi*t", "3.141592653589793 * t"),
+    ("007*t", "7.0 * t"),
+    ("1.e5", "100000.0"),
+    (".5*t", "0.5 * t"),
+    ("t**2", "t^2.0"),
+    ("sin(t)^2", "sin(t)^2.0"),
+])
+def test_parse_normalizes_the_grammar(text, shown):
+    assert Profile1D.from_string(text, IV).to_string() == shown
 
 
 def test_profile_jet_matches_hand_values():
@@ -209,32 +232,32 @@ def test_profile_protocol(case):
 
 def _walk(node, x):
     """The tree walk compiled profiles replace: floats, or Jet2 from Jet2.variable."""
-    if isinstance(node, P.Const):
-        return node.c if isinstance(x, float) else Jet2.constant(node.c)
-    if isinstance(node, P.Var):
+    if isinstance(node, ast.Constant):
+        return node.value if isinstance(x, float) else Jet2.constant(node.value)
+    if isinstance(node, ast.Name):
         return x
-    if isinstance(node, P.Neg):
-        return -_walk(node.a, x)
-    if isinstance(node, P.Call):
-        v = _walk(node.a, x)
+    if isinstance(node, ast.UnaryOp):
+        return -_walk(node.operand, x)
+    if isinstance(node, ast.Call):
+        fn, v = node.func.id, _walk(node.args[0], x)
         if isinstance(v, Jet2):
-            return UNARY[node.fn](v)
-        if node.fn in ("log", "sqrt") and v <= 0.0:
-            raise EvalError(f"{node.fn} of nonpositive value {v!r}")
-        if node.fn in ("exp", "sinh", "cosh") and v > 700.0:
-            raise EvalError(f"{node.fn} overflow")
-        return getattr(math, node.fn)(v)
-    if isinstance(node, P.Pow):
-        b = _walk(node.base, x)
-        if isinstance(node.expo, P.Const):
-            p = node.expo.c
+            return UNARY[fn](v)
+        if fn in ("log", "sqrt") and v <= 0.0:
+            raise EvalError(f"{fn} of nonpositive value {v!r}")
+        if fn in ("exp", "sinh", "cosh") and v > 700.0:
+            raise EvalError(f"{fn} overflow")
+        return getattr(math, fn)(v)
+    if isinstance(node.op, ast.Pow):
+        b = _walk(node.left, x)
+        if isinstance(node.right, ast.Constant):
+            p = node.right.value
             if isinstance(b, float):
                 if b == 0.0 and p < 0:
                     raise EvalError("zero base with negative exponent")
                 if b < 0.0 and p != round(p):
                     raise EvalError("fractional power of a negative base")
             return b ** p
-        e = _walk(node.expo, x)
+        e = _walk(node.right, x)
         if isinstance(b, Jet2):
             return UNARY["exp"](e * UNARY["log"](b))
         if b <= 0.0:
@@ -243,12 +266,12 @@ def _walk(node, x):
         if prod > 700.0:
             raise EvalError("exp overflow in general power")
         return math.exp(prod)
-    a, b = _walk(node.l, x), _walk(node.r, x)
-    if isinstance(node, P.Add):
+    a, b = _walk(node.left, x), _walk(node.right, x)
+    if isinstance(node.op, ast.Add):
         return a + b
-    if isinstance(node, P.Sub):
+    if isinstance(node.op, ast.Sub):
         return a - b
-    if isinstance(node, P.Mul):
+    if isinstance(node.op, ast.Mult):
         return a * b
     if isinstance(b, float) and b == 0.0:
         raise EvalError("division by zero")
@@ -289,27 +312,27 @@ def _random_tree(rng, depth, seen):
     kind = rng.randrange(10) if depth > 0 else rng.randrange(2)
     if kind == 0:
         seen.add("Const")
-        return P.Const(rng.choice(CONSTANTS))
+        return ast.Constant(rng.choice(CONSTANTS))
     if kind == 1:
         seen.add("Var")
-        return P.Var("t")
+        return ast.Name("t")
     a = _random_tree(rng, depth - 1, seen)
     if kind < 6:
-        cls = (P.Add, P.Sub, P.Mul, P.Div)[kind - 2]
-        seen.add(cls.__name__)
-        return cls(a, _random_tree(rng, depth - 1, seen))
+        op = (ast.Add, ast.Sub, ast.Mult, ast.Div)[kind - 2]()
+        seen.add(type(op).__name__)
+        return ast.BinOp(a, op, _random_tree(rng, depth - 1, seen))
     if kind == 6:
         seen.add("Neg")
-        return P.Neg(a)
+        return ast.UnaryOp(ast.USub(), a)
     if kind == 7:
         seen.add("Pow const")
-        return P.Pow(a, P.Const(rng.choice(EXPONENTS)))
+        return ast.BinOp(a, ast.Pow(), ast.Constant(rng.choice(EXPONENTS)))
     if kind == 8:
         seen.add("Pow general")
-        return P.Pow(a, _random_tree(rng, depth - 1, seen))
+        return ast.BinOp(a, ast.Pow(), _random_tree(rng, depth - 1, seen))
     fn = rng.choice(FUNCTIONS)
     seen.add(fn)
-    return P.Call(fn, a)
+    return ast.Call(ast.Name(fn), [a], [])
 
 
 def test_compiled_profiles_match_the_tree_walk_bitwise():
@@ -324,11 +347,11 @@ def test_compiled_profiles_match_the_tree_walk_bitwise():
             for jet, method in ((False, prof.value), (True, prof.jet)):
                 want, got = _expected(node, t, jet), _observed(method, t)
                 if want == (EvalError, None):
-                    assert got[0] is EvalError and f"t={t}:" in got[1], node.to_str()
+                    assert got[0] is EvalError and f"t={t}:" in got[1], prof.to_string()
                 else:
-                    assert got == want, (node.to_str(), t, jet)
+                    assert got == want, (prof.to_string(), t, jet)
                 outcomes.add("ok" if isinstance(want, str) else want[0].__name__)
-    assert seen >= {"Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow const",
+    assert seen >= {"Const", "Var", "Add", "Sub", "Mult", "Div", "Neg", "Pow const",
                     "Pow general", *FUNCTIONS}
     assert {"ok", "EvalError"} <= outcomes
 
