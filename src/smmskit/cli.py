@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -374,7 +375,7 @@ def _cmd_conformal(args) -> int:
     result = apply_conformal(inst, u)
     ts = sample_grid(inst.metric.interval, max(8, min(k, 64)), margin=margin, cap=cap)
     laws = conformal_law_residuals(inst, u, result, ts)
-    inv = involution_residual(inst, u, ts)
+    inv = involution_residual(inst, result, ts)
 
     checks = Checks()
     for name, val in laws.items():
@@ -497,6 +498,7 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="smms",

@@ -17,8 +17,8 @@ array, like every profile.  An array is inverted in one Newton solve whose
 statements are the float solve's under masks, so every entry follows the
 float iterates and the results are bitwise equal; the profiles of one
 transformed grid share that solve, and each ``ReparamProfile`` keeps its
-last array value and jet, so it pulls a grid back once.  Table growth and
-``quad`` stay scalar.
+last array value and jet, so it pulls a grid back once.  The table grows by
+rounds of panels, one array ``quad`` call per round.
 """
 
 from __future__ import annotations
@@ -69,43 +69,70 @@ def _rule(fn, a, b):
     return half * acc
 
 
-def quad(fn, a: float, b: float):
-    """Adaptive Gauss-Legendre integral of fn from a to b (b < a allowed).
+def _pairs(x: ndarray, y: ndarray) -> ndarray:
+    """x[0], y[0], x[1], y[1], ..."""
+    return np.column_stack((x, y)).ravel()
+
+
+def quad(fn, a, b):
+    """Adaptive Gauss-Legendre integrals of fn over panels from a to b
+    (b < a allowed), for arrays of panel ends or one float pair.
 
     A panel is halved until the rules on its halves agree with the rule on
-    the whole to 1e-13 (absolute below 1), at most 200 times in all, since
-    noisy integrands never settle, and never below a width of 1e-13 times
-    its largest end, so that no node rounds onto an end.  Returns the ends
-    of the accepted halves from a to b, the signed integrals between
-    consecutive ends and the summed disagreement, the error estimate.
+    the whole to 1e-13 (absolute below 1), at most 200 times, since noisy
+    integrands never settle, and never below a width of 1e-13 times its
+    largest end, so that no node rounds onto an end.  All panels halve
+    level by level, one fn call per level, and a panel's budget goes to the
+    halvings of a level in order from a to b.  Returns the ends of the
+    accepted halves without the panels' starts and the signed integrals up
+    to them, panel after panel from a to b, the index one past each panel's
+    last entry and each panel's summed disagreement, the error estimate.
+    On floats: the ends with a, the integrals and the error estimate.
     """
-    ends, values, err, budget = [a], [], 0.0, 200
-    todo = [(a, b, _rule(fn, a, b))]
-    while todo:
-        lo, hi, whole = todo.pop()
-        mid = 0.5 * (lo + hi)
-        left, right = _rule(fn, lo, mid), _rule(fn, mid, hi)
-        diff = abs(left + right - whole)
-        if (budget and not diff <= 1e-13 * max(1.0, abs(left + right))
-                and abs(hi - lo) > 1e-13 * max(abs(lo), abs(hi))):
-            budget -= 1
-            todo += [(mid, hi, right), (lo, mid, left)]
-        else:
-            ends += [mid, hi]
-            values += [left, right]
-            err += diff
-    return ends, values, err
+    lo, hi = np.atleast_1d(a).astype(float), np.atleast_1d(b).astype(float)
+    pid, budget, done = np.arange(lo.size), np.full(lo.size, 200), []
+    mid = 0.5 * (lo + hi)
+    with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
+        whole, left, right = _rule(fn, np.concatenate((lo, lo, mid)),
+                                   np.concatenate((hi, mid, hi))).reshape(3, -1)
+        while True:
+            total = left + right
+            diff = np.abs(total - whole)
+            want = ~(diff <= 1e-13 * np.fmax(1.0, np.abs(total))) \
+                & (np.abs(hi - lo) > 1e-13 * np.fmax(np.abs(lo), np.abs(hi)))
+            rank = np.cumsum(want)  # this panel's halvings wanted so far:
+            rank -= (rank - want)[np.searchsorted(pid, pid)]  # less earlier panels'
+            split = want & (rank <= budget[pid])
+            budget -= np.bincount(pid[split], minlength=budget.size)
+            done.append([x[~split] for x in (pid, lo, mid, hi, left, right, diff)])
+            if not split.any():
+                break
+            pid, lo, mid, hi, left, right = (x[split] for x in (pid, lo, mid, hi, left, right))
+            pid, whole = np.repeat(pid, 2), _pairs(left, right)
+            lo, hi = _pairs(lo, mid), _pairs(mid, hi)
+            mid = 0.5 * (lo + hi)
+            left, right = _rule(fn, np.concatenate((lo, mid)),
+                                np.concatenate((mid, hi))).reshape(2, -1)
+    pid, lo, mid, hi, left, right, diff = (np.concatenate(x) for x in zip(*done))
+    order = np.lexsort((np.where(hi > lo, lo, -lo), pid))  # each panel from a to b
+    pid, mid, hi, left, right, diff = (x[order] for x in (pid, mid, hi, left, right, diff))
+    err = np.zeros(budget.size)
+    np.add.at(err, pid, diff)  # in order, from 0.0
+    ends, values = _pairs(mid, hi), _pairs(left, right)
+    if type(a) is not ndarray:
+        return [a, *ends.tolist()], values.tolist(), float(err[0])
+    return ends, values, 2 * np.cumsum(np.bincount(pid, minlength=budget.size)), err
 
 
 class ConformalMap:
     """Monotone coordinate change Q with Q'(t) = 1/u(t), Q(t_ref) = 0.
 
     Q is tabulated at panel ends in two sorted lists, starting from
-    (t_ref, 0) and laid outward on demand by one ``quad`` call per panel:
-    toward a finite end each panel halves the distance left, toward an
-    infinite end each doubles the reach.  forward(t) is the table entry
-    below t plus one Gauss-Legendre rule up to t; inverse(q) bisects for
-    the panel holding q and runs safeguarded Newton steps
+    (t_ref, 0) and laid outward on demand by rounds of panels, one ``quad``
+    call per round: toward a finite end each panel halves the distance
+    left, toward an infinite end each doubles the reach.  forward(t) is the
+    table entry below t plus one Gauss-Legendre rule up to t; inverse(q)
+    bisects for the panel holding q and runs safeguarded Newton steps
     T -> T - (Q(T) - q) u(T) inside it.  The panels do not depend on the
     order of queries, so neither do the results.
 
@@ -137,13 +164,17 @@ class ConformalMap:
         self._ts = [self.t_ref]  # panel ends, sorted
         self._qs = [0.0]         # Q at the panel ends, sorted alongside
         self._ends = {-1: None, 1: None}  # image endpoints once decided
+        self._laid = {-1: 0, 1: 0}         # panels laid on each side
         self._last = (None, None)  # (bytes, T) of the last array inverted
         self._last_u = None      # u.jet at that T, once a pullback needs it
         self._image = image
 
     def _integrand(self, x):
-        if type(x) is ndarray:  # a failing u sends the caller to its float loop
-            v = self.u.value(x)
+        if type(x) is ndarray:  # a DomainError sends the caller to its float loop
+            try:
+                v = self.u.value(x)
+            except EvalError:  # a guard fired: each entry as on a float
+                return np.array([self._integrand(y) for y in x.tolist()])
             return np.where(v == 0.0, math.inf, 1.0 / v)
         try:
             return 1.0 / self.u.value(x)
@@ -154,37 +185,58 @@ class ConformalMap:
             # u underflowed next to an end where it vanishes
             return math.inf
 
-    def _grow(self, side: int):
-        """Lays the next panel outward on side (+1 up, -1 down)."""
-        ts, qs = self._ts, self._qs
-        t0, q0 = (ts[-1], qs[-1]) if side > 0 else (ts[0], qs[0])
+    def _grow(self, side: int, target: float | None = None):
+        """Lays a round of panels outward on side (+1 up, -1 down): up to
+        target, or else as many as side has (at least 8) but none past the
+        one that decides the image end.  If a round fails, its first panel
+        is laid alone, to fail where one-panel growth does."""
+        t = self._ts[-1] if side > 0 else self._ts[0]
         e = self.interval.hi if side > 0 else self.interval.lo
-        reach = max(1.0, 2.0 * abs(t0 - self.t_ref))
-        if math.isinf(e):
-            b = self.t_ref + side * reach
-        elif abs(e - t0) <= 1e-13 * max(1.0, abs(e)):
-            b = e
-        else:
-            b = t0 + 0.5 * (e - t0)
-        ends, values, err = quad(self._integrand, t0, b)
-        new_q = list(accumulate(values, initial=q0))
+        growing = target is None
+        size = max(8, self._laid[side]) if growing else math.inf
+        panels = []  # (start, end, reach) of each panel, outward
+        while True:
+            reach = max(1.0, 2.0 * abs(t - self.t_ref))
+            if math.isinf(e):
+                b = self.t_ref + side * reach
+            elif abs(e - t) <= 1e-13 * max(1.0, abs(e)):
+                b = e
+            else:
+                b = t + 0.5 * (e - t)
+            panels.append((t, b, reach))
+            t = b
+            if b == e or len(panels) == size or not (growing or side * (b - target) < 0):
+                break  # a NaN target lays one panel
+        starts, bs, _ = zip(*panels)
+        try:
+            ends, values, stops, err = quad(self._integrand, np.array(starts), np.array(bs))
+        except (DomainError, EvalError):
+            if len(panels) == 1:
+                raise
+            return self._grow(side, panels[0][1])
+        new_q = list(accumulate(values.tolist(),
+                                initial=self._qs[-1] if side > 0 else self._qs[0]))
+        keep = len(panels)
+        for j, (_, b, reach) in enumerate(panels if self._ends[side] is None else ()):
+            q0, q = new_q[stops[j - 1] if j else 0], new_q[stops[j]]
+            tol = 1e-6 * (1.0 + abs(q))
+            if b == e:
+                finite = math.isfinite(q) and err[j] <= tol
+            elif math.isinf(e) and (q == q0 or reach >= 2.0 ** 64):
+                finite = abs(q - q0) <= tol
+            else:
+                continue
+            self._ends[side] = q if finite else side * math.inf
+            keep = j + 1 if growing else keep
+            break
+        n = stops[keep - 1]
         if side > 0:
-            ts.extend(ends[1:])
-            qs.extend(new_q[1:])
+            self._ts.extend(ends[:n].tolist())
+            self._qs.extend(new_q[1:n + 1])
         else:
-            ts[:0] = ends[:0:-1]
-            qs[:0] = new_q[:0:-1]
-        q = new_q[-1]
-        if self._ends[side] is not None:
-            return
-        tol = 1e-6 * (1.0 + abs(q))
-        if b == e:
-            finite = math.isfinite(q) and err <= tol
-        elif math.isinf(e) and (q == q0 or reach >= 2.0 ** 64):
-            finite = abs(q - q0) <= tol
-        else:
-            return
-        self._ends[side] = q if finite else side * math.inf
+            self._ts[:0] = ends[n - 1::-1].tolist()
+            self._qs[:0] = new_q[n:0:-1]
+        self._laid[side] += keep
 
     def _cover(self, x: float, table: list):
         """Lays panels until x lies within table, which is _ts or _qs."""
@@ -192,7 +244,7 @@ class ConformalMap:
             side = 1 if x > table[-1] else -1
             if table is self._qs and self._ends[side] is not None:
                 raise DomainError(f"image coordinate {x} beyond the mapped interval")
-            self._grow(side)
+            self._grow(side, x if table is self._ts else None)
 
     def _at(self, i: int, t: float) -> float:
         """Q(t) for t in the panel that starts at table entry i."""
@@ -566,8 +618,8 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
             "schouten": _sup(schouten), "scalar": _sup(scalar)}
 
 
-def involution_residual(instance: Instance, u, ts) -> float:
-    """Round-trip deviation after transforming by u and then by its inverse.
+def involution_residual(instance: Instance, result: TransformResult, ts) -> float:
+    """Round-trip deviation after the change of result and then its inverse.
 
     The composite coordinate map is a pure translation of the base
     coordinate (each map anchors its own reference point), so coordinates
@@ -575,17 +627,16 @@ def involution_residual(instance: Instance, u, ts) -> float:
     values are compared at corresponding points.  Every map and profile is
     evaluated on all points at once; the sup runs point by point.
     """
-    first = apply_conformal(instance, u)
     base = instance.metric.interval
-    ref = first.cmap.t_ref
+    ref = result.cmap.t_ref
     # undoing the change recovers the base interval up to the translation
     # that re-anchors the reference point, so the image is known exactly
     back = Interval(base.lo - ref, base.hi - ref,
                     closed_lo=base.closed_lo, closed_hi=base.closed_hi)
-    second = apply_conformal(first.instance, inverse_factor(first),
+    second = apply_conformal(result.instance, inverse_factor(result),
                              t_ref=0.0, image=back)
     ts = np.asarray(ts, dtype=float)
-    qs2 = second.cmap.forward(first.cmap.forward(ts))
+    qs2 = second.cmap.forward(result.cmap.forward(ts))
     shift = qs2[0] - ts[0]
     part = "v" if isinstance(instance.density, RadialDensity) else "alpha"
     dens0 = getattr(instance.density, part)

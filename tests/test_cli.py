@@ -36,6 +36,22 @@ def test_catalog_list(capsys):
         assert name in out
 
 
+def test_main_calls_share_one_parser(capsys):
+    cli._build_parser.cache_clear()
+    assert cli.main(["catalog", "list"]) == 0
+    assert cli.main(["catalog", "list"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # help and a bad command still exit as they did from a fresh parser
+    for argv, code in ((["--help"], 0), (["frobnicate"], 2), (["verify"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+    assert "usage: smms" in capsys.readouterr().out
+    assert cli.main(["catalog", "list"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_catalog_make_and_verify(tmp_path, capsys):
     cfg_path = str(tmp_path / "made.json")
     assert cli.main(["catalog", "make", "weighted_sphere", "--out", cfg_path]) == 0

@@ -10,6 +10,7 @@ import smmskit.catalog as cat
 import smmskit.cli as cli
 import smmskit.weighted as weighted
 from conftest import draw_positive_factor
+from sequential_map import SequentialMap
 from smmskit.conformal import (
     ConformalMap,
     ReparamProfile,
@@ -127,7 +128,7 @@ def test_involution_returns_to_start():
         lo, hi = max(iv.lo, -10.0), min(iv.hi, 10.0)
         ts = [float(x) for x in np.linspace(lo + 0.1 * (hi - lo),
                                             hi - 0.1 * (hi - lo), 5)]
-        assert involution_residual(inst, u, ts) < 1e-7, name
+        assert involution_residual(inst, apply_conformal(inst, u), ts) < 1e-7, name
 
 
 def test_inverse_factor_composes_to_identity():
@@ -285,11 +286,12 @@ def test_array_errors_are_the_float_loops_first():
 
 
 class _ArmedGuard:
-    """A positive factor whose guard fires on (a, b) once armed."""
+    """A positive factor whose guard, once armed, raises error (an
+    EvalError by default) on (a, b)."""
 
-    def __init__(self, inner, a, b):
+    def __init__(self, inner, a, b, error=EvalError):
         self.inner, self.a, self.b, self.armed = inner, a, b, False
-        self.domain = inner.domain
+        self.domain, self.error = inner.domain, error
 
     def check_positive(self, **kwargs):
         self.inner.check_positive(**kwargs)
@@ -298,7 +300,7 @@ class _ArmedGuard:
         hit = (self.a < t) & (t < self.b)
         if self.armed and np.any(hit):
             first = float(t[np.argmax(hit)]) if isinstance(t, np.ndarray) else t
-            raise EvalError(f"guard fired at t={first}")
+            raise self.error(f"guard fired at t={first}")
         return self.inner.value(t)
 
     def jet(self, t):
@@ -524,3 +526,114 @@ def test_conformal_with_constant_factor_on_half_line(tmp_path):
     path.write_text(json.dumps(cat.make("weighted_euclidean", b=0.0).config(k=64)))
     assert cli.main(["conformal", "--config", str(path)]) == 0
     assert cli.main(["verify", "--config", str(path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# rounds of panels: the tables and ends of one-panel float growth, bit for bit
+
+def _same_growth(new, ref):
+    """ref's table is a contiguous run of new's, and the ends agree."""
+    i = new._ts.index(ref._ts[0])
+    n = len(ref._ts)
+    assert _bits(new._ts[i:i + n]) == _bits(ref._ts)
+    assert _bits(new._qs[i:i + n]) == _bits(ref._qs)
+    assert new._ends == ref._ends
+
+
+def _answer(query):
+    """The bits query() returns, or the text of the error it raises."""
+    try:
+        out = query()
+    except (DomainError, EvalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(out) if isinstance(out, Interval) else _bits(out)
+
+
+def _drive(cmaps, ts, qs, image_first):
+    """The same queries on each map, with bitwise equal answers: forward
+    at ts, inverse at qs (unless None), and the image first or last (or
+    not at all when image_first is None)."""
+    answers = []
+    for cmap in cmaps:
+        queries = [lambda: cmap.forward(np.array(ts))]
+        if qs is not None:
+            queries.append(lambda: cmap.inverse(np.array(qs)))
+        if image_first is not None:
+            queries.insert(0 if image_first else len(queries), cmap.image_interval)
+        answers.append([_answer(query) for query in queries])
+    assert answers[0] == answers[1]
+    _same_growth(*cmaps)
+
+
+@pytest.mark.parametrize("name", cat.available())
+def test_rounds_match_one_panel_growth_on_catalog_pairs(name):
+    inst, u, res, qs = hat_grid(name, k=64)
+    iv = inst.metric.interval
+    ts = [float(t) for t in sample_grid(iv, 64)]
+    for image_first in (True, False):
+        _drive([ConformalMap(u, iv), SequentialMap(u, iv)], ts, qs, image_first)
+    # the two maps of involution_residual, each second map on its own first
+    firsts = [ConformalMap(u, iv), SequentialMap(u, iv)]
+    seconds = [kind(ReparamProfile(first, den=u), first.image_interval(), t_ref=0.0)
+               for kind, first in zip((ConformalMap, SequentialMap), firsts)]
+    q1 = firsts[0].forward(np.array(ts))
+    q2 = seconds[0].forward(q1)
+    # involution_residual passes the second map its image: no growth to it
+    _drive(seconds, q1.tolist(), q2.tolist(), image_first=None)
+    _same_growth(*firsts)
+
+
+OPEN_UNIT = Interval(0.0, 1.0)
+CLOSED_HALF_LINE = Interval(0.0, math.inf, closed_lo=True)
+REAL_LINE = Interval(-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("u, iv", [
+    # integrable singularities at finite ends, slowly decaying tails
+    pytest.param("t**0.9", OPEN_UNIT, id="t**0.9"),
+    pytest.param("sqrt(t)", OPEN_UNIT, id="sqrt(t)"),
+    pytest.param("sqrt(1 - t)", OPEN_UNIT, id="sqrt(1 - t)"),
+    pytest.param("1 + t**1.2", CLOSED_HALF_LINE, id="1 + t**1.2"),
+    pytest.param("1 + t**1.5", CLOSED_HALF_LINE, id="1 + t**1.5"),
+    # overflow guards that fire in far panels of a round
+    pytest.param("exp(t)", CLOSED_HALF_LINE, id="exp(t)"),
+    pytest.param("exp(0.5*t) + 1", CLOSED_HALF_LINE, id="exp(0.5*t) + 1"),
+    pytest.param("sinh(t) + 2", CLOSED_HALF_LINE, id="sinh(t) + 2"),
+    pytest.param("cosh(t)", REAL_LINE, id="cosh(t)"),
+])
+@pytest.mark.parametrize("image_first", [True, False])
+def test_rounds_match_one_panel_growth_on_hard_factors(u, iv, image_first):
+    u = Profile1D.from_string(u, iv)
+    ts = [float(t) for t in sample_grid(iv, 33)]
+    q = ConformalMap(u, iv).forward(np.array(ts))
+    qs = (0.5 * (q[1:] + q[:-1])).tolist()
+    _drive([ConformalMap(u, iv), SequentialMap(u, iv)], ts, qs, image_first)
+
+
+def test_an_armed_guard_during_growth_acts_as_on_floats():
+    # an EvalError guard counts as 1/u = 0, as the float integrand has it
+    maps = []
+    for kind in (ConformalMap, SequentialMap):
+        u = _ArmedGuard(quad_factor(), 0.2, 0.6)
+        u.armed = True
+        maps.append(kind(u, IV))
+    _drive(maps, [-1.9, -0.3, 0.1, 0.4, 0.5, 1.2, 1.9], None, image_first=False)
+    # any other error surfaces at the node where one-panel growth meets it
+    errors = []
+    for kind in (ConformalMap, SequentialMap):
+        u = _ArmedGuard(quad_factor(), 1.5, 1.9, error=DomainError)
+        u.armed = True
+        maps.append(kind(u, IV))
+        with pytest.raises(DomainError) as err:
+            maps[-1].image_interval()
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and "guard fired" in errors[0]
+    _same_growth(*maps[2:])
+
+
+def test_a_noisy_factor_spends_its_budget_level_by_level():
+    # 1/(2 + sin(1e4 t)) never settles; the 200 halvings now go level by
+    # level across the panel, where the depth-first order spent them all
+    # near 0 and gave 0.5617339
+    _, values, _ = quad(lambda t: 1.0 / (2.0 + np.sin(1e4 * t)), 0.0, 1.0)
+    assert abs(sum(values) - 1.0 / math.sqrt(3.0)) < 1e-3

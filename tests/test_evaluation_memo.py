@@ -237,6 +237,32 @@ def test_failing_ode_and_reparam_calls_raise_the_same_error_twice():
 
 
 # ---------------------------------------------------------------------------
+# the command line evaluates profiles on arrays only
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_verify_and_conformal_make_no_float_profile_call(name, tmp_path, monkeypatch):
+    calls = Counter()
+    for cls, method in ((Profile1D, "value"), (ReparamProfile, "value"),
+                        (ConformalMap, "_at")):
+        real = getattr(cls, method)
+
+        def counted(self, *args, _real=real, _key=f"{cls.__name__}.{method}"):
+            if type(args[-1]) is not np.ndarray:  # _at(i, t) has a float t
+                calls[_key] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, method, counted)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(cat.make(name).config()))
+    for command in ("verify", "conformal"):
+        argv = [command, "--config", str(cfg), "--points", "64", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["passed"] is True
+    assert calls == {}
+
+
+# ---------------------------------------------------------------------------
 # the estimated scale of a custom config
 
 
