@@ -12,10 +12,11 @@ points and never degrades the residuals themselves.  Law checks compare the
 directly computed transformed tensors against independent closed formulas
 assembled entirely in the original frame.
 
-The coordinate map and the reparameterized profiles take a float or a 1-D
-array, like every profile.  An array is inverted in one Newton solve whose
-statements are the float solve's under masks, so every entry follows the
-float iterates and the results are bitwise equal; the profiles of one
+The coordinate map and the reparameterized profiles evaluate 1-D arrays,
+like every profile, and a float as the one-entry array
+(``profiles._at_float``).  An array is inverted in one Newton solve that
+runs each entry's own safeguarded iterates under masks, so an entry's
+result does not depend on the other entries; the profiles of one
 transformed grid share that solve, and each ``ReparamProfile`` keeps its
 last array value and jet, so it pulls a grid back once.  The table grows by
 rounds of panels, one array ``quad`` call per round.
@@ -23,7 +24,6 @@ rounds of panels, one array ``quad`` call per round.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -36,7 +36,7 @@ from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, \
     field_components, hessian_radial, ricci_blocks_for
 from .jets import BiJet2, Jet2, _any, _check, power
-from .profiles import Interval, _last_array, _scalar_failure, sample_grid
+from .profiles import Interval, _at_float, _last_array, _scalar_failure, sample_grid
 from .weighted import (
     DensitySpec,
     Instance,
@@ -46,26 +46,21 @@ from .weighted import (
     point_fields,
 )
 
-_NODES, _WEIGHTS = (x.tolist() for x in leggauss(10))
-_NODE_ROW = np.array(_NODES)
+_NODES, _WEIGHTS = leggauss(10)
+_WEIGHTS = _WEIGHTS.tolist()
 
 
-def _rule(fn, a, b):
-    """10-point Gauss-Legendre value of the integral of fn from a to b.
-
-    On arrays a and b, one rule per entry, with fn called once on all their
-    nodes.  The terms are summed left to right from 0.0 either way, which is
+def _rule(fn, a: ndarray, b: ndarray) -> ndarray:
+    """10-point Gauss-Legendre values of the integrals of fn from a to b,
+    one rule per entry of the arrays a and b, with fn called once on all
+    their nodes.  The terms are summed left to right from 0.0, which is
     what the builtin ``sum`` does with floats up to Python 3.11.
     """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    vals = fn((mid[:, None] + half[:, None] * _NODES).ravel())
     acc = 0.0
-    if type(a) is ndarray:
-        vals = fn((mid[:, None] + half[:, None] * _NODE_ROW).ravel())
-        for w, col in zip(_WEIGHTS, vals.reshape(-1, len(_NODES)).T):
-            acc = acc + w * col
-    else:
-        for x, w in zip(_NODES, _WEIGHTS):
-            acc = acc + w * fn(mid + half * x)
+    for w, col in zip(_WEIGHTS, vals.reshape(-1, _NODES.size).T):
+        acc = acc + w * col
     return half * acc
 
 
@@ -76,7 +71,7 @@ def _pairs(x: ndarray, y: ndarray) -> ndarray:
 
 def quad(fn, a, b):
     """Adaptive Gauss-Legendre integrals of fn over panels from a to b
-    (b < a allowed), for arrays of panel ends or one float pair.
+    (b < a allowed), given as arrays of panel ends.
 
     A panel is halved until the rules on its halves agree with the rule on
     the whole to 1e-13 (absolute below 1), at most 200 times, since noisy
@@ -87,9 +82,8 @@ def quad(fn, a, b):
     accepted halves without the panels' starts and the signed integrals up
     to them, panel after panel from a to b, the index one past each panel's
     last entry and each panel's summed disagreement, the error estimate.
-    On floats: the ends with a, the integrals and the error estimate.
     """
-    lo, hi = np.atleast_1d(a).astype(float), np.atleast_1d(b).astype(float)
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     pid, budget, done = np.arange(lo.size), np.full(lo.size, 200), []
     mid = 0.5 * (lo + hi)
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
@@ -119,8 +113,6 @@ def quad(fn, a, b):
     err = np.zeros(budget.size)
     np.add.at(err, pid, diff)  # in order, from 0.0
     ends, values = _pairs(mid, hi), _pairs(left, right)
-    if type(a) is not ndarray:
-        return [a, *ends.tolist()], values.tolist(), float(err[0])
     return ends, values, 2 * np.cumsum(np.bincount(pid, minlength=budget.size)), err
 
 
@@ -132,18 +124,19 @@ class ConformalMap:
     call per round: toward a finite end each panel halves the distance
     left, toward an infinite end each doubles the reach.  forward(t) is the
     table entry below t plus one Gauss-Legendre rule up to t; inverse(q)
-    bisects for the panel holding q and runs safeguarded Newton steps
+    finds the panel holding q and runs safeguarded Newton steps
     T -> T - (Q(T) - q) u(T) inside it.  The panels do not depend on the
     order of queries, so neither do the results.
 
-    forward and inverse take a float or a 1-D array.  An array is covered
-    once at its smallest and largest entry, and its Newton steps run over
-    the entries still unconverged, one rule for all of them per step, so
-    each entry takes the float iterates.  An entry the array path cannot
-    take (NaN, beyond the image, a factor that fails to evaluate) sends the
-    whole call through the float loop, which returns its values or raises
-    its first error.  The last array inverted is kept with the jet of u
-    there, which ``pullback_jet`` shares among the profiles of one grid.
+    forward and inverse take a 1-D array, and a float as the one-entry
+    array.  An array is covered once at its smallest and largest entry, and
+    its Newton steps run over the entries still unconverged, one rule for
+    all of them per step, so each entry takes its own iterates.  An entry
+    the array path cannot take (NaN, beyond the image, a factor that fails
+    to evaluate) sends the whole call through a loop of float calls, which
+    returns their values or raises the first error.  The last array of more
+    than one entry inverted is kept with the jet of u there, which
+    ``pullback_jets`` shares among the profiles of one grid.
 
     The growth decides the image endpoints with the tolerance 1e-6 (1 + |Q|).
     A finite end is closed by a last panel from within 1e-13 of it, and its
@@ -169,21 +162,18 @@ class ConformalMap:
         self._last_u = None      # u.jet at that T, once a pullback needs it
         self._image = image
 
-    def _integrand(self, x):
-        if type(x) is ndarray:  # a DomainError sends the caller to its float loop
-            try:
-                v = self.u.value(x)
-            except EvalError:  # a guard fired: each entry as on a float
-                return np.array([self._integrand(y) for y in x.tolist()])
-            return np.where(v == 0.0, math.inf, 1.0 / v)
+    def _integrand(self, x: ndarray) -> ndarray:
+        """1/u at the nodes x, node by node where a guard of u fires: 0 at
+        a node whose guard fires (an overflow guard far out, where 1/u is
+        negligible), inf where u underflowed next to an end where it
+        vanishes.  A DomainError sends the caller to its loop of floats."""
         try:
-            return 1.0 / self.u.value(x)
+            v = self.u.value(x)
         except EvalError:
-            # overflow guard of the factor fired far out; 1/u is negligible
-            return 0.0
-        except ZeroDivisionError:
-            # u underflowed next to an end where it vanishes
-            return math.inf
+            if x.size == 1:
+                return np.zeros(1)
+            return np.concatenate([self._integrand(x[i:i + 1]) for i in range(x.size)])
+        return np.where(v == 0.0, math.inf, 1.0 / v)
 
     def _grow(self, side: int, target: float | None = None):
         """Lays a round of panels outward on side (+1 up, -1 down): up to
@@ -246,84 +236,64 @@ class ConformalMap:
                 raise DomainError(f"image coordinate {x} beyond the mapped interval")
             self._grow(side, x if table is self._ts else None)
 
-    def _at(self, i: int, t: float) -> float:
-        """Q(t) for t in the panel that starts at table entry i."""
-        return self._qs[i] + _rule(self._integrand, self._ts[i], t)
-
     def _on_array(self, solve, method, xs: ndarray, table: list) -> ndarray:
         """solve(xs, ts, qs) on the table as arrays once it covers xs (which
-        table names, _ts or _qs); else the float loop of method."""
+        table names, _ts or _qs).  If that fails, a one-entry xs raises its
+        error, and a longer one takes the loop of float calls of method."""
         if not xs.size:
             return xs.copy()
         try:
-            if np.isnan(xs).any():
-                raise DomainError("NaN image coordinate")
-            self._cover(float(xs.min()), table)
+            self._cover(float(xs.min()), table)  # NaN grows down to a decided end
             self._cover(float(xs.max()), table)
             with np.errstate(all="ignore"):  # as on floats: inf, no warning
                 return solve(xs, np.array(self._ts), np.array(self._qs))
         except (DomainError, EvalError):
+            if xs.size == 1:
+                raise
             return np.array([method(x) for x in xs.tolist()], dtype=float)
 
     def forward(self, t):
-        if type(t) is ndarray:
-            self.interval.require(t)
-            return self._on_array(self._forward_many, self.forward, t, self._ts)
-        t = float(t)
+        if type(t) is not ndarray:
+            return _at_float(self.forward, t)
         self.interval.require(t)
-        self._cover(t, self._ts)
-        i = bisect.bisect_right(self._ts, t) - 1
-        return self._qs[i] if self._ts[i] == t else self._at(i, t)
+        return self._on_array(self._forward_many, self.forward, t, self._ts)
 
     def _forward_many(self, t: ndarray, ts: ndarray, qs: ndarray) -> ndarray:
         i = np.searchsorted(ts, t, side="right") - 1
         out = qs[i]
         off = np.flatnonzero(ts[i] != t)
-        i = i[off]
-        out[off] = qs[i] + _rule(self._integrand, ts[i], t[off])
+        out[off] = self._q(i[off], t[off], ts, qs)
         return out
 
-    def derivative(self, t: float) -> float:
-        return self._integrand(t)
+    def _q(self, i: ndarray, t: ndarray, ts: ndarray, qs: ndarray) -> ndarray:
+        """Q(t) for t inside the panel from ts[i] to ts[i + 1]: Q at its
+        start plus one rule up to t.  A panel that starts at the open lower
+        end of the interval is taken from its far end instead, so that no
+        node rounds onto the end, where u need not be defined."""
+        back = i == 0 if ts[0] == self.interval.lo and not self.interval.closed_lo else None
+        if back is None or not back.any():
+            return qs[i] + _rule(self._integrand, ts[i], t)
+        j = np.where(back, i + 1, i)
+        rule = _rule(self._integrand, np.where(back, t, ts[j]), np.where(back, ts[j], t))
+        return np.where(back, qs[j] - rule, qs[j] + rule)
 
     def inverse(self, q):
-        if type(q) is ndarray:
-            key = q.tobytes()
-            if self._last[0] != key:
-                t = self._on_array(self._invert_many, self.inverse, q, self._qs)
-                t.flags.writeable = False
-                self._last, self._last_u = (key, t), None
+        if type(q) is not ndarray:
+            return _at_float(self.inverse, q)
+        key = q.tobytes()
+        if self._last[0] == key:
             return self._last[1]
-        return self._invert(float(q))
-
-    def _invert(self, q: float) -> float:
-        self._cover(q, self._qs)
-        ts, qs = self._ts, self._qs
-        i = bisect.bisect_right(qs, q) - 1
-        if qs[i] == q:
-            return ts[i]
-        lo, hi = ts[i], ts[i + 1]
-        t = lo + (hi - lo) * ((q - qs[i]) / (qs[i + 1] - qs[i]))
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        tol = 1e-15 * max(1.0, abs(q)) + 1e-15
-        for _ in range(80):
-            resid = self._at(i, t) - q
-            if abs(resid) <= tol:
-                break
-            if resid > 0.0:
-                hi = t
-            else:
-                lo = t
-            t_new = t - resid * self.u.value(t)
-            if not lo < t_new < hi:
-                t_new = 0.5 * (lo + hi)
-            t = t_new
+        t = self._on_array(self._invert_many, self.inverse, q, self._qs)
+        t.flags.writeable = False
+        if q.size > 1:  # a float's call is not remembered
+            self._last, self._last_u = (key, t), None
         return t
 
     def _invert_many(self, q_all: ndarray, ts: ndarray, qs: ndarray) -> ndarray:
-        """_invert at every entry: its statements on the entries whose
-        Newton loop still runs, each distinct q solved once."""
+        """T at every entry of q_all, each distinct q solved once: the
+        interpolated seed in its panel, then up to 80 Newton steps kept
+        inside the bracket (bisecting when a step leaves it) until
+        |Q(T) - q| <= 1e-15 (max(1, |q|) + 1), on the entries still running."""
         q, back = np.unique(q_all, return_inverse=True)
         i = np.searchsorted(qs, q, side="right") - 1
         out = ts[i]
@@ -336,7 +306,7 @@ class ConformalMap:
         for _ in range(80):
             if not run.size:
                 break
-            resid = qs[i] + _rule(self._integrand, ts[i], t) - q
+            resid = self._q(i, t, ts, qs) - q
             done = np.abs(resid) <= tol
             out[run[done]] = t[done]
             go = ~done
@@ -361,19 +331,21 @@ class ConformalMap:
                 closed_hi=self.interval.closed_hi and math.isfinite(hi))
         return self._image
 
-    def pullback_jet(self, base, q) -> Jet2:
-        """Jets of (base o T)(q) where T is the inverse coordinate change."""
+    def pullback_jets(self, bases, q: ndarray) -> list:
+        """Jets of (base o T)(q) for each base (None stays None), where T is
+        the inverse coordinate change, inverted once for all of them."""
         t = self.inverse(q)
-        if type(q) is ndarray:
+        if q.size > 1:
             if self._last_u is None:
                 self._last_u = self.u.jet(t)
             uv = self._last_u
-        else:
+        else:  # a float's call: not remembered, as its inverse
             uv = self.u.jet(t)
-        bj = uv if base is self.u else base.jet(t)
         dT = uv.value
         ddT = uv.d1 * uv.value
-        return Jet2(bj.value, bj.d1 * dT, bj.d2 * dT * dT + bj.d1 * ddT)
+        jets = [None if b is None else uv if b is self.u else b.jet(t) for b in bases]
+        return [None if j is None else Jet2(j.value, j.d1 * dT, j.d2 * dT * dT + j.d1 * ddT)
+                for j in jets]
 
 
 class ReparamProfile:
@@ -381,10 +353,9 @@ class ReparamProfile:
 
     Either part may be omitted (treated as the constant 1).  On a 1-D array
     of points the map inverts the array once, and the parts' array jets are
-    composed with it by the scalar formulas; a failure raises the error a
-    loop of scalar calls raises first.  ``value`` takes no jets.  The last
-    array value and jet are remembered as read-only arrays
-    (``profiles._last_array``).
+    composed with it; a failure raises the error of the first failing
+    point.  ``value`` takes no jets.  The last array value and jet are
+    remembered as read-only arrays (``profiles._last_array``).
     """
 
     def __init__(self, cmap: ConformalMap, num=None, den=None, name: str = ""):
@@ -398,31 +369,20 @@ class ReparamProfile:
         self._last = [None, None]  # last array value and jet, see _last_array
 
     def jet(self, q) -> Jet2:
-        if type(q) is ndarray:
-            return Jet2(*self._on_array(q, 1))
-        self.domain.require(q)
-        out = self._jet(q)
-        if not (math.isfinite(out.value) and math.isfinite(out.d1)
-                and math.isfinite(out.d2)):
-            raise EvalError(f"profile jet not finite at t={q}")
-        return out
+        if type(q) is not ndarray:
+            return _at_float(self.jet, q)
+        return Jet2(*_last_array(self._last, 1, q, lambda q: self._evaluate(q, 1)))
 
     def _jet(self, q) -> Jet2:
-        pull = self.cmap.pullback_jet
-        if self.num is not None and self.den is not None:
-            return pull(self.num, q) / pull(self.den, q)
-        if self.num is not None:
-            return pull(self.num, q)
-        return Jet2.constant(1.0) / pull(self.den, q)
+        num, den = self.cmap.pullback_jets((self.num, self.den), q)
+        if den is None:
+            return num
+        return (Jet2.constant(1.0) if num is None else num) / den
 
     def value(self, q):
-        if type(q) is ndarray:
-            return self._on_array(q, 0)[0]
-        self.domain.require(q)
-        out = self._value(q)
-        if not math.isfinite(out):
-            raise EvalError(f"profile value not finite at t={q}")
-        return out
+        if type(q) is not ndarray:
+            return _at_float(self.value, q)
+        return _last_array(self._last, 0, q, lambda q: self._evaluate(q, 0))[0]
 
     def _value(self, q):
         """The value part of _jet: the same quotient, without derivatives."""
@@ -435,24 +395,21 @@ class ReparamProfile:
             raise EvalError("division by zero")
         return _check(num / den)
 
-    def _on_array(self, q: ndarray, which: int) -> tuple:
-        """The value (0) or jet (1) parts at every entry of q, remembered for
-        the next call on the same array (``profiles._last_array``)."""
-        return _last_array(self._last, which, q, lambda q: self._evaluate(q, which))
-
     def _evaluate(self, q: ndarray, which: int) -> tuple:
-        """_value or _jet on q when it succeeds and is finite; else the loop
-        of scalar calls, which raises its first error."""
-        scalar = (self.value, self.jet)[which]
+        """_value or _jet on q when it succeeds and is finite.  A failure on
+        one entry is its own; on more, the first failing entry's
+        (``profiles._scalar_failure``)."""
+        method = (self.value, self.jet)[which]
         try:
             self.domain.require(q)
             with np.errstate(all="ignore"):
                 out = (self._value, self._jet)[which](q)
         except (DomainError, EvalError) as exc:
-            _scalar_failure(scalar, q, exc)
+            _scalar_failure(method, q, exc)
         parts = (out.value, out.d1, out.d2) if which else (out,)
         if not all(np.isfinite(p).all() for p in parts):
-            _scalar_failure(scalar, q, "not finite")
+            _scalar_failure(method, q, EvalError(
+                f"profile {('value', 'jet')[which]} not finite at t={float(q[0])}"))
         return parts
 
     def is_constant(self) -> bool:

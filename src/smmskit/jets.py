@@ -7,31 +7,28 @@ involved.  ``BiJet2`` is the two-variable analogue used for densities that
 depend on the base coordinate and one fiber coordinate: it carries the
 gradient pair and the symmetric 2x2 block of second partials.
 
-Every part of a jet is a float, or an equal-length 1-D array holding the
-same part at many points at once; the arithmetic is the same statements
-either way.  Array arithmetic is IEEE-exact like float arithmetic, but
-numpy's own exp, log, sinh, cosh and ``**`` can differ from libm and CPython
-in the last bits, so on arrays every transcendental and every power goes
-through ``fmap`` and ``power``, which call the scalar functions entry by
-entry.  Array results are therefore bitwise equal to scalar ones.
+The profiles evaluate on 1-D arrays of points, so the parts of their jets
+are equal-length arrays; a part that does not depend on the point (a
+constant, or a derivative of one) may stay a float.  Array arithmetic is
+IEEE-exact like float arithmetic, but numpy's own exp, log, sinh, cosh and
+``**`` can differ from libm and CPython in the last bits, so every
+transcendental and every power goes through ``fmap`` and ``power``, which
+call the scalar functions entry by entry.  An entry of an array result is
+therefore bitwise what CPython computes on that entry's floats.
 
-``JET_SOURCE`` and ``UNARY_SOURCE`` state the same rules once, as Python
-source that runs on floats and on arrays alike: a power is written
-``_pow(a, p)`` and a guard ``if _any(test): raise ...``.  What those names
-mean comes from the namespace the compiled code runs in.
-``FLOAT_NAMESPACE`` holds the real ``math``, ``operator.pow`` and ``bool``,
-so floats run plain CPython arithmetic; ``ARRAY_NAMESPACE`` holds ``math``
-functions wrapped by ``fmap``, ``power`` and ``_any``.  A compiled profile
-runs one code object, shared by every tree of its shape, in both; ``UNARY``
-is generated from the table in the array namespace, so it takes jets of
-either kind.
+``JET_SOURCE`` and ``UNARY_SOURCE`` state the rules once, as Python source:
+a power is written ``_pow(a, p)``, a guard ``if _any(test): raise ...`` and
+a guard's message shows its operand with ``_repr``.  What those names mean
+comes from the namespace the compiled code runs in, ``ARRAY_NAMESPACE``:
+``math`` functions wrapped by ``fmap``, ``power``, ``_any`` and ``_repr``.
+A compiled profile runs one code object, shared by every tree of its shape,
+in it; ``UNARY`` is generated from the same table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,9 +39,8 @@ from .errors import EvalError
 _FINITE_CAP = 1e300
 
 
-# Scalar calls stay as cheap as before arrays: each helper tests for an
-# array first with one isinstance, and the jet constructors skip it when
-# every part is already a float.
+# Each helper takes an array or a float: a part of a jet that does not depend
+# on the point stays a float.
 
 def _check(x):
     """x itself when every entry is finite and at most 1e300 in size."""
@@ -62,6 +58,12 @@ def _check(x):
 def _any(test) -> bool:
     """A test on floats, or whether it holds at any entry of a bool array."""
     return bool(test.any()) if isinstance(test, ndarray) else test
+
+
+def _repr(x) -> str:
+    """repr of a float; a one-entry array, which is what a float is
+    evaluated as, shows as its entry's float."""
+    return repr(x.item() if isinstance(x, ndarray) and x.size == 1 else x)
 
 
 def fmap(fn, x):
@@ -88,11 +90,7 @@ class Jet2:
     __slots__ = ("value", "d1", "d2")
 
     def __init__(self, value, d1=0.0, d2=0.0):
-        if not (type(value) is float and type(d1) is float and type(d2) is float):
-            value, d1, d2 = _part(value), _part(d1), _part(d2)
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
+        self.value, self.d1, self.d2 = _part(value), _part(d1), _part(d2)
 
     @staticmethod
     def variable(t: float) -> "Jet2":
@@ -189,7 +187,7 @@ class Jet2:
         return self.chain(power(x, p), p * power(x, p - 1), p * (p - 1) * power(x, p - 2))
 
 
-# Each Jet2 rule above as straight-line statements on floats or arrays, with
+# Each Jet2 rule above as straight-line statements on arrays, with
 # the same operands in the same order, for the compiled profiles of
 # ``profiles``.  A jet operand ``a`` is the three names ``a0, a1, a2`` (value,
 # d1, d2) and ``r0, r1, r2`` name the result; ``chain`` reads the outer ``u,
@@ -242,15 +240,8 @@ class BiJet2:
     __slots__ = ("value", "dt", "ds", "dtt", "dts", "dss")
 
     def __init__(self, value, dt=0.0, ds=0.0, dtt=0.0, dts=0.0, dss=0.0):
-        if not (type(value) is float and type(dt) is float and type(ds) is float
-                and type(dtt) is float and type(dts) is float and type(dss) is float):
-            value, dt, ds, dtt, dts, dss = map(_part, (value, dt, ds, dtt, dts, dss))
-        self.value = value
-        self.dt = dt
-        self.ds = ds
-        self.dtt = dtt
-        self.dts = dts
-        self.dss = dss
+        self.value, self.dt, self.ds, self.dtt, self.dts, self.dss = \
+            map(_part, (value, dt, ds, dtt, dts, dss))
 
     @staticmethod
     def lift_t(j: Jet2) -> "BiJet2":
@@ -346,7 +337,7 @@ class BiJet2:
 # Each unary rule as Python source in the argument value ``x``: a guard (or
 # None), then the outer function u and its derivatives du and ddu.  UNARY below
 # and the compiled jets of ``profiles`` are both generated from this table.
-_POSITIVE = "if _any({x} <= 0.0): raise EvalError('argument must be positive, got ' + repr({x}))"
+_POSITIVE = "if _any({x} <= 0.0): raise EvalError('argument must be positive, got ' + _repr({x}))"
 _EXP_OVERFLOW = "if _any({x} > 700.0): raise EvalError('exp overflow')"
 UNARY_SOURCE = {
     "exp": (_EXP_OVERFLOW, "math.exp({x})", "math.exp({x})", "math.exp({x})"),
@@ -359,16 +350,14 @@ UNARY_SOURCE = {
 }
 
 
-# The two namespaces a rule runs in.  Floats get the real ``math``, CPython's
-# float power and ``bool``, so a compiled float profile runs exactly what its
-# text says; arrays get the same functions mapped entry by entry, and a guard
-# fires when its test holds at any entry.
-FLOAT_NAMESPACE = {"math": math, "EvalError": EvalError, "_check": _check,
-                   "_pow": operator.pow, "_any": bool}
+# The namespace a rule runs in: the ``math`` functions mapped entry by
+# entry, CPython's float power entry by entry, and a guard that fires when
+# its test holds at any entry.
 ARRAY_NAMESPACE = {
     "math": SimpleNamespace(**{name: functools.partial(fmap, getattr(math, name))
                                for name in UNARY_SOURCE}),
     "EvalError": EvalError, "_check": _check, "_pow": power, "_any": _any,
+    "_repr": _repr,
 }
 
 

@@ -9,12 +9,12 @@ satisfies the constant identity 2 lam phi^2 + (phi')^2 = nu^2 - 4 lam lam_hat.
 A fixed-step RK4 integrator for w'' = ddw(t, w, w') builds profiles for
 warpings that have no closed form but satisfy known derivative relations; it
 steps the pair (w, w') as Python floats.  The same step, on arrays, evaluates
-an ``OdeProfile`` at a whole grid at once, and at a float as a one-entry
-grid; ddw must take arrays (write its powers with ``jets.power``).  An
-``OdeProfile`` keeps its trajectory once, as three read-only arrays that its
-views share; the neck trajectory is integrated once per (m, window end,
-step) in a process and shared, through views, by every ``neck_profile``
-call and catalog make.
+an ``OdeProfile`` at a whole grid at once, and at a float as the one-entry
+grid, like every profile; ddw must take arrays (write its powers with
+``jets.power``).  An ``OdeProfile`` keeps its trajectory once, as three
+read-only arrays that its views share; the neck trajectory is integrated
+once per (m, window end, step) in a process and shared, through views, by
+every ``neck_profile`` call and catalog make.
 
 The diagnostics (``ode_residual`` and the other sups below) evaluate their
 profile in one array jet call and take the sup NaN-propagating, so a NaN at
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, EvalError, PositivityError, StepError
 from .jets import Jet2, power
-from .profiles import Interval, Profile1D, _last_array
+from .profiles import Interval, Profile1D, _at_float, _last_array
 from .weighted import _mean, _spread, _sup
 
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -229,9 +229,8 @@ class OdeProfile:
     error O(step^5)), and second derivatives come from the exact relation
     ddw(w, w', t) so jets satisfy the defining equation identically.  A
     derivative view (see ``derivative``) reads w' from the same trajectory.
-    ``value`` and ``jet`` take a float or a 1-D array of points; on an array
-    every point takes its substep at once, and a float is evaluated as the
-    one-entry array, so both run the same node arithmetic.
+    ``value`` and ``jet`` evaluate a 1-D array of points, every point taking
+    its substep at once, and a float as the one-entry array.
     The last array state (w, w'), which ``value`` reads, and the last array
     jet are remembered as read-only arrays (``profiles._last_array``); views
     start with nothing remembered.  The trajectory itself is stored once, as
@@ -264,13 +263,6 @@ class OdeProfile:
         out._last = [None, None]
         return out
 
-    def _state(self, t) -> tuple:
-        if isinstance(t, np.ndarray):
-            return _last_array(self._last, 0, t, self._states)
-        # a float is the one-entry grid, unremembered: it never evicts a grid
-        w, dw = self._states(np.array([float(t)]))
-        return w.item(), dw.item()
-
     def _states(self, t: np.ndarray) -> tuple:
         """(w, w') at every entry of t: one RK4 substep from the stored
         node at or below each entry, or that node's state on a node."""
@@ -284,15 +276,17 @@ class OdeProfile:
         return np.where(at_node, ws[i], w), np.where(at_node, dws[i], dw)
 
     def value(self, t):
-        return self._state(t)[0 if self.d3 is None else 1]
+        if type(t) is not np.ndarray:
+            return _at_float(self.value, t)
+        return _last_array(self._last, 0, t, self._states)[0 if self.d3 is None else 1]
 
     def jet(self, t) -> Jet2:
-        if isinstance(t, np.ndarray):
-            return Jet2(*_last_array(self._last, 1, t, self._jet_parts))
-        return Jet2(*self._jet_parts(t))
+        if type(t) is not np.ndarray:
+            return _at_float(self.jet, t)
+        return Jet2(*_last_array(self._last, 1, t, self._jet_parts))
 
-    def _jet_parts(self, t) -> tuple:
-        w, dw = self._state(t)
+    def _jet_parts(self, t: np.ndarray) -> tuple:
+        w, dw = _last_array(self._last, 0, t, self._states)
         ddw = self.ddw(t, w, dw)
         if self.d3 is None:
             return w, dw, ddw

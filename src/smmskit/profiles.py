@@ -4,20 +4,23 @@ Every profile has a ``domain`` interval, ``value(t)`` and the exact
 second-order ``jet(t)`` (both raise DomainError outside the domain),
 ``is_constant()``, ``check_positive(samples=..., margin=...)`` with
 ``margin`` the relative inset of the sample from open endpoints, and
-``to_string()``.  ``value`` and ``jet`` take a float, or a 1-D array of
-points, for which they return arrays (a jet of arrays) bitwise equal to
-the results point by point; a failure on an array is the error the first
-failing point raises on its own.  Every implementation keeps its last array
-value and jet (``_last_array``), keyed by the bytes of the query, so the
-consumers of one grid share one evaluation; the arrays it hands out are
-read-only.  The three implementations are the expression tree
+``to_string()``.  ``value`` and ``jet`` evaluate a 1-D array of points and
+return arrays (a jet of arrays) whose entries are bitwise the results at
+each point on its own; a failure is the error the first failing point
+raises on its own.  A float is evaluated as the one-entry array and its
+results turned back into floats (``_at_float``), so every profile has one
+evaluation route.  Every implementation keeps its last array value and jet
+(``_last_array``), keyed by the bytes of the query, so the consumers of one
+grid share one evaluation; the arrays it hands out are read-only.  A
+one-entry array is not remembered, so a float never evicts a grid.  The
+three implementations are the expression tree
 :class:`Profile1D`, a tree of ``ast`` nodes that :func:`parse_expression`
 gets from Python's ``ast.parse`` and checks against the grammar, compiled
 at construction into straight-line Python functions for the value and for
 the exact jet (the rules of :mod:`smmskit.jets`, with the guards of the
 tree in tree order): one source text per tree, whose code is compiled
-once per process (``_code``) and run in two namespaces, one for floats and
-one for arrays; the RK4 trajectory ``odes.OdeProfile`` with its derivative
+once per process (``_code``) and run in ``jets.ARRAY_NAMESPACE``; the RK4
+trajectory ``odes.OdeProfile`` with its derivative
 view, which adds ``restricted``; and the pullback
 ``conformal.ReparamProfile`` through a conformal coordinate change.  A
 separate central-difference routine provides an independent derivative
@@ -38,7 +41,7 @@ import numpy as np
 from numpy import ndarray
 
 from .errors import DomainError, EvalError, PositivityError
-from .jets import ARRAY_NAMESPACE, FLOAT_NAMESPACE, JET_SOURCE, UNARY, UNARY_SOURCE, Jet2
+from .jets import ARRAY_NAMESPACE, JET_SOURCE, UNARY, UNARY_SOURCE, Jet2
 
 DEFAULT_CAP = 10.0
 
@@ -233,7 +236,7 @@ def _to_str(node: ast.expr, prec: int = 0) -> str:
 
 _JET_OPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
 
-# The value of each node kind as statements on floats or arrays, in the form
+# The value of each node kind as statements on arrays, in the form
 # of ``jets.JET_SOURCE``: ``a`` and ``b`` name the operands, ``r`` the result,
 # ``p`` a constant exponent and ``fn`` a function.
 VALUE_SOURCE = {
@@ -243,7 +246,7 @@ VALUE_SOURCE = {
     "div": ("if _any({b} == 0.0): raise EvalError('division by zero')", "{r} = {a} / {b}"),
     "neg": ("{r} = -{a}",),
     "positive": ("if _any({a} <= 0.0): "
-                 "raise EvalError('{fn} of nonpositive value ' + repr({a}))",),
+                 "raise EvalError('{fn} of nonpositive value ' + _repr({a}))",),
     "overflow": ("if _any({a} > 700.0): raise EvalError('{fn} overflow')",),
     "call": ("{r} = math.{fn}({a})",),
     "pow": (
@@ -274,8 +277,7 @@ class _Emitter:
     source; function names come from the parser's whitelist.  Children are
     emitted left to right before their parent, so the guards fire in
     tree-walk order.  The statements come from the one set of rule tables
-    (``VALUE_SOURCE``, ``jets.JET_SOURCE``, ``jets.UNARY_SOURCE``), which
-    runs on floats and on arrays alike.
+    (``VALUE_SOURCE``, ``jets.JET_SOURCE``, ``jets.UNARY_SOURCE``).
     """
 
     def __init__(self):
@@ -360,7 +362,7 @@ class _Emitter:
 
 @functools.lru_cache(maxsize=512)
 def _code(src: str):
-    """compile(src) for the emitted source of _compile, once per text.
+    """compile(src) for the emitted source of _source, once per text.
 
     The source names constants only as ``_c[i]``, so it depends on the
     tree's shape alone: every profile of one shape shares one code object.
@@ -368,16 +370,10 @@ def _code(src: str):
     return compile(src, "<profile>", "exec")
 
 
-def _compile(node: ast.expr) -> tuple:
-    """``value(x)`` and ``jet(x) -> (v, d1, d2)`` of a tree of ``ast`` nodes
-    (as ``parse_expression`` returns it) as Python functions:
-    ``((value, jet) on floats, (value, jet) on arrays)``.
-
-    The tree's one source text is compiled once (``_code``) and its code
-    object run twice, with this tree's constants, in ``jets.FLOAT_NAMESPACE``
-    and in ``jets.ARRAY_NAMESPACE``.  The array pair takes a 1-D array x (a
-    float too); a part that does not depend on x stays a float.
-    """
+def _source(node: ast.expr) -> tuple:
+    """``(src, consts)``: the source text that defines ``value(x)`` and
+    ``jet(x) -> (v, d1, d2)`` for a tree of ``ast`` nodes (as
+    ``parse_expression`` returns it), and the constants it reads as ``_c``."""
     em = _Emitter()
     result = em.value(node)
     src = ["def value(x):", *(f"    {s}" for s in em.lines), f"    return {result}"]
@@ -385,24 +381,42 @@ def _compile(node: ast.expr) -> tuple:
     result = em.jet(node)
     src += ["def jet(x):", *(f"    {s}" for s in em.lines),
             f"    return ({', '.join(result)})"]
-    code, consts = _code("\n".join(src)), tuple(em.consts)
-    pairs = []
-    for base in (FLOAT_NAMESPACE, ARRAY_NAMESPACE):
-        namespace = {**base, "_c": consts}
-        exec(code, namespace)
-        pairs.append((namespace["value"], namespace["jet"]))
-    return tuple(pairs)
+    return "\n".join(src), tuple(em.consts)
+
+
+def _compile(node: ast.expr) -> tuple:
+    """``(value, jet)`` of a tree as Python functions of a 1-D array x: its
+    one source text, compiled once (``_code``) and run with this tree's
+    constants in ``jets.ARRAY_NAMESPACE``.  A part that does not depend on
+    x stays a float."""
+    src, consts = _source(node)
+    namespace = {**ARRAY_NAMESPACE, "_c": consts}
+    exec(_code(src), namespace)
+    return namespace["value"], namespace["jet"]
 
 
 # ---------------------------------------------------------------------------
 # profiles
 
-def _scalar_failure(method, ts: np.ndarray, why):
-    """Raises the error a loop of scalar method calls over ts raises first,
-    by running that loop; why names the array failure if no call fails."""
-    for t in ts.tolist():
-        method(t)
-    raise EvalError(f"profile failed on an array at no single point: {why}")
+def _at_float(method, t):
+    """method(t) for a float t: method on the one-entry array [t], with each
+    part of its result (an array, or a jet of arrays) turned back into a
+    float."""
+    out = method(np.array([float(t)]))
+    if isinstance(out, Jet2):
+        return Jet2(out.value.item(), out.d1.item(), out.d2.item())
+    return out.item()
+
+
+def _scalar_failure(method, ts: np.ndarray, error: Exception):
+    """Raises error, the failure of a one-entry ts (a float's call); on a
+    longer ts, the error that a loop of float calls of method over ts raises
+    first, by running that loop."""
+    if ts.size > 1:
+        for t in ts.tolist():
+            method(t)
+        error = EvalError(f"profile failed on an array at no single point: {error}")
+    raise error
 
 
 def _last_array(slots: list, which: int, ts: np.ndarray, compute) -> tuple:
@@ -410,9 +424,11 @@ def _last_array(slots: list, which: int, ts: np.ndarray, compute) -> tuple:
 
     The slot holds the last array result of one kind (value or jet) keyed
     by the bytes of ts, so a second call on an equal array returns the same
-    parts without computing them.  The parts are arrays the shape of ts
-    (a float part is broadcast), share no memory with ts and are read-only.
-    A call that raises leaves the slot as it was.
+    parts without computing them.  A one-entry ts, which is what a float is
+    evaluated as, or an empty one is never remembered.  The parts are
+    arrays the shape of ts (a float part is broadcast), share no memory
+    with ts and are read-only.  A call that raises leaves the slot as it
+    was.
     """
     key = ts.tobytes()
     last = slots[which]
@@ -423,7 +439,8 @@ def _last_array(slots: list, which: int, ts: np.ndarray, compute) -> tuple:
                   for p in compute(ts))
     for p in parts:
         p.flags.writeable = False
-    slots[which] = (key, parts)
+    if ts.size > 1:
+        slots[which] = (key, parts)
     return parts
 
 
@@ -441,7 +458,7 @@ class Profile1D:
         self._var = _free_var(node)
         if var is not None and self._var is not None and self._var != var:
             raise EvalError(f"expression uses {self._var!r}, declared variable is {var!r}")
-        (self._value, self._jet), self._arrays = _compile(node)
+        self._compiled = _compile(node)
         self._last = [None, None]  # last array value and jet, see _last_array
 
     @classmethod
@@ -460,55 +477,34 @@ class Profile1D:
         return _to_str(self.node)
 
     def value(self, t):
-        if type(t) is ndarray:
-            return self._on_array(t, 0)[0]
-        if not self.domain.contains(t):  # the scalar hot path calls contains only
-            self.domain.require(t)
-        try:
-            v = self._value(float(t))
-        except EvalError as exc:  # a guard of the tree
-            raise EvalError(f"{exc} at t={t}") from None
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            raise EvalError(f"profile arithmetic failed at t={t}: {exc}") from exc
-        if not math.isfinite(v):
-            raise EvalError(f"profile evaluated to {v!r} at t={t}")
-        return v
+        if type(t) is not ndarray:
+            return _at_float(self.value, t)
+        return _last_array(self._last, 0, t, lambda ts: self._evaluate(ts, 0))[0]
 
     def jet(self, t) -> Jet2:
-        if type(t) is ndarray:
-            return Jet2(*self._on_array(t, 1))
-        if not self.domain.contains(t):
-            self.domain.require(t)
-        try:
-            v, d1, d2 = self._jet(float(t))
-        except EvalError as exc:
-            raise EvalError(f"{exc} at t={t}") from None
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            raise EvalError(f"profile jet arithmetic failed at t={t}: {exc}") from exc
-        if not (math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2)):
-            raise EvalError(f"profile jet not finite at t={t}")
-        return Jet2(v, d1, d2)
-
-    def _on_array(self, ts: np.ndarray, which: int) -> tuple:
-        """The compiled array value (0) or jet (1) at every entry of ts,
-        remembered for the next call on the same array (``_last_array``).
-
-        A failure raises the error that a loop of scalar calls over ts
-        raises first, by running that loop.
-        """
-        return _last_array(self._last, which, ts,
-                           lambda ts: self._evaluate(ts, which))
+        if type(t) is not ndarray:
+            return _at_float(self.jet, t)
+        return Jet2(*_last_array(self._last, 1, t, lambda ts: self._evaluate(ts, 1)))
 
     def _evaluate(self, ts: np.ndarray, which: int) -> tuple:
+        """The compiled value (0) or jet (1) parts at every entry of ts.  A
+        failure on one entry names its t; on more, it is the first failing
+        entry's (``_scalar_failure``)."""
         self.domain.require(ts)
+        method, kind = ((self.value, "profile"), (self.jet, "profile jet"))[which]
         try:
             with np.errstate(all="ignore"):  # floats overflow to inf silently too
-                out = self._arrays[which](ts)
-        except (EvalError, OverflowError, ZeroDivisionError, ValueError) as exc:
-            _scalar_failure((self.value, self.jet)[which], ts, exc)
+                out = self._compiled[which](ts)
+        except EvalError as exc:  # a guard of the tree
+            _scalar_failure(method, ts, EvalError(f"{exc} at t={float(ts[0])}"))
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            _scalar_failure(method, ts, EvalError(
+                f"{kind} arithmetic failed at t={float(ts[0])}: {exc}"))
         parts = out if which else (out,)
         if not all(np.isfinite(p).all() for p in parts):
-            _scalar_failure((self.value, self.jet)[which], ts, "not finite")
+            _scalar_failure(method, ts, EvalError(
+                f"profile jet not finite at t={float(ts[0])}" if which
+                else f"profile evaluated to {float(np.ravel(out)[0])!r} at t={float(ts[0])}"))
         return parts
 
     def is_constant(self) -> bool:
@@ -529,13 +525,12 @@ class Profile1D:
 def finite_diff_jet(profile, t: float, h: float = 1e-4) -> Jet2:
     """Central-difference 2-jet of any profile-like object.
 
-    Independent of the jet arithmetic: only calls ``profile.value``.  The
-    stencil [t-h, t+h] must lie inside the profile's domain.
+    Independent of the jet arithmetic: only calls ``profile.value``, once,
+    on the stencil [t-h, t, t+h].  The stencil must lie inside the
+    profile's domain.
     """
     dom = profile.domain
     if not (dom.contains(t - h) and dom.contains(t + h)):
         raise DomainError(f"stencil [{t - h}, {t + h}] leaves the domain")
-    fm = profile.value(t - h)
-    f0 = profile.value(t)
-    fp = profile.value(t + h)
+    fm, f0, fp = profile.value(np.array([t - h, t, t + h])).tolist()
     return Jet2(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))

@@ -4,12 +4,15 @@ compiled once per process.
 Profiles remember their last array value and jet; the tests here count the
 evaluations of one verification pass, check that the remembered arrays are
 safe to hand out (read-only, never stale, never shared with a view), and
-count the calls to the builtin ``compile``.
+count the calls to the builtin ``compile``.  A float is evaluated as the
+one-entry array: it gives the bits and the errors of that array, and it
+leaves the remembered grid in place.
 """
 
 import builtins
 import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -51,7 +54,7 @@ def evaluations(monkeypatch):
     real_compile = profiles._compile
 
     def counting_compile(node):
-        floats, (value, jet) = real_compile(node)
+        value, jet = real_compile(node)
         tag = next(tags)
 
         def counted_value(x):
@@ -62,7 +65,7 @@ def evaluations(monkeypatch):
             calls[(tag, "jet")] += 1
             return jet(x)
 
-        return floats, (counted_value, counted_jet)
+        return counted_value, counted_jet
 
     real_states = OdeProfile._states
 
@@ -237,20 +240,149 @@ def test_failing_ode_and_reparam_calls_raise_the_same_error_twice():
 
 
 # ---------------------------------------------------------------------------
+# a float is the one-entry array: the contract at the public boundary
+
+KINDS = ("expression", "ode", "ode_derivative", "reparam")
+
+
+def _kind(name):
+    """A fresh profile of one kind and its grid (see _makers)."""
+    return dict(zip(KINDS, _makers()))[name]
+
+
+def _map_and_points():
+    iv = Interval(0.0, 2.0)
+    cmap = ConformalMap(Profile1D.from_string("1.5 + 0.2*t", iv), iv)
+    image = cmap.image_interval()
+    return cmap, np.linspace(0.05, 1.95, 23), np.linspace(image.lo, image.hi, 25)[1:-1]
+
+
+def _float_parts(out):
+    if hasattr(out, "d1"):
+        return repr([out.value, out.d1, out.d2])
+    return repr(out)
+
+
+def _entry(out, i):
+    if hasattr(out, "d1"):
+        return repr([out.value[i].item(), out.d1[i].item(), out.d2[i].item()])
+    return repr(out[i].item())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_float_call_gives_the_bits_of_its_grid_entry(kind):
+    make, ts = _kind(kind)
+    prof = make()
+    for method in (prof.value, prof.jet):
+        grid = method(ts)
+        for i, t in enumerate(ts.tolist()):
+            out = method(t)
+            assert type(out.value if hasattr(out, "d1") else out) is float
+            assert _float_parts(out) == _entry(grid, i), (method.__name__, t)
+
+
+def test_a_float_map_call_gives_the_bits_of_its_grid_entry():
+    cmap, ts, qs = _map_and_points()
+    for method, points in ((cmap.forward, ts), (cmap.inverse, qs)):
+        grid = method(points)
+        for i, x in enumerate(points.tolist()):
+            out = method(x)
+            assert type(out) is float and repr(out) == _entry(grid, i), (method.__name__, x)
+
+
+def _error(call):
+    try:
+        call()
+    except (DomainError, EvalError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error")
+
+
+def _failing_calls():
+    """(name, profile-like object, method name, failing float)."""
+    wide = Interval(-1000.0, 1000.0)
+    rp = _reparam()
+    cmap, _, _ = _map_and_points()
+    # d2 in q passes the float range only through the chain rule's u^2
+    iv = Interval(-2.0, 2.0)
+    wide_map = ConformalMap(Profile1D.from_string("1 + 0.3*t**2", iv), iv)
+    steep = ReparamProfile(wide_map, num=Profile1D.from_string("exp(30000*t - 56311.5)", iv))
+    image = cmap.image_interval()
+    yield "outside", Profile1D.from_string("t", Interval(0.0, 1.0)), "value", 2.0
+    yield "nan", Profile1D.from_string("t", Interval(0.0, 1.0)), "jet", math.nan
+    yield "guard", Profile1D.from_string("log(t - 1)", Interval(-3.0, 3.0)), "value", 0.5
+    yield "guard_repr", Profile1D.from_string("sqrt(t - 1)", Interval(-3.0, 3.0)), "jet", 0.5
+    yield "arithmetic", Profile1D.from_string("cosh(t)", wide), "value", -900.0
+    yield "carried_inf", Profile1D.from_string("log(t)", wide), "jet", 1e-300
+    yield "not_finite", Profile1D.from_string("1e200 * t * t", Interval(-math.inf, math.inf)), \
+        "value", 1e300
+    yield "ode_outside", neck_profile(3.0, Interval(0.0, 6.0)), "jet", 7.0
+    yield "reparam_outside", rp, "value", rp.domain.hi + 1.0
+    yield "reparam_not_finite", steep, "jet", wide_map.forward(1.9)
+    yield "forward_outside", cmap, "forward", 3.0
+    yield "inverse_beyond", cmap, "inverse", image.hi + 0.5
+    yield "inverse_nan", cmap, "inverse", math.nan
+
+
+@pytest.mark.parametrize("name, prof, method, t",
+                         list(_failing_calls()), ids=[c[0] for c in _failing_calls()])
+def test_a_float_error_is_the_one_entry_array_error(name, prof, method, t):
+    method = getattr(prof, method)
+    error = _error(lambda: method(t))
+    assert error == _error(lambda: method(np.array([t])))
+    assert "array(" not in error[1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_float_call_leaves_the_grid_remembered(kind, evaluations, monkeypatch):
+    real = ReparamProfile._evaluate
+
+    def counted(self, q, which):
+        evaluations[(id(self), "reparam", which)] += 1
+        return real(self, q, which)
+
+    monkeypatch.setattr(ReparamProfile, "_evaluate", counted)
+    make, ts = _kind(kind)
+    prof = make()
+    value, jet = prof.value(ts), prof.jet(ts)
+    assert evaluations, "the counters saw no evaluation"
+    for t in ts.tolist()[::5]:
+        prof.value(t), prof.jet(t)
+    before = Counter(evaluations)
+    assert prof.value(ts) is value and prof.jet(ts).d2 is jet.d2
+    assert evaluations == before
+
+
+def test_a_float_inverse_leaves_the_grid_remembered(monkeypatch):
+    solves = []
+    real = ConformalMap._invert_many
+    monkeypatch.setattr(ConformalMap, "_invert_many",
+                        lambda self, q, *args: solves.append(q.size) or real(self, q, *args))
+    cmap, _, qs = _map_and_points()
+    first = cmap.inverse(qs)
+    for q in qs.tolist()[::5]:
+        cmap.inverse(q)
+    assert solves == [qs.size] + [1] * len(qs.tolist()[::5])
+    assert cmap.inverse(qs) is first
+    assert len(solves) == 1 + len(qs.tolist()[::5])
+
+
+# ---------------------------------------------------------------------------
 # the command line evaluates profiles on arrays only
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_verify_and_conformal_make_no_float_profile_call(name, tmp_path, monkeypatch):
     calls = Counter()
-    for cls, method in ((Profile1D, "value"), (ReparamProfile, "value"),
-                        (ConformalMap, "_at")):
+    for cls, method in ((Profile1D, "value"), (Profile1D, "jet"), (ReparamProfile, "value"),
+                        (ReparamProfile, "jet"), (OdeProfile, "value"), (OdeProfile, "jet"),
+                        (ConformalMap, "forward"), (ConformalMap, "inverse")):
         real = getattr(cls, method)
 
-        def counted(self, *args, _real=real, _key=f"{cls.__name__}.{method}"):
-            if type(args[-1]) is not np.ndarray:  # _at(i, t) has a float t
+        def counted(self, t, _real=real, _key=f"{cls.__name__}.{method}"):
+            if type(t) is not np.ndarray:
                 calls[_key] += 1
-            return _real(self, *args)
+            return _real(self, t)
 
         monkeypatch.setattr(cls, method, counted)
     cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"

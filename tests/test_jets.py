@@ -6,6 +6,7 @@ import re
 import pytest
 
 import smmskit.jets as J
+from float_profile import FLOAT_NAMESPACE
 from smmskit.errors import EvalError
 from smmskit.profiles import VALUE_SOURCE
 
@@ -144,16 +145,20 @@ def _rule_statements():
 
 
 def test_rule_texts_run_on_floats_and_arrays_alike():
-    # one text runs in both namespaces only if every power, guard and math
-    # function goes through a name the namespace binds: a bare ** would put
-    # numpy's power on arrays and move their last bits
+    # one text runs in the array namespace and in the float reference of
+    # the tests only if every power, guard, guard message and math function
+    # goes through a name the namespace binds: a bare ** would put numpy's
+    # power on arrays and move their last bits, a bare repr would show an
+    # array where the float reference shows its entry
     statements = list(_rule_statements())
     assert len(statements) > 40
     for where, stmt in statements:
         assert "**" not in stmt, where
+        assert not re.search(r"(?<!_)repr\(", stmt), where
         if stmt.startswith("if ") or "raise" in stmt:
             assert stmt.startswith("if _any("), where
         for fn in re.findall(r"math\.([^(]+)\(", stmt):
             assert fn in J.UNARY_SOURCE or fn == "{fn}", where
     # {fn} is a parsed function name, which the parser takes from UNARY alone
     assert set(J.ARRAY_NAMESPACE["math"].__dict__) == set(J.UNARY_SOURCE)
+    assert set(FLOAT_NAMESPACE) == set(J.ARRAY_NAMESPACE)
