@@ -16,10 +16,12 @@ The coordinate map and the reparameterized profiles evaluate 1-D arrays,
 like every profile, and a float as the one-entry array
 (``profiles._at_float``).  An array is inverted in one Newton solve that
 runs each entry's own safeguarded iterates under masks, so an entry's
-result does not depend on the other entries; the profiles of one
-transformed grid share that solve, and each ``ReparamProfile`` keeps its
-last array value and jet, so it pulls a grid back once.  The table grows by
-rounds of panels, one array ``quad`` call per round.
+result does not depend on the other entries.  A ``ReparamProfile`` is a
+quotient by the map's own factor u and evaluates by the protocol of
+``profiles.Profile``; the profiles of one transformed grid share the map's
+last inverse and u's last jet there, both remembered by
+``profiles._last_array``, so a grid is solved and u differentiated once.
+The table grows by rounds of panels, one array ``quad`` call per round.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, \
     field_components, hessian_radial, ricci_blocks_for
 from .jets import BiJet2, Jet2, _any, _check, power
-from .profiles import Interval, _at_float, _last_array, _scalar_failure, sample_grid
+from .profiles import Interval, Profile, _at_float, _last_array, _scalar_failure, sample_grid
 from .weighted import (
     DensitySpec,
     Instance,
@@ -131,12 +133,11 @@ class ConformalMap:
     forward and inverse take a 1-D array, and a float as the one-entry
     array.  An array is covered once at its smallest and largest entry, and
     its Newton steps run over the entries still unconverged, one rule for
-    all of them per step, so each entry takes its own iterates.  An entry
+    all of them per step, so each entry takes its own iterates.  An array
     the array path cannot take (NaN, beyond the image, a factor that fails
-    to evaluate) sends the whole call through a loop of float calls, which
-    returns their values or raises the first error.  The last array of more
-    than one entry inverted is kept with the jet of u there, which
-    ``pullback_jets`` shares among the profiles of one grid.
+    to evaluate) raises the error of its first failing entry
+    (``profiles._scalar_failure``).  The last array inverted is remembered
+    (``profiles._last_array``).
 
     The growth decides the image endpoints with the tolerance 1e-6 (1 + |Q|).
     A finite end is closed by a last panel from within 1e-13 of it, and its
@@ -158,15 +159,14 @@ class ConformalMap:
         self._qs = [0.0]         # Q at the panel ends, sorted alongside
         self._ends = {-1: None, 1: None}  # image endpoints once decided
         self._laid = {-1: 0, 1: 0}         # panels laid on each side
-        self._last = (None, None)  # (bytes, T) of the last array inverted
-        self._last_u = None      # u.jet at that T, once a pullback needs it
+        self._last = [None]  # the last array inverted, see profiles._last_array
         self._image = image
 
     def _integrand(self, x: ndarray) -> ndarray:
         """1/u at the nodes x, node by node where a guard of u fires: 0 at
         a node whose guard fires (an overflow guard far out, where 1/u is
         negligible), inf where u underflowed next to an end where it
-        vanishes.  A DomainError sends the caller to its loop of floats."""
+        vanishes."""
         try:
             v = self.u.value(x)
         except EvalError:
@@ -238,8 +238,8 @@ class ConformalMap:
 
     def _on_array(self, solve, method, xs: ndarray, table: list) -> ndarray:
         """solve(xs, ts, qs) on the table as arrays once it covers xs (which
-        table names, _ts or _qs).  If that fails, a one-entry xs raises its
-        error, and a longer one takes the loop of float calls of method."""
+        table names, _ts or _qs).  A failure raises the error of the first
+        failing entry, the float call of method (``_scalar_failure``)."""
         if not xs.size:
             return xs.copy()
         try:
@@ -247,10 +247,8 @@ class ConformalMap:
             self._cover(float(xs.max()), table)
             with np.errstate(all="ignore"):  # as on floats: inf, no warning
                 return solve(xs, np.array(self._ts), np.array(self._qs))
-        except (DomainError, EvalError):
-            if xs.size == 1:
-                raise
-            return np.array([method(x) for x in xs.tolist()], dtype=float)
+        except (DomainError, EvalError) as exc:
+            _scalar_failure(method, xs, exc)
 
     def forward(self, t):
         if type(t) is not ndarray:
@@ -280,14 +278,8 @@ class ConformalMap:
     def inverse(self, q):
         if type(q) is not ndarray:
             return _at_float(self.inverse, q)
-        key = q.tobytes()
-        if self._last[0] == key:
-            return self._last[1]
-        t = self._on_array(self._invert_many, self.inverse, q, self._qs)
-        t.flags.writeable = False
-        if q.size > 1:  # a float's call is not remembered
-            self._last, self._last_u = (key, t), None
-        return t
+        return _last_array(self._last, 0, q, lambda q: (
+            self._on_array(self._invert_many, self.inverse, q, self._qs),))[0]
 
     def _invert_many(self, q_all: ndarray, ts: ndarray, qs: ndarray) -> ndarray:
         """T at every entry of q_all, each distinct q solved once: the
@@ -331,108 +323,57 @@ class ConformalMap:
                 closed_hi=self.interval.closed_hi and math.isfinite(hi))
         return self._image
 
-    def pullback_jets(self, bases, q: ndarray) -> list:
-        """Jets of (base o T)(q) for each base (None stays None), where T is
-        the inverse coordinate change, inverted once for all of them."""
-        t = self.inverse(q)
-        if q.size > 1:
-            if self._last_u is None:
-                self._last_u = self.u.jet(t)
-            uv = self._last_u
-        else:  # a float's call: not remembered, as its inverse
-            uv = self.u.jet(t)
-        dT = uv.value
-        ddT = uv.d1 * uv.value
-        jets = [None if b is None else uv if b is self.u else b.jet(t) for b in bases]
-        return [None if j is None else Jet2(j.value, j.d1 * dT, j.d2 * dT * dT + j.d1 * ddT)
-                for j in jets]
+
+def _pulled(j: Jet2, dT, ddT) -> Jet2:
+    """The jet of f o T from the jet j of f at T and T' = dT, T'' = ddT."""
+    return Jet2(j.value, j.d1 * dT, j.d2 * dT * dT + j.d1 * ddT)
 
 
-class ReparamProfile:
-    """Profile (num o T) / (den o T) on the image of a conformal map.
+class ReparamProfile(Profile):
+    """Profile (num o T) / (u o T) on the image of a conformal map, where u
+    is the map's own factor and T its inverse coordinate change; num may be
+    omitted (the constant 1).
 
-    Either part may be omitted (treated as the constant 1).  On a 1-D array
-    of points the map inverts the array once, and the parts' array jets are
-    composed with it; a failure raises the error of the first failing
-    point.  ``value`` takes no jets.  The last array value and jet are
-    remembered as read-only arrays (``profiles._last_array``).
+    It evaluates by the protocol of ``profiles.Profile``: on a 1-D array of
+    points the map inverts the array once, and the value or the array jets
+    of num and u there are composed with it.  ``value`` takes no jets.
     """
 
-    def __init__(self, cmap: ConformalMap, num=None, den=None, name: str = ""):
-        if num is None and den is None:
-            raise EvalError("reparameterized profile needs at least one part")
+    def __init__(self, cmap: ConformalMap, num=None, name: str = ""):
         self.cmap = cmap
         self.num = num
-        self.den = den
         self.domain = cmap.image_interval()
         self.name = name or "reparam"
         self._last = [None, None]  # last array value and jet, see _last_array
 
-    def jet(self, q) -> Jet2:
-        if type(q) is not ndarray:
-            return _at_float(self.jet, q)
-        return Jet2(*_last_array(self._last, 1, q, lambda q: self._evaluate(q, 1)))
-
-    def _jet(self, q) -> Jet2:
-        num, den = self.cmap.pullback_jets((self.num, self.den), q)
-        if den is None:
-            return num
-        return (Jet2.constant(1.0) if num is None else num) / den
-
-    def value(self, q):
-        if type(q) is not ndarray:
-            return _at_float(self.value, q)
-        return _last_array(self._last, 0, q, lambda q: self._evaluate(q, 0))[0]
-
-    def _value(self, q):
-        """The value part of _jet: the same quotient, without derivatives."""
+    def _compute(self, q: ndarray, which: int) -> tuple:
         t = self.cmap.inverse(q)
+        if which:
+            uj = self.cmap.u.jet(t)
+            dT, ddT = uj.value, uj.d1 * uj.value  # T' = u(T), T'' = u'(T) u(T)
+            top = Jet2.constant(1.0) if self.num is None else _pulled(self.num.jet(t), dT, ddT)
+            out = top / _pulled(uj, dT, ddT)
+            return out.value, out.d1, out.d2
         num = 1.0 if self.num is None else self.num.value(t)
-        if self.den is None:
-            return num
-        den = self.den.value(t)
+        den = self.cmap.u.value(t)
         if _any(den == 0.0):
             raise EvalError("division by zero")
-        return _check(num / den)
-
-    def _evaluate(self, q: ndarray, which: int) -> tuple:
-        """_value or _jet on q when it succeeds and is finite.  A failure on
-        one entry is its own; on more, the first failing entry's
-        (``profiles._scalar_failure``)."""
-        method = (self.value, self.jet)[which]
-        try:
-            self.domain.require(q)
-            with np.errstate(all="ignore"):
-                out = (self._value, self._jet)[which](q)
-        except (DomainError, EvalError) as exc:
-            _scalar_failure(method, q, exc)
-        parts = (out.value, out.d1, out.d2) if which else (out,)
-        if not all(np.isfinite(p).all() for p in parts):
-            _scalar_failure(method, q, EvalError(
-                f"profile {('value', 'jet')[which]} not finite at t={float(q[0])}"))
-        return parts
-
-    def is_constant(self) -> bool:
-        return False
+        return (_check(num / den),)
 
     def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
-        """Positivity of each part on the base interval.
+        """Positivity of num and u on the base interval.
 
         T maps the image onto the base interval, so the quotient is positive
-        on the image exactly when num/den is positive on the base; requiring
+        on the image exactly when num/u is positive on the base; requiring
         both parts to be positive there is at least as strict.
         """
-        for part in (self.num, self.den):
+        for part in (self.num, self.cmap.u):
             if part is not None:
                 part.check_positive(samples=samples, margin=margin)
 
     def to_string(self) -> str:
-        parts = []
-        if self.num is not None:
-            parts.append(self.num.to_string())
-        if self.den is not None:
-            parts.append("/ " + self.den.to_string())
-        return f"reparam({' '.join(parts)})"
+        top = "" if self.num is None else self.num.to_string() + " "
+        return f"reparam({top}/ {self.cmap.u.to_string()})"
 
 
 @dataclass
@@ -454,14 +395,14 @@ def apply_conformal(instance: Instance, u, t_ref: float | None = None,
     metric = instance.metric
     cmap = ConformalMap(u, metric.interval, t_ref=t_ref, image=image)
     image = cmap.image_interval()
-    phi_hat = ReparamProfile(cmap, num=metric.phi, den=u, name="phi_hat")
+    phi_hat = ReparamProfile(cmap, num=metric.phi, name="phi_hat")
     metric_hat = WarpedMetric(image, phi_hat, metric.fiber)
     dens = instance.density
     if isinstance(dens, SplitDensity):
-        alpha_hat = ReparamProfile(cmap, num=dens.alpha, den=u, name="alpha_hat")
+        alpha_hat = ReparamProfile(cmap, num=dens.alpha, name="alpha_hat")
         dens_hat: DensitySpec = SplitDensity(dens.v_n, alpha_hat)
     elif isinstance(dens, RadialDensity):
-        dens_hat = RadialDensity(ReparamProfile(cmap, num=dens.v, den=u, name="v_hat"))
+        dens_hat = RadialDensity(ReparamProfile(cmap, num=dens.v, name="v_hat"))
     else:
         raise UnsupportedError(f"no conformal rule for density {dens!r}")
     inst = Instance(metric_hat, dens_hat, instance.params,
@@ -471,7 +412,7 @@ def apply_conformal(instance: Instance, u, t_ref: float | None = None,
 
 def inverse_factor(result: TransformResult) -> ReparamProfile:
     """The factor that undoes the change: 1/u carried to the image frame."""
-    return ReparamProfile(result.cmap, num=None, den=result.u, name="u_inverse")
+    return ReparamProfile(result.cmap, name="u_inverse")
 
 
 # ---------------------------------------------------------------------------

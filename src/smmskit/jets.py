@@ -253,10 +253,6 @@ class BiJet2:
         return BiJet2(j.value, 0.0, j.d1, 0.0, 0.0, j.d2)
 
     @staticmethod
-    def constant(c: float) -> "BiJet2":
-        return BiJet2(float(c))
-
-    @staticmethod
     def _coerce(other) -> "BiJet2":
         if isinstance(other, BiJet2):
             return other
@@ -274,23 +270,6 @@ class BiJet2:
             return NotImplemented
         return BiJet2(self.value + o.value, self.dt + o.dt, self.ds + o.ds,
                       self.dtt + o.dtt, self.dts + o.dts, self.dss + o.dss)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiJet2(-self.value, -self.dt, -self.ds, -self.dtt, -self.dts, -self.dss)
-
-    def __sub__(self, other):
-        o = BiJet2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = BiJet2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = BiJet2._coerce(other)
@@ -326,12 +305,6 @@ class BiJet2:
             raise EvalError("division by zero")
         inv = o.chain(1.0 / o.value, -1.0 / power(o.value, 2), 2.0 / power(o.value, 3))
         return self * inv
-
-    def __rtruediv__(self, other):
-        o = BiJet2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
 
 
 # Each unary rule as Python source in the argument value ``x``: a guard (or

@@ -9,9 +9,9 @@ satisfies the constant identity 2 lam phi^2 + (phi')^2 = nu^2 - 4 lam lam_hat.
 A fixed-step RK4 integrator for w'' = ddw(t, w, w') builds profiles for
 warpings that have no closed form but satisfy known derivative relations; it
 steps the pair (w, w') as Python floats.  The same step, on arrays, evaluates
-an ``OdeProfile`` at a whole grid at once, and at a float as the one-entry
-grid, like every profile; ddw must take arrays (write its powers with
-``jets.power``).  An ``OdeProfile`` keeps its trajectory once, as three
+an ``OdeProfile`` at a whole grid at once, by the protocol every profile
+inherits from ``profiles.Profile``; ddw must take arrays (write its powers
+with ``jets.power``).  An ``OdeProfile`` keeps its trajectory once, as three
 read-only arrays that its views share; the neck trajectory is integrated
 once per (m, window end, step) in a process and shared, through views, by
 every ``neck_profile`` call and catalog make.
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvalError, PositivityError, StepError
-from .jets import Jet2, power
-from .profiles import Interval, Profile1D, _at_float, _last_array
+from .jets import power
+from .profiles import Interval, Profile, Profile1D, _last_array
 from .weighted import _mean, _spread, _sup
 
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -221,7 +221,7 @@ def _rk4_step(ddw, t, w, dw, h):
             dw + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
 
 
-class OdeProfile:
+class OdeProfile(Profile):
     """Profile defined by a second-order ODE with closed derivative relations.
 
     Stores a fixed-step RK4 trajectory of (w, w'); evaluation at an arbitrary
@@ -229,13 +229,12 @@ class OdeProfile:
     error O(step^5)), and second derivatives come from the exact relation
     ddw(w, w', t) so jets satisfy the defining equation identically.  A
     derivative view (see ``derivative``) reads w' from the same trajectory.
-    ``value`` and ``jet`` evaluate a 1-D array of points, every point taking
-    its substep at once, and a float as the one-entry array.
-    The last array state (w, w'), which ``value`` reads, and the last array
-    jet are remembered as read-only arrays (``profiles._last_array``); views
-    start with nothing remembered.  The trajectory itself is stored once, as
-    the read-only arrays ``_nodes = (t, w, w')``; views (and, through
-    ``neck_profile``, every make with the same key) share them.
+    It evaluates by the protocol of ``profiles.Profile``, every point of an
+    array taking its substep at once; the last array state (w, w'), which
+    both the value and the jet read, is remembered in a third memo slot.
+    Views start with nothing remembered.  The trajectory itself is stored
+    once, as the read-only arrays ``_nodes = (t, w, w')``; views (and,
+    through ``neck_profile``, every make with the same key) share them.
     """
 
     def __init__(self, ddw, y0, domain: Interval, step: float = 1e-3,
@@ -254,19 +253,18 @@ class OdeProfile:
         self._nodes = (ts, ys[:, 0], ys[:, 1])  # shared by every view
         for a in self._nodes:
             a.flags.writeable = False
-        self._last = [None, None]  # last array state (w, w') and jet
+        self._last = [None, None, None]  # last array value, jet and state (w, w')
 
     def _view(self) -> "OdeProfile":
         """Shallow copy on the same trajectory, with nothing remembered: a
         view's domain and derivative differ from its base's."""
         out = copy.copy(self)
-        out._last = [None, None]
+        out._last = [None, None, None]
         return out
 
     def _states(self, t: np.ndarray) -> tuple:
         """(w, w') at every entry of t: one RK4 substep from the stored
         node at or below each entry, or that node's state on a node."""
-        self.domain.require(t)
         ts, ws, dws = self._nodes
         i = np.clip(((t - self._t0) / self.step).astype(int), 0, len(ts) - 1)
         i = np.where((i > 0) & (ts[i] > t), i - 1, i)
@@ -275,25 +273,14 @@ class OdeProfile:
         at_node = h == 0.0  # exactly the stored state there
         return np.where(at_node, ws[i], w), np.where(at_node, dws[i], dw)
 
-    def value(self, t):
-        if type(t) is not np.ndarray:
-            return _at_float(self.value, t)
-        return _last_array(self._last, 0, t, self._states)[0 if self.d3 is None else 1]
-
-    def jet(self, t) -> Jet2:
-        if type(t) is not np.ndarray:
-            return _at_float(self.jet, t)
-        return Jet2(*_last_array(self._last, 1, t, self._jet_parts))
-
-    def _jet_parts(self, t: np.ndarray) -> tuple:
-        w, dw = _last_array(self._last, 0, t, self._states)
+    def _compute(self, t: np.ndarray, which: int) -> tuple:
+        w, dw = _last_array(self._last, 2, t, self._states)
+        if not which:
+            return (w if self.d3 is None else dw,)
         ddw = self.ddw(t, w, dw)
         if self.d3 is None:
             return w, dw, ddw
         return dw, ddw, self.d3(t, w, dw)
-
-    def is_constant(self) -> bool:
-        return False
 
     def check_positive(self, samples: int = 10_000, margin: float = 1e-4):
         """Positivity at every stored node of the window and at its ends.

@@ -4,27 +4,29 @@ Every profile has a ``domain`` interval, ``value(t)`` and the exact
 second-order ``jet(t)`` (both raise DomainError outside the domain),
 ``is_constant()``, ``check_positive(samples=..., margin=...)`` with
 ``margin`` the relative inset of the sample from open endpoints, and
-``to_string()``.  ``value`` and ``jet`` evaluate a 1-D array of points and
-return arrays (a jet of arrays) whose entries are bitwise the results at
-each point on its own; a failure is the error the first failing point
-raises on its own.  A float is evaluated as the one-entry array and its
+``to_string()``.  The evaluation protocol is written once, in
+:class:`Profile`, and every implementation inherits it and supplies only
+``_compute(ts, which)``.  ``value`` and ``jet`` evaluate a 1-D array of
+points and return arrays (a jet of arrays) whose entries are bitwise the
+results at each point on its own; a failure, or a part that is not finite,
+raises the error the first failing point raises on its own
+(``_scalar_failure``).  A float is evaluated as the one-entry array and its
 results turned back into floats (``_at_float``), so every profile has one
-evaluation route.  Every implementation keeps its last array value and jet
+evaluation route.  The last array value and jet are remembered
 (``_last_array``), keyed by the bytes of the query, so the consumers of one
-grid share one evaluation; the arrays it hands out are read-only.  A
+grid share one evaluation; the arrays handed out are read-only.  A
 one-entry array is not remembered, so a float never evicts a grid.  The
-three implementations are the expression tree
-:class:`Profile1D`, a tree of ``ast`` nodes that :func:`parse_expression`
-gets from Python's ``ast.parse`` and checks against the grammar, compiled
-at construction into straight-line Python functions for the value and for
-the exact jet (the rules of :mod:`smmskit.jets`, with the guards of the
-tree in tree order): one source text per tree, whose code is compiled
-once per process (``_code``) and run in ``jets.ARRAY_NAMESPACE``; the RK4
-trajectory ``odes.OdeProfile`` with its derivative
-view, which adds ``restricted``; and the pullback
-``conformal.ReparamProfile`` through a conformal coordinate change.  A
-separate central-difference routine provides an independent derivative
-oracle.
+three implementations are the expression tree :class:`Profile1D`, a tree
+of ``ast`` nodes that :func:`parse_expression` gets from Python's
+``ast.parse`` and checks against the grammar, compiled at construction into
+straight-line Python functions for the value and for the exact jet (the
+rules of :mod:`smmskit.jets`, with the guards of the tree in tree order):
+one source text per tree, whose code is compiled once per process
+(``_code``) and run in ``jets.ARRAY_NAMESPACE``; the RK4 trajectory
+``odes.OdeProfile`` with its derivative view, which adds ``restricted``;
+and the quotient ``conformal.ReparamProfile`` by a conformal map's own
+factor, pulled back through the map.  A separate central-difference
+routine provides an independent derivative oracle.
 """
 
 from __future__ import annotations
@@ -296,7 +298,7 @@ class _Emitter:
     def emit(self, kind: str, **names):
         self.lines += [line.format(**names) for line in VALUE_SOURCE[kind]]
 
-    def value(self, node: ast.expr) -> str:
+    def value_of(self, node: ast.expr) -> str:
         """Name of the tree's value, with the guards of the tree walk."""
         kind = type(node)
         if kind is ast.Constant:
@@ -305,26 +307,26 @@ class _Emitter:
             return "x"
         out = self.temp()
         if kind is ast.UnaryOp:
-            self.emit("neg", r=out, a=self.value(node.operand))
+            self.emit("neg", r=out, a=self.value_of(node.operand))
         elif kind is ast.Call:
-            fn, a = node.func.id, self.value(node.args[0])
+            fn, a = node.func.id, self.value_of(node.args[0])
             if fn in ("log", "sqrt"):
                 self.emit("positive", a=a, fn=fn)
             elif fn in ("exp", "sinh", "cosh"):
                 self.emit("overflow", a=a, fn=fn)
             self.emit("call", r=out, a=a, fn=fn)
         elif type(node.op) is ast.Pow and type(node.right) is ast.Constant:
-            b = self.value(node.left)
+            b = self.value_of(node.left)
             self.emit("pow", r=out, a=b, p=self.const(node.right.value))
         elif type(node.op) is ast.Pow:
-            b, e = self.value(node.left), self.value(node.right)
+            b, e = self.value_of(node.left), self.value_of(node.right)
             self.emit("general_pow", r=out, a=b, b=e)
         else:
-            a, b = self.value(node.left), self.value(node.right)
+            a, b = self.value_of(node.left), self.value_of(node.right)
             self.emit(_JET_OPS[type(node.op)], r=out, a=a, b=b)
         return out
 
-    def jet(self, node: ast.expr) -> tuple:
+    def jet_of(self, node: ast.expr) -> tuple:
         """Names of the tree's (value, d1, d2), by the rules of ``Jet2``."""
         kind = type(node)
         if kind is ast.Constant:
@@ -332,16 +334,16 @@ class _Emitter:
         if kind is ast.Name:
             return ("x", "1.0", "0.0")
         if kind is ast.UnaryOp:
-            return self.rule("neg", self.jet(node.operand))
+            return self.rule("neg", self.jet_of(node.operand))
         if kind is ast.Call:
-            return self.unary(node.func.id, self.jet(node.args[0]))
+            return self.unary(node.func.id, self.jet_of(node.args[0]))
         if type(node.op) is ast.Pow and type(node.right) is ast.Constant:
-            return self.rule("pow", self.jet(node.left), p=self.const(node.right.value))
+            return self.rule("pow", self.jet_of(node.left), p=self.const(node.right.value))
         if type(node.op) is ast.Pow:
             # Jet2.__pow__ with a jet exponent: exp(e * log b)
-            b, e = self.jet(node.left), self.jet(node.right)
+            b, e = self.jet_of(node.left), self.jet_of(node.right)
             return self.unary("exp", self.rule("mul", e, self.unary("log", b)))
-        a, b = self.jet(node.left), self.jet(node.right)
+        a, b = self.jet_of(node.left), self.jet_of(node.right)
         return self.rule(_JET_OPS[type(node.op)], a, b)
 
     def unary(self, fn: str, a: tuple) -> tuple:
@@ -375,10 +377,10 @@ def _source(node: ast.expr) -> tuple:
     ``jet(x) -> (v, d1, d2)`` for a tree of ``ast`` nodes (as
     ``parse_expression`` returns it), and the constants it reads as ``_c``."""
     em = _Emitter()
-    result = em.value(node)
+    result = em.value_of(node)
     src = ["def value(x):", *(f"    {s}" for s in em.lines), f"    return {result}"]
     em.lines = []
-    result = em.jet(node)
+    result = em.jet_of(node)
     src += ["def jet(x):", *(f"    {s}" for s in em.lines),
             f"    return ({', '.join(result)})"]
     return "\n".join(src), tuple(em.consts)
@@ -422,13 +424,12 @@ def _scalar_failure(method, ts: np.ndarray, error: Exception):
 def _last_array(slots: list, which: int, ts: np.ndarray, compute) -> tuple:
     """compute(ts), a tuple of parts, remembered in slots[which].
 
-    The slot holds the last array result of one kind (value or jet) keyed
-    by the bytes of ts, so a second call on an equal array returns the same
-    parts without computing them.  A one-entry ts, which is what a float is
-    evaluated as, or an empty one is never remembered.  The parts are
-    arrays the shape of ts (a float part is broadcast), share no memory
-    with ts and are read-only.  A call that raises leaves the slot as it
-    was.
+    The slot holds the last array result of one kind keyed by the bytes of
+    ts, so a second call on an equal array returns the same parts without
+    computing them.  A one-entry ts, which is what a float is evaluated as,
+    or an empty one is never remembered.  The parts are arrays the shape of
+    ts (a float part is broadcast), share no memory with ts and are
+    read-only.  A call that raises leaves the slot as it was.
     """
     key = ts.tobytes()
     last = slots[which]
@@ -444,13 +445,51 @@ def _last_array(slots: list, which: int, ts: np.ndarray, compute) -> tuple:
     return parts
 
 
-class Profile1D:
-    """Expression-tree profile of one variable on a declared interval.
+class Profile:
+    """The evaluation protocol of every profile, written once.
 
-    The last array value and the last array jet are remembered, one slot
-    each; a call on an array with the same bytes returns the same read-only
-    arrays.
+    A subclass sets ``domain`` and ``_last``, a list of at least two memo
+    slots (``_last_array``: slot 0 the last array value, slot 1 the last
+    array jet), and supplies ``_compute(ts, which)``: the parts of the value
+    (which 0, a one-tuple) or of the jet (1: value, d1, d2) at every entry
+    of a 1-D array ts inside the domain, raising EvalError where it fails.
+    A profile is not constant unless the subclass says so.
     """
+
+    def value(self, t):
+        if type(t) is not ndarray:
+            return _at_float(self.value, t)
+        return _last_array(self._last, 0, t, lambda ts: self._evaluate(ts, 0))[0]
+
+    def jet(self, t) -> Jet2:
+        if type(t) is not ndarray:
+            return _at_float(self.jet, t)
+        return Jet2(*_last_array(self._last, 1, t, lambda ts: self._evaluate(ts, 1)))
+
+    def is_constant(self) -> bool:
+        return False
+
+    def _evaluate(self, ts: np.ndarray, which: int) -> tuple:
+        """The parts of _compute(ts, which), computed as floats are (IEEE
+        overflow to inf, no warning), after the domain check and once every
+        part is finite.  A failure on one entry is its own; on more, the
+        first failing entry's (``_scalar_failure``)."""
+        method = (self.value, self.jet)[which]
+        try:
+            self.domain.require(ts)
+            with np.errstate(all="ignore"):
+                parts = self._compute(ts, which)
+        except (DomainError, EvalError) as exc:
+            _scalar_failure(method, ts, exc)
+        if not all(np.isfinite(p).all() for p in parts):
+            _scalar_failure(method, ts, EvalError(
+                f"profile jet not finite at t={float(ts[0])}" if which
+                else f"profile evaluated to {float(np.ravel(parts[0])[0])!r} at t={float(ts[0])}"))
+        return parts
+
+
+class Profile1D(Profile):
+    """Expression-tree profile of one variable on a declared interval."""
 
     def __init__(self, node: ast.expr, domain: Interval, var: str | None = None):
         self.node = node
@@ -476,36 +515,17 @@ class Profile1D:
     def to_string(self) -> str:
         return _to_str(self.node)
 
-    def value(self, t):
-        if type(t) is not ndarray:
-            return _at_float(self.value, t)
-        return _last_array(self._last, 0, t, lambda ts: self._evaluate(ts, 0))[0]
-
-    def jet(self, t) -> Jet2:
-        if type(t) is not ndarray:
-            return _at_float(self.jet, t)
-        return Jet2(*_last_array(self._last, 1, t, lambda ts: self._evaluate(ts, 1)))
-
-    def _evaluate(self, ts: np.ndarray, which: int) -> tuple:
-        """The compiled value (0) or jet (1) parts at every entry of ts.  A
-        failure on one entry names its t; on more, it is the first failing
-        entry's (``_scalar_failure``)."""
-        self.domain.require(ts)
-        method, kind = ((self.value, "profile"), (self.jet, "profile jet"))[which]
+    def _compute(self, ts: np.ndarray, which: int) -> tuple:
+        """The compiled value (0) or jet (1); a guard or an arithmetic error
+        of the tree names the first entry's t."""
         try:
-            with np.errstate(all="ignore"):  # floats overflow to inf silently too
-                out = self._compiled[which](ts)
+            out = self._compiled[which](ts)
         except EvalError as exc:  # a guard of the tree
-            _scalar_failure(method, ts, EvalError(f"{exc} at t={float(ts[0])}"))
+            raise EvalError(f"{exc} at t={float(ts[0])}") from None
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            _scalar_failure(method, ts, EvalError(
-                f"{kind} arithmetic failed at t={float(ts[0])}: {exc}"))
-        parts = out if which else (out,)
-        if not all(np.isfinite(p).all() for p in parts):
-            _scalar_failure(method, ts, EvalError(
-                f"profile jet not finite at t={float(ts[0])}" if which
-                else f"profile evaluated to {float(np.ravel(out)[0])!r} at t={float(ts[0])}"))
-        return parts
+            kind = "profile jet" if which else "profile"
+            raise EvalError(f"{kind} arithmetic failed at t={float(ts[0])}: {exc}") from None
+        return out if which else (out,)
 
     def is_constant(self) -> bool:
         return self._var is None

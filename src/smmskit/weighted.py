@@ -39,7 +39,7 @@ from .geometry import (
     sectional_blocks,
     sectional_residual,
 )
-from .jets import BiJet2, UNARY, _any
+from .jets import BiJet2, UNARY, _any, fmap, power
 from .profiles import DEFAULT_CAP
 
 
@@ -245,7 +245,8 @@ def bakry_emery(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
 
 def weyl_norm(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
               point: PointSpec) -> float:
-    """Norm of the weighted Weyl tensor R - P_f^m (x w) g at a point.
+    """Norm of the weighted Weyl tensor R - P_f^m (x w) g at a point (or a
+    grid point, entry by entry).
 
     Convention: (g (x w) g)(X, Y, Y, X) = 2 (|X|^2 |Y|^2 - <X,Y>^2), so a
     space form of sectional curvature 2 lam has R = lam g (x w) g.
@@ -253,7 +254,7 @@ def weyl_norm(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     """
     structure = density.structure(metric)
     p = point_fields(metric, density, params, point).p
-    if abs(p.mixed) > 1e-9:
+    if _any(abs(p.mixed) > 1e-9):
         raise UnsupportedError("Weyl norm needs a block-diagonal Schouten tensor")
     sec = sectional_blocks(metric, point, s_active=len(structure) > 1)
     if sec.weyl_norm is None:
@@ -269,12 +270,12 @@ def weyl_norm(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
                 continue
             if k is None:
                 raise UnsupportedError("sectional curvature not determined by fiber data")
-            total += npairs * (k - 2.0 * p_by_block[i]) ** 2
+            total += npairs * power(k - 2.0 * p_by_block[i], 2)
         else:
             if k is None:
                 raise UnsupportedError("sectional curvature not determined by fiber data")
-            total += di * dj * (k - p_by_block[i] - p_by_block[j]) ** 2
-    return math.sqrt(4.0 * total + sec.weyl_norm ** 2)
+            total += di * dj * power(k - p_by_block[i] - p_by_block[j], 2)
+    return fmap(math.sqrt, 4.0 * total + power(sec.weyl_norm, 2))
 
 
 def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,

@@ -134,9 +134,10 @@ def reference_inverse(cmap: ConformalMap, q: float) -> float:
 
 def reference_reparam(prof: ReparamProfile, t: float) -> tuple:
     """(value, jet) of prof at Q(t), for the base point t of a float
-    reference_inverse: the parts and the map's u at t as floats, composed
+    reference_inverse: the part and the map's u at t as floats, composed
     on floats."""
-    uv = prof.cmap.u.jet(t)
+    u = prof.cmap.u
+    uv = u.jet(t)
     dT, ddT = uv.value, uv.d1 * uv.value
 
     def pulled(base):
@@ -144,7 +145,5 @@ def reference_reparam(prof: ReparamProfile, t: float) -> tuple:
         return Jet2(bj.value, bj.d1 * dT, bj.d2 * dT * dT + bj.d1 * ddT)
 
     num = 1.0 if prof.num is None else prof.num.value(t)
-    if prof.den is None:
-        return num, pulled(prof.num)
     top = Jet2.constant(1.0) if prof.num is None else pulled(prof.num)
-    return _check(num / prof.den.value(t)), top / pulled(prof.den)
+    return _check(num / u.value(t)), top / pulled(u)

@@ -45,14 +45,13 @@ def test_pullback_jet_chain():
     cmap = ConformalMap(u, IV)
     w = Profile1D.from_string("sin(0.7*t)", IV)
     t = 0.8
-    q = cmap.forward(t)
-    [j] = cmap.pullback_jets([w], np.array([q]))
-    wj = w.jet(t)
+    j = ReparamProfile(cmap, num=w).jet(cmap.forward(t))
     uj = u.jet(t)
-    assert j.value == pytest.approx(wj.value, rel=1e-12)
+    fj = w.jet(t) / uj  # the quotient w/u in the base coordinate
+    assert j.value == pytest.approx(fj.value, rel=1e-12)
     # d/dq = u(t) d/dt along the arc-length style reparametrization
-    assert j.d1 == pytest.approx(wj.d1 * uj.value, rel=1e-10)
-    assert j.d2 == pytest.approx(wj.d2 * uj.value ** 2 + wj.d1 * uj.d1 * uj.value,
+    assert j.d1 == pytest.approx(fj.d1 * uj.value, rel=1e-10)
+    assert j.d2 == pytest.approx(fj.d2 * uj.value ** 2 + fj.d1 * uj.d1 * uj.value,
                                  rel=1e-10)
 
 
@@ -379,10 +378,10 @@ def test_reparam_value_is_the_jet_value_bitwise(name):
     hat = res.instance
     dens = hat.density
     part = dens.v if isinstance(dens, RadialDensity) else dens.alpha
-    num_only = ReparamProfile(res.cmap, num=inst.metric.phi)
+    fresh = ReparamProfile(res.cmap, num=inst.metric.phi)  # phi/u, nothing remembered
     grid = np.array(qs)
     ts = [reference_inverse(res.cmap, q) for q in qs]
-    for prof in (hat.metric.phi, part, inverse_factor(res), num_only):
+    for prof in (hat.metric.phi, part, inverse_factor(res), fresh):
         assert _bits(prof.value(grid)) == _bits(prof.jet(grid).value)
         want = [reference_reparam(prof, t) for t in ts]
         assert _bits(value for value, _ in want) == _bits(jet.value for _, jet in want)
@@ -424,9 +423,10 @@ def test_conformal_residuals_frozen(tmp_path, name):
 
 def test_reparam_jet_rejects_nonfinite():
     cmap = ConformalMap(quad_factor(), IV)
-    # at t = 1.9 the t-jet of exp(30000 t - 56311.5) is finite (value 1e299,
-    # d2 9e307), but the chain-rule factor u^2 = 4.3 pushes d2 in q past
-    # the float range
+    # the profile is exp(30000 t - 56311.5) / u pulled back: at t = 1.9 the
+    # t-jet of the exponential is finite (value 1e299, d2 9e307), but the
+    # chain-rule factor u^2 = 4.3 pushes its d2 in q past the float range,
+    # and the quotient by u keeps the inf
     prof = ReparamProfile(cmap, num=Profile1D.from_string("exp(30000*t - 56311.5)", IV))
     with pytest.raises(EvalError):
         prof.jet(cmap.forward(1.9))
@@ -434,14 +434,12 @@ def test_reparam_jet_rejects_nonfinite():
 
 def test_reparam_check_positive_margin_is_sampling_margin():
     cmap = ConformalMap(quad_factor(), IV)
+    # quotients by u: the parts num and u are checked on the base interval
     small = ReparamProfile(cmap, num=Profile1D.from_string("0.2 + 0*t", IV))
     small.check_positive(samples=64, margin=0.3)
     odd = ReparamProfile(cmap, num=Profile1D.from_string("t", IV))
     with pytest.raises(PositivityError):
         odd.check_positive(samples=64, margin=0.3)
-    odd_den = ReparamProfile(cmap, den=Profile1D.from_string("t", IV))
-    with pytest.raises(PositivityError):
-        odd_den.check_positive(samples=64, margin=0.3)
 
 
 def test_inverse_factor_positivity_is_checked_in_the_base_frame(monkeypatch):
@@ -594,7 +592,7 @@ def test_rounds_match_one_panel_growth_on_catalog_pairs(name):
         _drive([ConformalMap(u, iv), SequentialMap(u, iv)], ts, qs, image_first)
     # the two maps of involution_residual, each second map on its own first
     firsts = [ConformalMap(u, iv), SequentialMap(u, iv)]
-    seconds = [kind(ReparamProfile(first, den=u), first.image_interval(), t_ref=0.0)
+    seconds = [kind(ReparamProfile(first), first.image_interval(), t_ref=0.0)
                for kind, first in zip((ConformalMap, SequentialMap), firsts)]
     q1 = firsts[0].forward(np.array(ts))
     q2 = seconds[0].forward(q1)

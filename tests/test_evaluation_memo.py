@@ -23,7 +23,7 @@ import smmskit.cli as cli
 import smmskit.profiles as profiles
 from conftest import left_to_right_mean
 from smmskit.classify import classify_report
-from smmskit.conformal import ConformalMap, ReparamProfile
+from smmskit.conformal import ConformalMap, ReparamProfile, apply_conformal
 from smmskit.errors import DomainError, EvalError
 from smmskit.jets import power
 from smmskit.odes import OdeProfile, neck_profile
@@ -89,6 +89,45 @@ def test_one_pass_evaluates_each_profile_once_per_kind(name, evaluations):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_a_transformed_pass_evaluates_each_jet_once_per_array(name, monkeypatch):
+    # the transformed profiles share one inverse and one jet of the factor u
+    jets = Counter()
+    tags = itertools.count()
+    real_compile = profiles._compile
+
+    def counting_compile(node):
+        value, jet = real_compile(node)
+        tag = next(tags)
+
+        def counted_jet(x):
+            jets[(tag, x.tobytes())] += 1
+            return jet(x)
+
+        return value, counted_jet
+
+    monkeypatch.setattr(profiles, "_compile", counting_compile)
+    bundle = cat.make(name)
+    hat = apply_conformal(bundle.instance, bundle.pair.u).instance
+    solves = []
+    real_invert = ConformalMap._invert_many
+
+    def counted_invert(self, q, *args):
+        solves.append(q.size)
+        return real_invert(self, q, *args)
+
+    monkeypatch.setattr(ConformalMap, "_invert_many", counted_invert)
+    jets.clear()  # make and the map's growth are not the pass
+    pts = sample_points(hat.metric, hat.density, 64)
+    einstein_residuals(hat.metric, hat.density, hat.params, bundle.pair.lam_hat, pts,
+                       with_diagnostics=True)
+    if hat.params.m != 1.0:
+        solve_mu(hat.metric, hat.density, hat.params, bundle.pair.lam_hat, pts)
+    assert jets, "the counters saw no compiled jet"
+    assert {key: n for key, n in jets.items() if n > 1} == {}
+    assert solves == [len(pts)]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_a_second_make_compiles_nothing(name, monkeypatch):
     sources = []
     real = builtins.compile
@@ -144,7 +183,7 @@ def _reparam():
     iv = Interval(0.0, 2.0)
     u = Profile1D.from_string("1.5 + 0.2*t", iv)
     phi = Profile1D.from_string("0.5 + sin(t)", iv)
-    return ReparamProfile(ConformalMap(u, iv), num=phi, den=u)
+    return ReparamProfile(ConformalMap(u, iv), num=phi)
 
 
 def _makers():
@@ -303,7 +342,8 @@ def _failing_calls():
     wide = Interval(-1000.0, 1000.0)
     rp = _reparam()
     cmap, _, _ = _map_and_points()
-    # d2 in q passes the float range only through the chain rule's u^2
+    # the numerator's d2 in q passes the float range only through the chain
+    # rule's u^2; the quotient by u keeps the inf
     iv = Interval(-2.0, 2.0)
     wide_map = ConformalMap(Profile1D.from_string("1 + 0.3*t**2", iv), iv)
     steep = ReparamProfile(wide_map, num=Profile1D.from_string("exp(30000*t - 56311.5)", iv))

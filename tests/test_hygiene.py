@@ -134,3 +134,19 @@ def test_every_public_name_is_used():
     unused = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
               for line, name in _public_definitions(path) if name not in used]
     assert unused == []
+
+
+def test_one_evaluation_protocol():
+    # value, jet and the first-failure rule are written once, in profiles.Profile;
+    # every other profile supplies _compute and inherits them
+    own = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for m in node.body:
+                if (isinstance(m, ast.FunctionDef) and m.name in ("value", "jet", "_evaluate")
+                        and (path.name, node.name) != ("profiles.py", "Profile")):
+                    own.append(f"{path.name}:{m.lineno} {node.name}.{m.name}")
+    assert own == []
+    assert "class Profile:" in (SRC / "profiles.py").read_text(encoding="utf-8")

@@ -14,7 +14,7 @@ import smmskit.catalog as cat
 import smmskit.cli as cli
 import smmskit.odes as odes
 from conftest import left_to_right_mean
-from smmskit.errors import DomainError, PositivityError
+from smmskit.errors import DomainError, EvalError, PositivityError
 from smmskit.odes import (
     ObataSolution,
     _rk4_step,
@@ -241,11 +241,22 @@ def test_views_of_one_trajectory_keep_separate_memos():
     one, two = neck_profile(3.0, Interval(0.0, 6.0)), neck_profile(3.0, Interval(0.0, 6.0))
     assert one is not two and one._nodes[0] is two._nodes[0]
     got = one.jet(ts)
-    assert two._last == [None, None] and one._last[1] is not None
+    assert two._last == [None, None, None] and one._last[1] is not None
     again = two.jet(ts)
     assert again.value is not got.value
     assert (again.value.tobytes(), again.d1.tobytes(), again.d2.tobytes()) == \
         (got.value.tobytes(), got.d1.tobytes(), got.d2.tobytes())
+
+
+def test_a_non_finite_ode_jet_raises_at_its_first_entry():
+    # a derivative view whose closed-form w''' is not finite past t = 3
+    prof = neck_profile(3.0, Interval(0.0, 6.0))
+    bad = prof.derivative(lambda t, w, dw: np.where(t > 3.0, math.inf, 0.0), "bad")
+    ts = np.linspace(0.5, 5.5, 11)
+    with pytest.raises(EvalError, match=r"^profile jet not finite at t=3\.5$"):
+        bad.jet(ts)
+    assert bad.jet(2.5).d2 == 0.0
+    assert bad.value(ts).tolist() == prof.jet(ts).d1.tolist()
 
 
 def test_check_positive_on_a_window_that_reaches_zero():

@@ -215,7 +215,7 @@ def _neck_fiber_warping():
 def _reparam():
     u = Profile1D.from_string("1 + 0.3*t**2", IV)
     num = Profile1D.from_string("2 + sin(t)", IV)
-    return ReparamProfile(ConformalMap(u, IV), num=num, den=u)
+    return ReparamProfile(ConformalMap(u, IV), num=num)
 
 
 # name -> (factory, a point inside the domain, a point outside it)

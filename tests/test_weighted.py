@@ -145,6 +145,16 @@ def test_weyl_detects_nonconstant_curvature():
     assert max(vals) > 1e-3
 
 
+@pytest.mark.parametrize("name", cat.available())
+def test_weyl_norm_on_a_grid_is_the_loop_of_point_calls(name):
+    inst = cat.make(name).instance
+    pts = sample_points(inst.metric, inst.density, 16)
+    grid = weyl_norm(inst.metric, inst.density, inst.params, pts)
+    loop = [weyl_norm(inst.metric, inst.density, inst.params, pt) for pt in each_point(pts)]
+    assert all(type(x) is float for x in loop)
+    assert repr(np.broadcast_to(grid, len(pts)).tolist()) == repr(loop)
+
+
 def test_weyl_needs_determined_sectional_data():
     # an abstract Einstein fiber of dimension >= 4 leaves sectional curvature
     # undetermined; in dimension <= 3 Einstein implies constant curvature
