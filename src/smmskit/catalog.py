@@ -450,7 +450,7 @@ def skew_sphere_density(m: float = 2.0, lam: float = 0.5, fiber_amp: float = 0.2
     density = SplitDensity(v_n, alpha)
     # sampled positivity of the combined density over the product window
     window = metric.grid(400, margin=0.01, s_active=True)
-    if (density.v_value(metric, window) <= 0.0).any():
+    if (density.v_bijet(metric, window).value <= 0.0).any():
         raise AdmissibilityError(
             "density is not positive on the sphere; increase kappa or shrink amplitudes")
     mu = fiber_amp ** 2 + 2.0 * lam * base_amp ** 2 - kappa ** 2 / (2.0 * lam)

@@ -30,7 +30,7 @@ test a circle fiber (n = 2), which is always flat, would make every
 negatively curved Einstein instance ExpEinstein.  A compact instance whose
 verdict is not a positively curved space form raises ContradictionError:
 closed weighted Einstein spaces are round spheres, so the caller's flags
-contradict the data.
+contradict the data; the exception carries the verdict.
 """
 
 from __future__ import annotations
@@ -154,13 +154,14 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
         else:
             global_branch = "Unclassified"
 
+    verdict = Classification(local, global_branch, lam, details)
     if instance.compact and local != "Indeterminate":
         if not (global_branch == "SpaceForm" and lam > 0.0):
             raise ContradictionError(
                 "a closed weighted Einstein instance must be a round sphere "
-                f"with lam > 0; verdict was {global_branch} at lam = {lam!r}")
-
-    return Classification(local, global_branch, lam, details)
+                f"with lam > 0; verdict was {global_branch} at lam = {lam!r}",
+                verdict)
+    return verdict
 
 
 def classify(instance: Instance, lam: float, k: int = 400,

@@ -40,7 +40,6 @@ from .weighted import (
     einstein_residuals,
     point_fields,
     sample_points,
-    solve_mu,
     tau_consistency_residual,
 )
 
@@ -276,8 +275,7 @@ def _cmd_verify(args) -> int:
 
     mu_solved = None
     if inst.params.m != 1.0:
-        mu_mean, mu_spread = solve_mu(inst.metric, inst.density, inst.params,
-                                      lam, pts)
+        mu_mean, mu_spread = rep.mu
         mu_solved = {"mean": mu_mean, "spread": mu_spread}
         checks.bound("mu_spread", mu_spread, tol["mu"])
         checks.close("mu_consistency", mu_mean, inst.params.mu, tol["mu"])
@@ -299,8 +297,8 @@ def _cmd_verify(args) -> int:
         details = cls.details
     except ContradictionError as exc:
         contradiction = str(exc)
-        local_branch, global_branch = "Trivial", "ContradictionError"
-        details = {"contradiction": contradiction}
+        local_branch, global_branch = exc.verdict.local, "ContradictionError"
+        details = {**exc.verdict.details, "contradiction": contradiction}
     if "branch_local" in expect:
         checks.equal("branch_local", local_branch, str(expect["branch_local"]))
     if "branch_global" in expect:
@@ -458,9 +456,8 @@ def _cmd_table(args) -> int:
         inst = bundle.instance
         pts = sample_points(inst.metric, inst.density, k, margin=0.05)
         rep = einstein_residuals(inst.metric, inst.density, inst.params,
-                                 bundle.lam, pts)
-        mu_mean, mu_spread = solve_mu(inst.metric, inst.density, inst.params,
-                                      bundle.lam, pts)
+                                 bundle.lam, pts, with_diagnostics=False)
+        mu_mean, mu_spread = rep.mu
         hat_rep, _ = _transformed_residuals(apply_conformal(inst, bundle.pair.u),
                                             bundle.pair.lam_hat, k, 0.05, DEFAULT_CAP)
         row = {

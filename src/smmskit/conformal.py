@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, \
-    field_components, hessian_radial, ricci_blocks_for
+    field_components, hessian_radial, ricci
 from .jets import BiJet2, Jet2, _any, _check, power
 from .profiles import Interval, Profile, _at_float, _last_array, _scalar_failure, sample_grid
 from .weighted import (
@@ -45,6 +45,7 @@ from .weighted import (
     RadialDensity,
     SplitDensity,
     _sup,
+    f_bijet,
     point_fields,
 )
 
@@ -461,7 +462,7 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         uv, du, ddu = uj.value, uj.d1, uj.d2
 
         # original-frame ingredients
-        rho = ricci_blocks_for(metric, pt, structure)
+        rho = ricci(metric, pt, structure)
         hes_u = hessian_radial(metric, u, pt, structure=structure)
         lap_u = hes_u.trace()
         phi_val = metric.phi.value(pt.t)
@@ -472,8 +473,8 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
 
         # transformed-frame direct values, converted to the original frame
         direct = point_fields(hat.metric, hat.density, params, pt_hat)
-        ricci = direct.rho.scale_shift(1.0 / power(uv, 2)) \
-                          .combine(law_rho, 1.0, -1.0).sup_dev(0.0)
+        ricci_dev = direct.rho.scale_shift(1.0 / power(uv, 2)) \
+                              .combine(law_rho, 1.0, -1.0).sup_dev(0.0)
 
         # law: modified Ricci via the transformed Hessian of v^ = v/u
         vb = dens.v_bijet(metric, pt)
@@ -490,7 +491,7 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
                             .combine(law_be, 1.0, -1.0).sup_dev(0.0)
 
         # law: weighted scalar and Schouten
-        fb = dens.f_bijet(metric, pt, m)
+        fb = f_bijet(vb, m, pt)
         fhat_t = fb.dt + m * du / uv
         fhat_s = fb.ds
         fch = field_components(metric, BiJet2(0.0, fhat_t, fhat_s,
@@ -512,7 +513,7 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
                                    -j_hat / (power(uv, 2) * (n + m - 2.0)))
         schouten = direct.p.scale_shift(1.0 / power(uv, 2)) \
                            .combine(law_p, 1.0, -1.0).sup_dev(0.0)
-    return {"ricci": _sup(ricci), "modified_ricci": _sup(modified),
+    return {"ricci": _sup(ricci_dev), "modified_ricci": _sup(modified),
             "schouten": _sup(schouten), "scalar": _sup(scalar)}
 
 

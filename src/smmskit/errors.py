@@ -38,4 +38,9 @@ class NestingError(SmmsError):
 
 
 class ContradictionError(SmmsError):
-    """Caller-asserted global flags contradict the computed verdict."""
+    """Caller-asserted global flags contradict the computed verdict, which
+    the error carries as ``verdict`` (a ``classify.Classification``)."""
+
+    def __init__(self, message: str, verdict):
+        super().__init__(message)
+        self.verdict = verdict

@@ -348,11 +348,14 @@ class WarpedMetric:
 # ---------------------------------------------------------------------------
 # curvature and Hessians
 
-def ricci(metric: WarpedMetric, point: PointSpec) -> Tensor2Blocks:
-    """Ricci components of the warped metric at a point."""
+def ricci(metric: WarpedMetric, point: PointSpec,
+          structure: tuple | None = None) -> Tensor2Blocks:
+    """Ricci components of the warped metric at a point, in the block layout
+    ``structure`` (a density's; by default the fiber's natural one)."""
     metric.interval.require(point.t)
-    split = metric.fiber.natural_split()
-    structure = metric.fiber.blocks(split)
+    if structure is None:
+        structure = metric.structure(s_active=False)
+    split = len(structure) > 1
     phi = metric.phi.jet(point.t)
     d = metric.n - 1
     rho_tt = -d * phi.d2 / phi.value
@@ -360,19 +363,6 @@ def ricci(metric: WarpedMetric, point: PointSpec) -> Tensor2Blocks:
     coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
     blocks = tuple(r / power(phi.value, 2) - shared for r in coeffs)
     return Tensor2Blocks(structure, rho_tt, blocks, 0.0)
-
-
-def ricci_blocks_for(metric: WarpedMetric, point: PointSpec,
-                     structure: tuple) -> Tensor2Blocks:
-    """Ricci with the per-block layout matching a density's structure."""
-    base = ricci(metric, point)
-    if base.structure == structure:
-        return base
-    if len(base.blocks) == 1 and len(structure) == 2:
-        # an isotropic fiber block split into probe + orthogonal directions
-        return Tensor2Blocks(structure, base.tt,
-                             (base.blocks[0], base.blocks[0]), 0.0)
-    raise FormError("cannot adapt Ricci blocks to the requested structure")
 
 
 @dataclass(frozen=True)

@@ -80,12 +80,8 @@ class ObataSolution:
     @staticmethod
     def from_initial(lam: float, nu: float, u0: float, du0: float) -> "ObataSolution":
         """Solution with u(0) = u0, u'(0) = du0."""
-        if lam > 0.0:
-            w = math.sqrt(2.0 * lam)
-            return ObataSolution.from_coefficients(lam, nu, u0 - nu / (2.0 * lam),
-                                                   du0 / w)
-        if lam < 0.0:
-            w = math.sqrt(-2.0 * lam)
+        if lam != 0.0:
+            w = math.sqrt(abs(2.0 * lam))
             return ObataSolution.from_coefficients(lam, nu, u0 - nu / (2.0 * lam),
                                                    du0 / w)
         return ObataSolution.from_coefficients(lam, nu, du0, u0)

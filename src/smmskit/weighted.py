@@ -1,21 +1,16 @@
 """Weighted curvature tensors of a smooth metric measure space.
 
-An instance is (M, g, f, m, mu) with density v = exp(-f/m) > 0.  The
-modified Ricci tensor, weighted scalar curvature, weighted Schouten tensor
-and the scale extracted from the trace identity are all evaluated pointwise
-from exact jets.  One kernel, ``point_fields``, computes every field at a
-point once; every caller reads from it.  The point is one point with float
-coordinates, or a whole grid whose coordinates are 1-D arrays, as
-``sample_points`` returns it: ``einstein_residuals`` and ``solve_mu``
-evaluate their grid in one such call, with results bitwise equal to a loop
-over the points, and the report keeps one array per field.  Its sups and
-means run over the arrays in grid order, so they equal the builtin max and
-a left-to-right sum over the same floats bit for bit.  Two independent
-computation routes exist for the modified Ricci tensor: the v-form of
-``point_fields`` (rho - m Hes_v / v, using the displayed Hessian
-decompositions) and the f-form of ``bakry_emery`` (rho + Hes_f - df (x)
-df / m, using generic covariant assembly of f = -m log v), which is kept
-as the cross-check.
+An instance is (M, g, f, m, mu) with density v = exp(-f/m) > 0.  One
+kernel, ``point_fields``, evaluates every weighted field from exact jets in
+one pass over a point or a whole grid (1-D coordinate arrays, as
+``sample_points`` returns them), bitwise equal to a loop over the points.
+It reads v's jets once and keeps tau_f0, the weighted scalar curvature
+before its mu term, so a report solves mu from the pass it certifies
+(``WeightedReport.mu``, the floats of ``solve_mu``).  The report keeps one
+array per field; its sups and means run in grid order and equal the builtin
+max and a left-to-right sum bit for bit.  The f-form of ``bakry_emery``
+(rho + Hes_f - df (x) df / m) cross-checks the kernel's modified Ricci
+tensor rho - m Hes_v / v.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from .geometry import (
     field_components,
     hessian_radial,
     hessian_split,
-    ricci_blocks_for,
+    ricci,
     sectional_blocks,
     sectional_residual,
 )
@@ -92,15 +87,6 @@ class DensitySpec:
     def v_bijet(self, metric: WarpedMetric, point: PointSpec) -> BiJet2:
         raise NotImplementedError
 
-    def v_value(self, metric: WarpedMetric, point: PointSpec) -> float:
-        return self.v_bijet(metric, point).value
-
-    def f_bijet(self, metric: WarpedMetric, point: PointSpec, m: float) -> BiJet2:
-        """Coordinate jets of f = -m log v (independent chain-rule route)."""
-        v = self.v_bijet(metric, point)
-        _require_positive(v.value, point)
-        return -m * UNARY["log"](v)
-
     def hessian_v(self, metric: WarpedMetric, point: PointSpec) -> Tensor2Blocks:
         """Hessian of v from the displayed closed-form decomposition."""
         raise NotImplementedError
@@ -122,9 +108,6 @@ class RadialDensity(DensitySpec):
 
     def v_bijet(self, metric, point) -> BiJet2:
         return BiJet2.lift_t(self.v.jet(point.t))
-
-    def v_value(self, metric, point) -> float:
-        return self.v.value(point.t)
 
     def hessian_v(self, metric, point) -> Tensor2Blocks:
         return hessian_radial(metric, self.v, point,
@@ -176,6 +159,13 @@ class Instance:
 # ---------------------------------------------------------------------------
 # pointwise weighted tensors
 
+def f_bijet(v: BiJet2, m: float, point: PointSpec) -> BiJet2:
+    """Coordinate jets of f = -m log v from v's jets at a point (the
+    chain-rule route); v must be positive there."""
+    _require_positive(v.value, point)
+    return -m * UNARY["log"](v)
+
+
 def _grad_tensor(structure: tuple, bij: BiJet2, phi_value: float) -> Tensor2Blocks:
     """Components of dF (x) dF against g-unit vectors."""
     if len(structure) == 1:
@@ -190,13 +180,14 @@ class PointFields:
     """The weighted fields at one point, from the v-form route.
 
     rho is the Ricci tensor, be the modified Ricci tensor rho_f^m, tau_f the
-    weighted scalar curvature tau_f^m, j and p the weighted Schouten scalar
-    J_f^m and tensor P_f^m, and v the density value.  At a grid point each
-    number is an array over the grid.
+    weighted scalar curvature tau_f^m (tau_f0 without its mu term), j and p
+    the weighted Schouten scalar J_f^m and tensor P_f^m, and v the density
+    value.  At a grid point each number is an array over the grid.
     """
 
     rho: Tensor2Blocks
     be: Tensor2Blocks
+    tau_f0: float
     tau_f: float
     j: float
     p: Tensor2Blocks
@@ -213,18 +204,19 @@ def point_fields(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     """
     n, m = params.n, params.m
     structure = density.structure(metric)
-    rho = ricci_blocks_for(metric, point, structure)
-    v = density.v_value(metric, point)
-    _require_positive(v, point)
+    rho = ricci(metric, point, structure)
+    vb = density.v_bijet(metric, point)
+    fb = f_bijet(vb, m, point)
+    v = vb.value
     be = rho.combine(density.hessian_v(metric, point), 1.0, -m / v)
-    fc = field_components(metric, density.f_bijet(metric, point, m), point,
-                          structure)
-    tau_f = rho.trace() + 2.0 * fc.laplacian - ((m + 1.0) / m) * fc.grad_sq
+    fc = field_components(metric, fb, point, structure)
+    tau_f0 = rho.trace() + 2.0 * fc.laplacian - ((m + 1.0) / m) * fc.grad_sq
+    tau_f = tau_f0
     if m != 1.0:  # a branch, not a zero term: at m = 1 mu never enters
-        tau_f += m * (m - 1.0) * params.mu / (v * v)
+        tau_f = tau_f0 + m * (m - 1.0) * params.mu / (v * v)
     j = tau_f / (2.0 * (n + m - 1.0))
     p = be.scale_shift(1.0 / (n + m - 2.0), -j / (n + m - 2.0))
-    return PointFields(rho, be, tau_f, j, p, v)
+    return PointFields(rho, be, tau_f0, tau_f, j, p, v)
 
 
 def bakry_emery(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
@@ -235,9 +227,9 @@ def bakry_emery(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     two agree to rounding.
     """
     structure = density.structure(metric)
-    rho = ricci_blocks_for(metric, point, structure)
+    rho = ricci(metric, point, structure)
     m = params.m
-    fb = density.f_bijet(metric, point, m)
+    fb = f_bijet(density.v_bijet(metric, point), m, point)
     fc = field_components(metric, fb, point, structure)
     grad2 = _grad_tensor(structure, fb, metric.phi.value(point.t))
     return rho.combine(fc.hess, 1.0, 1.0).combine(grad2, 1.0, -1.0 / m)
@@ -282,19 +274,25 @@ def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
              lam: float, points: PointSpec) -> tuple:
     """Solve the trace identity for mu assuming P_f^m = lam g.
 
-    Returns (mean, spread) of the pointwise solution over the grid, from one
-    kernel pass at mu = 0; a small spread certifies that a single mu makes
-    the instance weighted Einstein.
+    Returns (mean, spread) of the pointwise solution over the grid, from
+    tau_f0 of one kernel pass at params; a small spread certifies that a
+    single mu makes the instance weighted Einstein (``WeightedReport.mu``).
     """
-    n, m = params.n, params.m
-    if m == 1.0:
+    if params.m == 1.0:
         raise UnsupportedError("mu does not enter the m = 1 equations")
-    base = SmmsParams(n, m, 0.0)
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
-        pf = point_fields(metric, density, base, points)
-        j_target = pf.be.tt - (n + m - 2.0) * lam
-        vals = _per_point((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
-                          / (m * (m - 1.0)), len(points))
+        pf = point_fields(metric, density, params, points)
+    return _mu_stats(params, lam, pf.be.tt, pf.tau_f0, pf.v, len(points))
+
+
+def _mu_stats(params: SmmsParams, lam: float, be_tt, tau_f0, v, k: int) -> tuple:
+    """(mean, spread) over k points of the mu that solves the trace identity
+    at P_f^m = lam g, from the kernel's be.tt, tau_f0 and v there."""
+    n, m = params.n, params.m
+    with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
+        j_target = be_tt - (n + m - 2.0) * lam
+        vals = _per_point((2.0 * (n + m - 1.0) * j_target - tau_f0) * v * v
+                          / (m * (m - 1.0)), k)
     return _mean(vals), _spread(vals)
 
 
@@ -353,6 +351,7 @@ class WeightedReport:
     rho_dev: np.ndarray      # sup dev of rho from 2(n-1) lam g
     qe_dev: np.ndarray       # sup dev of rho_f^m from 2(n+m-1) lam g
     p_dev: np.ndarray        # sup dev of P_f^m from lam g
+    tau_f0: np.ndarray       # tau_f without its mu term
     tau_f: np.ndarray
     j_f: np.ndarray
     kappa: np.ndarray
@@ -384,6 +383,14 @@ class WeightedReport:
     @property
     def v_spread(self) -> float:
         return _spread(self.v)
+
+    @property
+    def mu(self) -> tuple | None:
+        """solve_mu's (mean, spread) on this grid; None at m = 1."""
+        if self.params.m == 1.0:
+            return None
+        return _mu_stats(self.params, self.lam, self.be_tt, self.tau_f0,
+                         self.v, len(self.points))
 
     @property
     def sec_residual(self) -> float | None:
@@ -473,6 +480,7 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
             rho_dev=_per_point(pf.rho.sup_dev(2.0 * (n - 1.0) * lam), k),
             qe_dev=_per_point(be.sup_dev(2.0 * (n + m - 1.0) * lam), k),
             p_dev=_per_point(pf.p.sup_dev(lam), k),
+            tau_f0=_per_point(pf.tau_f0, k),
             tau_f=_per_point(pf.tau_f, k),
             j_f=_per_point(pf.j, k),
             kappa=_per_point(((m + n) * lam - pf.j) * pf.v / m, k),

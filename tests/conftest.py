@@ -150,7 +150,7 @@ def poison_ricci_at(monkeypatch, t, component):
     point (coordinate arrays) every entry with base coordinate t is hit.
     Points of conformally transformed metrics are left alone.
     """
-    real = weighted.ricci_blocks_for
+    real = weighted.ricci
 
     def poisoned(metric, point, structure):
         rho = real(metric, point, structure)
@@ -162,4 +162,4 @@ def poison_ricci_at(monkeypatch, t, component):
                             if np.ndim(hit) else math.nan)
         return Tensor2Blocks(rho.structure, comps[0], tuple(comps[1:]), rho.mixed)
 
-    monkeypatch.setattr(weighted, "ricci_blocks_for", poisoned)
+    monkeypatch.setattr(weighted, "ricci", poisoned)

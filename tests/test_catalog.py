@@ -1,10 +1,12 @@
 """Model family catalog: construction, invariants, pairings, admissibility."""
 
+import json
 import math
 
 import pytest
 
 import smmskit.catalog as cat
+import smmskit.cli as cli
 from smmskit.classify import GLOBAL_BRANCHES, LOCAL_BRANCHES
 from smmskit.conformal import apply_conformal
 from smmskit.errors import AdmissibilityError, FormError
@@ -158,6 +160,36 @@ def test_custom_instance_radial_and_split():
     }
     inst2 = cat.custom_instance(nested)
     assert inst2.metric.n == 4
+
+
+def test_custom_split_density_over_space_form_fiber(tmp_path):
+    # skew_sphere_density with its Einstein fiber declared as the round
+    # two-sphere: the split density runs through SpaceForm's split layout
+    skew = cat.make("skew_sphere_density")
+    spec = {
+        "interval": [0.0, math.pi],
+        "warping": "sin(1.0 * t) / 1.0",
+        "fiber": {"kind": "space_form", "dim": 2, "curvature": 1.0},
+        "density": {"kind": "split", "v_n": "0.2*cos(s)",
+                    "alpha": "0.3*cos(1.0*t) + 2.2"},
+        "m": 2.0, "mu": -4.71,
+    }
+    cfg = {"schema": 1, "custom": spec, "grid": {"k": 64},
+           "flags": {"complete": True, "compact": True},
+           "expectations": {"lambda": 0.5, "kappa": 2.2, "mu": -4.71,
+                            "branch_local": "Einstein",
+                            "branch_global": "SpaceForm"}}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["verify", "--config", str(path)]) == 0
+
+    inst = cat.custom_instance(spec, complete=True, compact=True)
+    got, want = report_for(inst, 0.5, k=64), report_for(skew.instance, 0.5, k=64)
+    assert got.points.s is not None
+    for prop in ("kappa_mean", "mu", "residual_P", "residual_QE",
+                 "residual_Einstein", "sec_residual"):
+        assert getattr(got, prop) == pytest.approx(getattr(want, prop),
+                                                   abs=1e-12), prop
 
 
 def test_custom_instance_rejects_bad_specs():

@@ -12,7 +12,9 @@ import pytest
 
 import smmskit.catalog as cat
 import smmskit.cli as cli
+import smmskit.conformal as conformal
 import smmskit.odes as odes
+import smmskit.weighted as weighted
 from conftest import poison_ricci_at
 from smmskit.profiles import Interval, sample_grid
 from smmskit.weighted import sample_points
@@ -434,3 +436,60 @@ def test_verify_fails_on_nan_at_random_grid_position(tmp_path, monkeypatch):
         assert rep["classification"]["local"] == "Indeterminate"
         failing = {c["name"] for c in rep["checks"] if not c["passed"]}
         assert {"modified_schouten_residual", "branch_local"} <= failing
+
+
+def test_contradiction_reports_the_computed_local_branch(tmp_path):
+    # hyperbolic space flagged compact: the local branch is Einstein, and
+    # the contradiction is global only
+    cfg = {
+        "schema": 1,
+        "custom": {
+            "interval": [0.0, 4.0],
+            "warping": "sinh(t)",
+            "fiber": {"kind": "space_form", "dim": 2, "curvature": 1.0},
+            "density": {"kind": "radial", "v": "1.2 + 0.5*cosh(t)"},
+            "m": 2.0, "mu": 1.19,
+        },
+        "flags": {"complete": True, "compact": True},
+        "grid": {"k": 32},
+        "expectations": {"lambda": -0.5, "branch_local": "Einstein",
+                         "branch_global": "ContradictionError"},
+    }
+    rep_path = str(tmp_path / "rep.json")
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", rep_path]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    verdict = rep["classification"]
+    assert (verdict["local"], verdict["global"]) == ("Einstein", "ContradictionError")
+    assert "round sphere" in verdict["contradiction"]
+    assert verdict["details"]["residual_Einstein"] <= 1e-8
+
+
+def _count_kernel_passes(monkeypatch) -> list:
+    """Every later point_fields call, from any module, lands in the list."""
+    calls = []
+    real = weighted.point_fields
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (weighted, cli, conformal):
+        monkeypatch.setattr(module, "point_fields", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", cat.available())
+def test_verify_runs_the_kernel_once_per_representative(tmp_path, monkeypatch,
+                                                        name):
+    # with lambda given: one pass on the base instance, one on its transform
+    path = write_config(tmp_path, cat.make(name).config(k=16))
+    calls = _count_kernel_passes(monkeypatch)
+    assert cli.main(["verify", "--config", path]) == 0
+    assert len(calls) == 2
+
+
+def test_table_runs_the_kernel_once_per_representative(monkeypatch):
+    calls = _count_kernel_passes(monkeypatch)
+    assert cli.main(["table", "--points", "64"]) == 0
+    assert len(calls) == 6  # three signs, each a base and a transformed pass

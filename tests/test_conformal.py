@@ -459,7 +459,7 @@ def test_inverse_factor_positivity_is_checked_in_the_base_frame(monkeypatch):
 
 def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
     """One NaN component at one point must make the law residual NaN."""
-    real = weighted.ricci_blocks_for
+    real = weighted.ricci
     hat_calls = []
 
     def poisoned(metric, point, structure):
@@ -473,7 +473,7 @@ def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
                                      (block,) + tuple(rho.blocks[1:]), rho.mixed)
         return rho
 
-    monkeypatch.setattr(weighted, "ricci_blocks_for", poisoned)
+    monkeypatch.setattr(weighted, "ricci", poisoned)
     b = cat.make("weighted_sphere")
     inst = b.instance
     u = quad_factor_on(inst.metric.interval)

@@ -68,6 +68,18 @@ def test_from_initial_matches_coefficients():
     assert sol2.lam_hat == pytest.approx(sol.lam_hat, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.0, -0.5])
+def test_initial_data_and_derivative_profile_every_sign(lam):
+    nu, u0, du0 = 1.3, 0.8, -0.2
+    sol = ObataSolution.from_initial(lam, nu, u0, du0)
+    j0 = sol.profile.jet(0.0)
+    assert j0.value == pytest.approx(u0, abs=1e-12)
+    assert j0.d1 == pytest.approx(du0, abs=1e-12)
+    du = sol.derivative_profile()
+    for t in (-0.7, 0.3, 1.1, 2.4):
+        assert du.value(t) == pytest.approx(sol.profile.jet(t).d1, abs=1e-12)
+
+
 def test_derivative_profile_consistent_with_jets():
     sol = ObataSolution.from_coefficients(0.5, 1.0, 0.4, 0.6)
     du = sol.derivative_profile()

@@ -196,6 +196,7 @@ def test_inert_weight_ignores_mu_bitwise():
         reports.append(einstein_residuals(inst.metric, inst.density, params,
                                           b.lam, pts))
     base = reports[0]
+    assert base.mu is None
     for other in reports[1:]:
         for fieldname in ("be_tt", "be_blocks", "rho_dev", "qe_dev", "p_dev",
                           "tau_f", "j_f", "kappa", "v", "sec_dev"):
@@ -320,7 +321,7 @@ def test_report_aggregates_propagate_nan():
 # the grid kernel against a loop of scalar point_fields calls
 
 REPORT_LISTS = ("be_tt", "be_blocks", "be_mixed", "rho_dev", "qe_dev", "p_dev",
-                "tau_f", "j_f", "kappa", "v", "sec_dev", "fiber_flat_dev",
+                "tau_f0", "tau_f", "j_f", "kappa", "v", "sec_dev", "fiber_flat_dev",
                 "fiber_be_dev")
 
 
@@ -339,6 +340,7 @@ def _pointwise_report(inst, lam, pts):
         ref["rho_dev"].append(pf.rho.sup_dev(2.0 * (n - 1.0) * lam))
         ref["qe_dev"].append(pf.be.sup_dev(2.0 * (n + m - 1.0) * lam))
         ref["p_dev"].append(pf.p.sup_dev(lam))
+        ref["tau_f0"].append(pf.tau_f0)
         ref["tau_f"].append(pf.tau_f)
         ref["j_f"].append(pf.j)
         ref["kappa"].append(((m + n) * lam - pf.j) * pf.v / m)
@@ -415,6 +417,8 @@ def test_grid_kernel_matches_pointwise_loop_bitwise(name):
     if inst.params.m != 1.0:
         got = solve_mu(inst.metric, inst.density, inst.params, b.lam, pts)
         assert repr(got) == repr(_pointwise_mu(inst, b.lam, pts))
+        # the report solves mu from its own pass, at the declared mu
+        assert repr(rep.mu) == repr(got)
 
 
 @pytest.mark.parametrize("target, part", [
