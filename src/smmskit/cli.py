@@ -136,10 +136,17 @@ def _tolerances(cfg: dict) -> dict:
 
 
 def _expectations(cfg: dict) -> dict:
+    """The expectations block; a key that no check reads is an error."""
     expect = _section(cfg, "expectations")
-    for key in ("lambda", "kappa", "mu", "lambda_hat"):
+    numbers = ("lambda", "kappa", "mu", "lambda_hat")
+    unknown = set(expect) - set(numbers) - {"branch_local", "branch_global"}
+    if unknown:
+        raise ConfigError(f"unknown expectations: {', '.join(sorted(unknown))}")
+    for key in numbers:
         if key in expect:
             _number(expect[key], f"expectations.{key}")
+    if "lambda_hat" in expect and "conformal" not in cfg:
+        raise ConfigError("expectations.lambda_hat needs a \"conformal\" section")
     return expect
 
 
@@ -306,7 +313,7 @@ def _cmd_verify(args) -> int:
                      str(expect["branch_global"]))
 
     hat_summary = None
-    if "conformal" in cfg and "lambda_hat" in expect:
+    if "lambda_hat" in expect:
         result = apply_conformal(inst, _conformal_factor(cfg, inst))
         hat_rep, hat_summary = _transformed_residuals(
             result, float(expect["lambda_hat"]), k, margin, cap)

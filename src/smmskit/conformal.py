@@ -448,12 +448,10 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
     """
     metric, dens, params = instance.metric, instance.density, instance.params
     n, m = params.n, params.m
-    s_active = dens.s_active(metric)
-    structure = dens.structure(metric)
     hat = result.instance
     ts = np.asarray(ts, dtype=float)
     ss = None
-    if s_active:
+    if metric.split(dens.s_active(metric)):
         ss = np.full(ts.shape, sample_grid(metric.fiber.probe_domain(), 5, margin=0.2)[2])
     pt = PointSpec(ts, ss)
     pt_hat = PointSpec(result.cmap.forward(ts), ss)
@@ -462,8 +460,8 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         uv, du, ddu = uj.value, uj.d1, uj.d2
 
         # original-frame ingredients
-        rho = ricci(metric, pt, structure)
-        hes_u = hessian_radial(metric, u, pt, structure=structure)
+        rho = ricci(metric, pt)
+        hes_u = hessian_radial(metric, u, pt)
         lap_u = hes_u.trace()
         phi_val = metric.phi.value(pt.t)
 
@@ -481,8 +479,8 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         ub = BiJet2.lift_t(uj)
         vhat_b = vb / ub
         vhat = vhat_b.value
-        fc = field_components(metric, vhat_b, pt, structure)
-        sym = _symmetric_product(structure, du, 0.0, vhat_b.dt, vhat_b.ds, phi_val)
+        fc = field_components(metric, vhat_b, pt)
+        sym = _symmetric_product(rho.structure, du, 0.0, vhat_b.dt, vhat_b.ds, phi_val)
         inner = du * vhat_b.dt
         hes_hat_v = fc.hess.combine(sym, 1.0, 1.0 / uv) \
                            .scale_shift(1.0, -inner / uv)
@@ -497,10 +495,10 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
         fch = field_components(metric, BiJet2(0.0, fhat_t, fhat_s,
                                               fb.dtt + m * (ddu * uv - du * du)
                                               / power(uv, 2),
-                                              fb.dts, fb.dss), pt, structure)
+                                              fb.dts, fb.dss), pt)
         tau_hat = power(uv, 2) * law_rho.trace()
         grad_fhat = power(uv, 2) * (power(fhat_t, 2)
-                                    + (power(fhat_s / phi_val, 2) if s_active else 0.0))
+                                    + (power(fhat_s / phi_val, 2) if ss is not None else 0.0))
         lap_hat_f = power(uv, 2) * (fch.laplacian - (n - 2.0) / uv
                                     * (du * fhat_t))
         tau_f_hat = tau_hat + 2.0 * lap_hat_f - ((m + 1.0) / m) * grad_fhat

@@ -8,7 +8,9 @@ returned number is accurate to rounding.
 
 Components of symmetric 2-tensors are reported against unit vectors of g:
 the tt value, one value per fiber block, and the (t, s) mixed value when a
-second coordinate is active.
+second coordinate is active.  A point carries s exactly when its block
+layout is split (``WarpedMetric.split``), and is evaluated in the layout
+it carries (``WarpedMetric.layout``).
 
 A point may carry a whole grid at once (``WarpedMetric.grid``): its
 coordinates are then equal-length 1-D arrays, and so is every number
@@ -37,7 +39,8 @@ class PointSpec:
     """Evaluation point: base coordinate t, optional fiber probe coordinate s.
 
     Both are floats, or equal-length 1-D arrays for a grid of points; len()
-    is the number of points.
+    is the number of points.  s is present exactly when the layout is split:
+    when the density needs it or the fiber is a warped product.
     """
 
     t: float
@@ -49,12 +52,6 @@ class PointSpec:
     def at(self, i: int) -> "PointSpec":
         """Point i of a grid point, with float coordinates."""
         return PointSpec(float(self.t[i]), None if self.s is None else float(self.s[i]))
-
-
-def _require_s(point: PointSpec, why: str) -> float:
-    if point.s is None:
-        raise DomainError(f"point needs a fiber coordinate s for {why}")
-    return point.s
 
 
 def _nan_max(a, b):
@@ -131,23 +128,34 @@ class FiberDesc:
     def blocks(self, split: bool) -> tuple:
         raise NotImplementedError
 
-    def ricci_coeffs(self, s: float | None, split: bool) -> tuple:
-        """Fiber Ricci per block against g_N-unit vectors."""
+    def ricci_coeffs(self, s: float | None) -> tuple:
+        """Fiber Ricci per block against g_N-unit vectors; the blocks are
+        split exactly when the probe coordinate s is given."""
         raise NotImplementedError
 
     def orth_hess_factor(self, s: float) -> float:
         """Factor L with Hes^N_F(orth, orth) = L * dF/ds for fiber-radial F."""
         raise UnsupportedError(f"{type(self).__name__} has no probe coordinate")
 
-    def sectional(self, s: float | None, split: bool):
-        """(K dict keyed by block index pairs (i<=j), opaque fiber Weyl norm).
+    def sectional(self, s: float | None):
+        """(K dict keyed by block index pairs (i<=j), opaque fiber Weyl norm),
+        over the split blocks exactly when s is given.
 
-        K[(i, i)] is the within-block sectional value (None for 1-dim
-        blocks); entries are None when the declared data does not pin the
-        curvature down.  The Weyl norm is the norm of the part of the fiber
-        curvature not captured by the block values (None when unknown).
+        K lists the pairs that span planes (``_planes``); an entry is None
+        when the declared data does not pin the curvature down.  The Weyl
+        norm is the norm of the part of the fiber curvature not captured by
+        the block values (None when unknown).
         """
         raise NotImplementedError
+
+
+def _planes(dim: int, s, within, cross) -> dict:
+    """Sectional table of a fiber of dimension dim, over its split blocks
+    (1 and dim - 1 dimensional) when s is given: within on each block that
+    spans a plane, cross between the two blocks."""
+    if s is None:
+        return {(0, 0): within} if dim >= 2 else {}
+    return {(0, 1): cross, (1, 1): within} if dim - 1 >= 2 else {(0, 1): cross}
 
 
 def _space_form_warping(c: float, s: float) -> tuple:
@@ -186,9 +194,9 @@ class SpaceForm(FiberDesc):
             return (("s", 1), ("orth", self.dim - 1))
         return (("fiber", self.dim),)
 
-    def ricci_coeffs(self, s, split) -> tuple:
+    def ricci_coeffs(self, s) -> tuple:
         r = (self.dim - 1) * self.curvature
-        return (r, r) if split else (r,)
+        return (r,) if s is None else (r, r)
 
     def orth_hess_factor(self, s: float) -> float:
         psi, dpsi = _space_form_warping(self.curvature, s)
@@ -196,11 +204,9 @@ class SpaceForm(FiberDesc):
             raise DomainError("probe coordinate at a polar point of the fiber")
         return dpsi / psi
 
-    def sectional(self, s, split):
+    def sectional(self, s):
         c = self.curvature
-        if split:
-            return {(0, 0): None, (0, 1): c, (1, 1): c if self.dim - 1 >= 2 else None}, 0.0
-        return {(0, 0): c if self.dim >= 2 else None}, 0.0
+        return _planes(self.dim, s, c, c), 0.0
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,8 @@ class EinsteinFiber(FiberDesc):
             return (("s", 1), ("orth", self.dim - 1))
         return (("fiber", self.dim),)
 
-    def ricci_coeffs(self, s, split) -> tuple:
-        return (self.beta, self.beta) if split else (self.beta,)
+    def ricci_coeffs(self, s) -> tuple:
+        return (self.beta,) if s is None else (self.beta, self.beta)
 
     def orth_hess_factor(self, s: float) -> float:
         if self.obata is None:
@@ -253,7 +259,7 @@ class EinsteinFiber(FiberDesc):
             raise DomainError("fiber density has a critical point at the probe coordinate")
         return -(self.obata.xi + self.obata.c * j.value) / j.d1
 
-    def sectional(self, s, split):
+    def sectional(self, s):
         # Einstein metrics in dims 2 and 3 are space forms; in higher
         # dimension the block curvature is the constant-curvature part and
         # the remainder must be declared through weyl_norm.
@@ -262,9 +268,7 @@ class EinsteinFiber(FiberDesc):
             wn = float(self.weyl_norm) if self.weyl_norm is not None else 0.0
         else:
             c, wn = None, None
-        if split:
-            return {(0, 0): None, (0, 1): c, (1, 1): c if self.dim - 1 >= 2 else None}, wn
-        return {(0, 0): c if self.dim >= 2 else None}, wn
+        return _planes(self.dim, s, c, c), wn
 
 
 class NestedFiber(FiberDesc):
@@ -288,7 +292,7 @@ class NestedFiber(FiberDesc):
     def blocks(self, split: bool) -> tuple:
         return (("s", 1), ("theta", self.dim - 1))
 
-    def ricci_coeffs(self, s, split) -> tuple:
+    def ricci_coeffs(self, s) -> tuple:
         if s is None:
             raise DomainError("nested fiber needs the probe coordinate s")
         inner = ricci(self.metric, PointSpec(s))
@@ -298,21 +302,16 @@ class NestedFiber(FiberDesc):
         j = self.metric.phi.jet(s)
         return j.d1 / j.value
 
-    def sectional(self, s, split):
+    def sectional(self, s):
         if s is None:
             raise DomainError("nested fiber needs the probe coordinate s")
         psi = self.metric.phi.jet(s)
-        inner_sec, inner_wn = self.metric.fiber.sectional(None, False)
-        c_inner = inner_sec[(0, 0)]
-        q = self.dim - 1
-        k_cross = -psi.d2 / psi.value
-        if q >= 2:
-            k_within = (None if c_inner is None
-                        else (c_inner - power(psi.d1, 2)) / power(psi.value, 2))
-        else:
-            k_within = None
+        inner_sec, inner_wn = self.metric.fiber.sectional(None)
+        c_inner = inner_sec.get((0, 0))  # absent for a 1-dimensional inner fiber
+        k_within = (None if c_inner is None
+                    else (c_inner - power(psi.d1, 2)) / power(psi.value, 2))
         wn = None if inner_wn is None else inner_wn / power(psi.value, 2)
-        return {(0, 0): None, (0, 1): k_cross, (1, 1): k_within}, wn
+        return _planes(self.dim, s, k_within, -psi.d2 / psi.value), wn
 
 
 class WarpedMetric:
@@ -327,14 +326,22 @@ class WarpedMetric:
     def __repr__(self):
         return f"WarpedMetric(n={self.n}, phi={self.phi!r}, fiber={self.fiber!r})"
 
-    def structure(self, s_active: bool) -> tuple:
-        return self.fiber.blocks(split=s_active or self.fiber.natural_split())
+    def split(self, s_active: bool) -> bool:
+        """Whether points carry the fiber coordinate s, that is, whether the
+        layout is split: when a density needs s (s_active) or the fiber has
+        two blocks of its own (a warped-product fiber)."""
+        return s_active or self.fiber.natural_split()
+
+    def layout(self, point: PointSpec) -> tuple:
+        """The fiber blocks at a point: split exactly when it carries s."""
+        return self.fiber.blocks(split=point.s is not None)
 
     def grid(self, k: int, margin: float = 0.05, cap: float = DEFAULT_CAP,
              s_active: bool = False) -> PointSpec:
         """Deterministic interior evaluation grid of about k points, as one
-        grid point; with a fiber coordinate, t-major over a square grid."""
-        if s_active or self.fiber.natural_split():
+        grid point; with a fiber coordinate (``split``), t-major over a
+        square grid."""
+        if self.split(s_active):
             dom_s = self.fiber.probe_domain()
             if dom_s is None:
                 raise UnsupportedError("fiber has no probe coordinate to sample")
@@ -348,21 +355,16 @@ class WarpedMetric:
 # ---------------------------------------------------------------------------
 # curvature and Hessians
 
-def ricci(metric: WarpedMetric, point: PointSpec,
-          structure: tuple | None = None) -> Tensor2Blocks:
-    """Ricci components of the warped metric at a point, in the block layout
-    ``structure`` (a density's; by default the fiber's natural one)."""
+def ricci(metric: WarpedMetric, point: PointSpec) -> Tensor2Blocks:
+    """Ricci components of the warped metric at a point, in its layout."""
     metric.interval.require(point.t)
-    if structure is None:
-        structure = metric.structure(s_active=False)
-    split = len(structure) > 1
     phi = metric.phi.jet(point.t)
     d = metric.n - 1
     rho_tt = -d * phi.d2 / phi.value
     shared = phi.d2 / phi.value + (d - 1) * power(phi.d1 / phi.value, 2)
-    coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
+    coeffs = metric.fiber.ricci_coeffs(point.s)
     blocks = tuple(r / power(phi.value, 2) - shared for r in coeffs)
-    return Tensor2Blocks(structure, rho_tt, blocks, 0.0)
+    return Tensor2Blocks(metric.layout(point), rho_tt, blocks, 0.0)
 
 
 @dataclass(frozen=True)
@@ -377,23 +379,25 @@ class FieldComponents:
     ds: float
 
 
-def field_components(metric: WarpedMetric, bij: BiJet2, point: PointSpec,
-                     structure: tuple) -> FieldComponents:
-    """Assemble covariant derivatives of a field from its coordinate jets.
+def field_components(metric: WarpedMetric, bij: BiJet2,
+                     point: PointSpec) -> FieldComponents:
+    """Assemble covariant derivatives of a field from its coordinate jets,
+    in the point's layout.
 
     ``bij`` holds the coordinate partials of the field at (t, s).  The
     Christoffel corrections of the warped metric are applied exactly.
     """
+    structure = metric.layout(point)
     phi = metric.phi.jet(point.t)
     h_tt = bij.dtt
-    if len(structure) == 1:
+    s = point.s
+    if s is None:
         if _any(bij.ds != 0.0) or _any(bij.dss != 0.0) or _any(bij.dts != 0.0):
-            raise FormError("field depends on s but the structure has one block")
+            raise FormError("field depends on s but the point has no s")
         h_fib = (phi.d1 / phi.value) * bij.dt
         hess = Tensor2Blocks(structure, h_tt, (h_fib,), 0.0)
         grad_sq = power(bij.dt, 2)
     else:
-        s = _require_s(point, "a two-coordinate field")
         orth_l = metric.fiber.orth_hess_factor(s)
         p2 = power(phi.value, 2)
         h_ts = (bij.dts - (phi.d1 / phi.value) * bij.ds) / phi.value
@@ -405,12 +409,10 @@ def field_components(metric: WarpedMetric, bij: BiJet2, point: PointSpec,
     return FieldComponents(hess, lap, grad_sq, bij.value, bij.dt, bij.ds)
 
 
-def hessian_radial(metric: WarpedMetric, w, point: PointSpec,
-                   structure: tuple | None = None) -> Tensor2Blocks:
+def hessian_radial(metric: WarpedMetric, w, point: PointSpec) -> Tensor2Blocks:
     """Hessian of a function of t alone: w'' on dt, w' phi'/phi on the fiber."""
     metric.interval.require(point.t)
-    if structure is None:
-        structure = metric.structure(s_active=False)
+    structure = metric.layout(point)
     wj = w.jet(point.t)
     phi = metric.phi.jet(point.t)
     h_fib = wj.d1 * phi.d1 / phi.value
@@ -423,8 +425,10 @@ def hessian_split(metric: WarpedMetric, v_n, alpha, point: PointSpec) -> Tensor2
     The mixed (t, s) component cancels identically for this form and is
     returned as exactly zero.
     """
-    s = _require_s(point, "a split density")
-    structure = metric.structure(s_active=True)
+    s = point.s
+    if s is None:
+        raise DomainError("point needs a fiber coordinate s for a split density")
+    structure = metric.layout(point)
     phi = metric.phi.jet(point.t)
     vn = v_n.jet(s)
     al = alpha.jet(point.t)
@@ -453,10 +457,11 @@ def grad_norm_sq(metric: WarpedMetric, w, point: PointSpec) -> float:
 class SectionalData:
     """Pairwise sectional curvatures over the block layout (t block first).
 
-    ``k`` maps block index pairs (i <= j) to the sectional value of planes
-    spanning the two blocks (None when i == j on a 1-dim block or when the
-    fiber data leaves it undetermined).  ``weyl_norm`` is the opaque norm of
-    the fiber curvature remainder lifted to g (None when unknown).
+    ``k`` maps the block index pairs (i <= j) that span planes (i == j only
+    on a block of dimension 2 or more) to the sectional value of those
+    planes, None when the fiber data leaves it undetermined.  ``weyl_norm``
+    is the opaque norm of the fiber curvature remainder lifted to g (None
+    when unknown).
     """
 
     blocks: tuple
@@ -468,34 +473,28 @@ class SectionalData:
             yield (i, j), v
 
 
-def sectional_blocks(metric: WarpedMetric, point: PointSpec,
-                     s_active: bool = False) -> SectionalData:
+def sectional_blocks(metric: WarpedMetric, point: PointSpec) -> SectionalData:
+    """Sectional data at a point, in its layout."""
     metric.interval.require(point.t)
-    split = s_active or metric.fiber.natural_split()
-    fiber_blocks = metric.fiber.blocks(split)
+    fiber_blocks = metric.layout(point)
     phi = metric.phi.jet(point.t)
     p2 = power(phi.value, 2)
     k_rad = -phi.d2 / phi.value
-    fiber_k, fiber_wn = metric.fiber.sectional(point.s, split)
+    fiber_k, fiber_wn = metric.fiber.sectional(point.s)
     blocks = (("t", 1),) + fiber_blocks
-    k = {(0, 0): None}
-    for idx in range(len(fiber_blocks)):
-        k[(0, idx + 1)] = k_rad
+    k = {(0, idx + 1): k_rad for idx in range(len(fiber_blocks))}
     for (i, j), kn in fiber_k.items():
         k[(i + 1, j + 1)] = None if kn is None else (kn - power(phi.d1, 2)) / p2
     wn = None if fiber_wn is None else fiber_wn / p2
     return SectionalData(blocks, k, wn)
 
 
-def sectional_residual(metric: WarpedMetric, point: PointSpec, two_lam: float,
-                       s_active: bool = False) -> float:
+def sectional_residual(metric: WarpedMetric, point: PointSpec,
+                       two_lam: float) -> float:
     """Sup deviation of the sectional curvature from the constant 2*lambda."""
-    data = sectional_blocks(metric, point, s_active=s_active)
+    data = sectional_blocks(metric, point)
     dev = 0.0
-    for (i, j), v in data.pairs():
-        dims = (data.blocks[i][1], data.blocks[j][1])
-        if i == j and dims[0] < 2:
-            continue
+    for _, v in data.pairs():
         if v is None:
             raise UnsupportedError("sectional curvature not determined by fiber data")
         dev = _nan_max(dev, abs(v - two_lam))

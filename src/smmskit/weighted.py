@@ -10,7 +10,10 @@ before its mu term, so a report solves mu from the pass it certifies
 array per field; its sups and means run in grid order and equal the builtin
 max and a left-to-right sum bit for bit.  The f-form of ``bakry_emery``
 (rho + Hes_f - df (x) df / m) cross-checks the kernel's modified Ricci
-tensor rho - m Hes_v / v.
+tensor rho - m Hes_v / v.  Every tensor comes in the block layout of the
+point it is evaluated at (``WarpedMetric.layout``); ``sample_points`` gives
+a grid the fiber coordinate s exactly when the density needs it or the
+fiber is a warped product.
 """
 
 from __future__ import annotations
@@ -79,10 +82,8 @@ class DensitySpec:
     kind = "?"
 
     def s_active(self, metric: WarpedMetric) -> bool:
+        """Whether v depends on the fiber coordinate s."""
         raise NotImplementedError
-
-    def structure(self, metric: WarpedMetric) -> tuple:
-        return metric.structure(s_active=self.s_active(metric))
 
     def v_bijet(self, metric: WarpedMetric, point: PointSpec) -> BiJet2:
         raise NotImplementedError
@@ -110,8 +111,7 @@ class RadialDensity(DensitySpec):
         return BiJet2.lift_t(self.v.jet(point.t))
 
     def hessian_v(self, metric, point) -> Tensor2Blocks:
-        return hessian_radial(metric, self.v, point,
-                              structure=self.structure(metric))
+        return hessian_radial(metric, self.v, point)
 
 
 class SplitDensity(DensitySpec):
@@ -203,13 +203,12 @@ def point_fields(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     P = (rho_f^m - J g) / (n+m-2).
     """
     n, m = params.n, params.m
-    structure = density.structure(metric)
-    rho = ricci(metric, point, structure)
+    rho = ricci(metric, point)
     vb = density.v_bijet(metric, point)
     fb = f_bijet(vb, m, point)
     v = vb.value
     be = rho.combine(density.hessian_v(metric, point), 1.0, -m / v)
-    fc = field_components(metric, fb, point, structure)
+    fc = field_components(metric, fb, point)
     tau_f0 = rho.trace() + 2.0 * fc.laplacian - ((m + 1.0) / m) * fc.grad_sq
     tau_f = tau_f0
     if m != 1.0:  # a branch, not a zero term: at m = 1 mu never enters
@@ -226,12 +225,11 @@ def bakry_emery(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     This f-form is the independent cross-check of point_fields(...).be; the
     two agree to rounding.
     """
-    structure = density.structure(metric)
-    rho = ricci(metric, point, structure)
+    rho = ricci(metric, point)
     m = params.m
     fb = f_bijet(density.v_bijet(metric, point), m, point)
-    fc = field_components(metric, fb, point, structure)
-    grad2 = _grad_tensor(structure, fb, metric.phi.value(point.t))
+    fc = field_components(metric, fb, point)
+    grad2 = _grad_tensor(rho.structure, fb, metric.phi.value(point.t))
     return rho.combine(fc.hess, 1.0, 1.0).combine(grad2, 1.0, -1.0 / m)
 
 
@@ -244,28 +242,23 @@ def weyl_norm(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     space form of sectional curvature 2 lam has R = lam g (x w) g.
     Requires the fiber curvature to be fully determined.
     """
-    structure = density.structure(metric)
     p = point_fields(metric, density, params, point).p
     if _any(abs(p.mixed) > 1e-9):
         raise UnsupportedError("Weyl norm needs a block-diagonal Schouten tensor")
-    sec = sectional_blocks(metric, point, s_active=len(structure) > 1)
+    sec = sectional_blocks(metric, point)
     if sec.weyl_norm is None:
         raise UnsupportedError("fiber curvature remainder unknown")
     p_by_block = (p.tt,) + p.blocks
     total = 0.0
     for (i, j), k in sec.pairs():
+        if k is None:
+            raise UnsupportedError("sectional curvature not determined by fiber data")
         di = sec.blocks[i][1]
         dj = sec.blocks[j][1]
         if i == j:
             npairs = di * (di - 1) // 2
-            if npairs == 0:
-                continue
-            if k is None:
-                raise UnsupportedError("sectional curvature not determined by fiber data")
             total += npairs * power(k - 2.0 * p_by_block[i], 2)
         else:
-            if k is None:
-                raise UnsupportedError("sectional curvature not determined by fiber data")
             total += di * dj * power(k - p_by_block[i] - p_by_block[j], 2)
     return fmap(math.sqrt, 4.0 * total + power(sec.weyl_norm, 2))
 
@@ -406,7 +399,7 @@ class WeightedReport:
 
 
 def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
-                       params: SmmsParams, point: PointSpec, structure: tuple):
+                       params: SmmsParams, point: PointSpec):
     """(fiber Ricci-flatness deviation, fiber modified-Ricci deviation).
 
     The second is only defined where the density restricts to the fiber as
@@ -415,9 +408,8 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
     point of the grid.  Both are None when the fiber's Ricci coefficients
     are undefined there (an ``SmmsError``); any other error propagates.
     """
-    split = len(structure) > 1
     try:
-        coeffs = metric.fiber.ricci_coeffs(point.s if split else None, split)
+        coeffs = metric.fiber.ricci_coeffs(point.s)
     except SmmsError:  # the fiber does not pin its Ricci down here
         return None, None
     flat_dev = functools.reduce(_nan_max, (abs(c) for c in coeffs))
@@ -458,7 +450,6 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
     field.
     """
     n, m = params.n, params.m
-    structure = density.structure(metric)
     k = len(points)
     sec_dev = flat_dev = be_dev = None
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
@@ -466,12 +457,10 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
         be = pf.be
         if with_diagnostics:
             try:
-                sec_dev = sectional_residual(metric, points, 2.0 * lam,
-                                             s_active=len(structure) > 1)
+                sec_dev = sectional_residual(metric, points, 2.0 * lam)
             except UnsupportedError:
                 pass
-            flat_dev, be_dev = _fiber_diagnostics(metric, density, params,
-                                                  points, structure)
+            flat_dev, be_dev = _fiber_diagnostics(metric, density, params, points)
         return WeightedReport(
             params, lam, points,
             be_tt=_per_point(be.tt, k),
@@ -493,9 +482,11 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
 
 def sample_points(metric: WarpedMetric, density: DensitySpec, k: int,
                   margin: float = 0.05, cap: float = DEFAULT_CAP) -> PointSpec:
-    """Verification grid matching the block structure the density needs."""
-    s_active = len(density.structure(metric)) > 1
-    return metric.grid(k, margin=margin, cap=cap, s_active=s_active)
+    """Verification grid in the block layout the instance needs: with the
+    fiber coordinate s when the density needs it or the fiber is a warped
+    product (``WarpedMetric.split``)."""
+    return metric.grid(k, margin=margin, cap=cap,
+                       s_active=density.s_active(metric))
 
 
 def tau_consistency_residual(report: WeightedReport) -> float:

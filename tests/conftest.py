@@ -152,8 +152,8 @@ def poison_ricci_at(monkeypatch, t, component):
     """
     real = weighted.ricci
 
-    def poisoned(metric, point, structure):
-        rho = real(metric, point, structure)
+    def poisoned(metric, point):
+        rho = real(metric, point)
         hit = point.t == t  # a bool, or a bool array on a grid point
         if not np.any(hit) or isinstance(metric.phi, ReparamProfile):
             return rho

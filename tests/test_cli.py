@@ -493,3 +493,98 @@ def test_table_runs_the_kernel_once_per_representative(monkeypatch):
     calls = _count_kernel_passes(monkeypatch)
     assert cli.main(["table", "--points", "64"]) == 0
     assert len(calls) == 6  # three signs, each a base and a transformed pass
+
+
+def _without_conformal(tmp_path, **expect):
+    cfg = cat.make("weighted_sphere").config(k=16)
+    del cfg["conformal"], cfg["expectations"]["lambda_hat"]
+    cfg["expectations"].update(expect)
+    return write_config(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("command", ["verify", "conformal"])
+def test_unchecked_expectations_exit_two(tmp_path, capsys, command):
+    # lambda_hat is read only against a conformal factor, and a misspelt key
+    # is read by nothing: either would let a declared expectation go unchecked
+    path = _without_conformal(tmp_path, lambda_hat=123.0)
+    assert cli.main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expectations.lambda_hat needs a \"conformal\" section\n"
+    cfg = cat.make("weighted_sphere").config(k=16)
+    cfg["expectations"]["branch_globl"] = "SpaceForm"
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == "error: unknown expectations: branch_globl\n"
+
+
+def test_conformal_needs_a_conformal_section(tmp_path, capsys):
+    assert cli.main(["conformal", "--config", _without_conformal(tmp_path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: conformal verification needs a \"conformal\" section\n")
+
+
+def test_density_not_positive_on_the_grid_exits_two(tmp_path, capsys):
+    # v = t - 1.3 is negative on the first grid points; the error names the first
+    cfg = {
+        "schema": 1,
+        "custom": {
+            "interval": [0.0, 2.0],
+            "warping": "t",
+            "fiber": {"kind": "space_form", "dim": 2, "curvature": 1.0},
+            "density": {"kind": "radial", "v": "t - 1.3"},
+            "n": 3, "m": 2.0,
+        },
+        "grid": {"k": 16},
+    }
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    assert (capsys.readouterr().err
+            == "error: density v = -1.2 is not positive at PointSpec(t=0.1, s=None)\n")
+
+
+def test_fiber_that_leaves_sectional_open_verifies(tmp_path):
+    # at n = 5 the fiber is an abstract Einstein 4-manifold with no declared
+    # Weyl norm: the space-form gate is undefined, not failed
+    cfg = cat.make("warping_density", n=5).config(k=64)
+    rep_path = str(tmp_path / "rep.json")
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", rep_path]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["residuals"]["sectional"] is None
+    assert rep["classification"]["global"] == "NotApplicable"
+
+
+def _custom(n, fiber, density, warping="2.0 + 0.5*t"):
+    return {"schema": 1,
+            "custom": {"interval": [-2.0, 2.0], "warping": warping,
+                       "fiber": fiber, "density": density, "n": n, "m": 2.0},
+            "conformal": {"u": "0.25*t + 1.5"}}
+
+
+def _space_form(c):
+    return {"kind": "space_form", "dim": 2, "curvature": c}
+
+
+_SPLIT = {"kind": "split", "v_n": "2 + cos(s)", "alpha": "1.0"}
+_WARPED = {"kind": "warped", "interval": [0.0, 8.0], "warping": "s",
+           "fiber": {"kind": "einstein", "dim": 2, "einstein_constant": 3.0}}
+
+LAYOUTS = {
+    "radial-space-form": _custom(3, _space_form(1.0), {"kind": "radial", "v": "2 + cos(t)"}),
+    # the layout is split by the fiber alone: the law points need s
+    "radial-warped": _custom(4, _WARPED, {"kind": "radial", "v": "2.0 + 0.0*t"},
+                             warping="1.0"),
+    "split-sphere": _custom(3, _space_form(1.0), _SPLIT),
+    "split-flat": _custom(3, _space_form(0.0), _SPLIT),
+    "split-hyperbolic": _custom(3, _space_form(-1.0), _SPLIT),
+    "cone_product": cat.make("cone_product").config(k=16),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_conformal_laws_hold_in_every_layout(tmp_path, name):
+    rep_path = str(tmp_path / "rep.json")
+    assert cli.main(["conformal", "--config", write_config(tmp_path, LAYOUTS[name]),
+                     "--out", rep_path]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert set(rep["law_residuals"]) == {"ricci", "modified_ricci", "schouten", "scalar"}
+    assert all(val <= 1e-7 for val in rep["law_residuals"].values())
+    assert rep["involution_residual"] <= 1e-7

@@ -462,8 +462,8 @@ def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
     real = weighted.ricci
     hat_calls = []
 
-    def poisoned(metric, point, structure):
-        rho = real(metric, point, structure)
+    def poisoned(metric, point):
+        rho = real(metric, point)
         if isinstance(metric.phi, ReparamProfile):
             hat_calls.append(point)
             if len(hat_calls) == 1:  # the law grid, at its third point

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smmskit.errors import NestingError
+from smmskit.errors import NestingError, UnsupportedError
 from smmskit.geometry import (
     EinsteinFiber,
     FiberObataData,
@@ -64,6 +64,27 @@ def test_hyperbolic_space_sectional():
     assert sectional_residual(m, PointSpec(1.3), -1.0) < 1e-10
     r = ricci(m, PointSpec(1.3))
     assert r.tt == pytest.approx(-2.0, abs=1e-10)
+
+
+def test_sectional_table_lists_only_plane_pairs():
+    # a 1-dimensional block spans no plane, so (i, i) appears only for
+    # blocks of dimension 2 or more, and None means undetermined alone
+    iv = Interval(0.0, 5.0)
+    circle = WarpedMetric(iv, Profile1D.from_string("1 + t", iv), SpaceForm(1, 0.0))
+    assert list(dict(sectional_blocks(circle, PointSpec(1.0)).pairs())) == [(0, 1)]
+    split = sectional_blocks(unit_sphere(4), PointSpec(1.0, 0.7))
+    assert [d for _, d in split.blocks] == [1, 1, 2]
+    assert list(dict(split.pairs())) == [(0, 1), (0, 2), (1, 2), (2, 2)]
+    assert all(k is not None for _, k in split.pairs())
+
+
+def test_sectional_undetermined_by_einstein_fiber_data():
+    # an abstract Einstein 4-manifold pins its Ricci down, not its curvature
+    iv = Interval(0.0, 3.0)
+    m = WarpedMetric(iv, Profile1D.from_string("1 + t", iv), EinsteinFiber(4, 3.0))
+    assert sectional_blocks(m, PointSpec(1.0)).k[(1, 1)] is None
+    with pytest.raises(UnsupportedError, match="not determined by fiber data"):
+        sectional_residual(m, PointSpec(1.0), 1.0)
 
 
 def test_hessian_radial_frozen():

@@ -150,3 +150,47 @@ def test_one_evaluation_protocol():
                     own.append(f"{path.name}:{m.lineno} {node.name}.{m.name}")
     assert own == []
     assert "class Profile:" in (SRC / "profiles.py").read_text(encoding="utf-8")
+
+
+def _functions(tree) -> list:
+    """(qualified name, node) of every function of a module, methods as
+    Class.method, nested functions under their enclosing names."""
+    found = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    found.append((name, child))
+                walk(child, name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return found
+
+
+def test_block_layout_is_decided_once():
+    # WarpedMetric.split decides whether points carry s, WarpedMetric.layout
+    # reads the blocks from the point; nothing else asks the fiber
+    deciders = {"geometry.py:WarpedMetric.split", "geometry.py:WarpedMetric.layout"}
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("natural_split", "blocks")):
+                    calls.add(f"{path.name}:{name}")
+    assert calls == deciders
+    allowed = {"WarpedMetric.grid", "WarpedMetric.split"}
+    params = []
+    for module in ("geometry.py", "weighted.py", "conformal.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        for name, fn in _functions(tree):
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            for arg in args:
+                if (arg.arg in ("s_active", "split") and name not in allowed
+                        and not name.endswith(".blocks")):
+                    params.append(f"{module}:{fn.lineno} {name}({arg.arg})")
+    assert params == []

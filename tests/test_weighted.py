@@ -245,10 +245,9 @@ def test_fiber_diagnostic_needs_its_condition_at_every_grid_point():
     t4 = float(pts.t[4])
     density = RadialDensity(Profile1D.from_string(f"sin(t)*(2 + (t - {t4!r})**2)", iv))
     params = SmmsParams(3, 2.0)
-    structure = density.structure(metric)
-    flat, be = _fiber_diagnostics(metric, density, params, pts, structure)
+    flat, be = _fiber_diagnostics(metric, density, params, pts)
     assert be is None and flat is not None
-    flat4, be4 = _fiber_diagnostics(metric, density, params, pts.at(4), structure)
+    flat4, be4 = _fiber_diagnostics(metric, density, params, pts.at(4))
     assert be4 == flat4
     rep = einstein_residuals(metric, density, params, 0.5, pts)
     assert rep.fiber_be_dev is None and rep.fiber_be_residual is None
@@ -266,7 +265,7 @@ class _FailingFiber(FiberDesc):
     def blocks(self, split):
         return (("fiber", self.dim),)
 
-    def ricci_coeffs(self, s, split):
+    def ricci_coeffs(self, s):
         raise self.error
 
 
@@ -280,12 +279,11 @@ def test_fiber_diagnostics_catch_only_package_errors():
     pts = sample_points(WarpedMetric(iv, phi, SpaceForm(2, 1.0)), density, 9)
 
     undefined = WarpedMetric(iv, phi, _FailingFiber(DomainError("no probe here")))
-    structure = density.structure(undefined)
-    assert _fiber_diagnostics(undefined, density, params, pts, structure) == (None, None)
+    assert _fiber_diagnostics(undefined, density, params, pts) == (None, None)
 
     broken = WarpedMetric(iv, phi, _FailingFiber(TypeError("a bug in the fiber")))
     with pytest.raises(TypeError, match="a bug in the fiber"):
-        _fiber_diagnostics(broken, density, params, pts, structure)
+        _fiber_diagnostics(broken, density, params, pts)
 
 
 def test_report_aggregates_propagate_nan():
@@ -330,7 +328,6 @@ def _pointwise_report(inst, lam, pts):
     scalar kernel call (None where a diagnostic is undefined)."""
     metric, density, params = inst.metric, inst.density, inst.params
     n, m = params.n, params.m
-    structure = density.structure(metric)
     ref = {fieldname: [] for fieldname in REPORT_LISTS}
     for p in each_point(pts):
         pf = point_fields(metric, density, params, p)
@@ -346,11 +343,10 @@ def _pointwise_report(inst, lam, pts):
         ref["kappa"].append(((m + n) * lam - pf.j) * pf.v / m)
         ref["v"].append(pf.v)
         try:
-            ref["sec_dev"].append(sectional_residual(metric, p, 2.0 * lam,
-                                                     s_active=len(structure) > 1))
+            ref["sec_dev"].append(sectional_residual(metric, p, 2.0 * lam))
         except UnsupportedError:
             ref["sec_dev"].append(None)
-        flat_dev, be_dev = _fiber_diagnostics(metric, density, params, p, structure)
+        flat_dev, be_dev = _fiber_diagnostics(metric, density, params, p)
         ref["fiber_flat_dev"].append(flat_dev)
         ref["fiber_be_dev"].append(be_dev)
     return ref
