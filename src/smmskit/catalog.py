@@ -16,6 +16,7 @@ point cancellation stays below the verification tolerances.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import numbers
@@ -566,15 +567,19 @@ def available() -> list:
     return sorted(FAMILIES)
 
 
+@functools.lru_cache(maxsize=16)  # one entry per family
+def _signature_defaults(name: str) -> tuple:
+    """(parameter, default) pairs of a family's builder, read once."""
+    params = inspect.signature(FAMILIES[name].builder).parameters
+    return tuple((pname, None if p.default is inspect.Parameter.empty else p.default)
+                 for pname, p in params.items())
+
+
 def defaults_of(name: str) -> dict:
     if name not in FAMILIES:
         raise AdmissibilityError(
             f"unknown family {name!r}; available: {', '.join(available())}")
-    spec = FAMILIES[name]
-    out = {}
-    for pname, p in inspect.signature(spec.builder).parameters.items():
-        out[pname] = None if p.default is inspect.Parameter.empty else p.default
-    return out
+    return dict(_signature_defaults(name))
 
 
 def _finite(x, integer: bool = False) -> bool:

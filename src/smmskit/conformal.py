@@ -32,7 +32,6 @@ from itertools import accumulate
 
 import numpy as np
 from numpy import ndarray
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvalError, UnsupportedError
 from .geometry import PointSpec, Tensor2Blocks, WarpedMetric, \
@@ -49,8 +48,21 @@ from .weighted import (
     point_fields,
 )
 
-_NODES, _WEIGHTS = leggauss(10)
-_WEIGHTS = _WEIGHTS.tolist()
+# The 10-point Gauss-Legendre rule on [-1, 1]: the reprs of
+# ``numpy.polynomial.legendre.leggauss(10)``, written out so that importing
+# the package neither loads ``numpy.polynomial`` nor runs an eigensolver.
+_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+])
+_WEIGHTS = [
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814,
+]
 
 
 def _rule(fn, a: ndarray, b: ndarray) -> ndarray:

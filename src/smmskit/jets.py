@@ -10,11 +10,24 @@ gradient pair and the symmetric 2x2 block of second partials.
 The profiles evaluate on 1-D arrays of points, so the parts of their jets
 are equal-length arrays; a part that does not depend on the point (a
 constant, or a derivative of one) may stay a float.  Array arithmetic is
-IEEE-exact like float arithmetic, but numpy's own exp, log, sinh, cosh and
-``**`` can differ from libm and CPython in the last bits, so every
-transcendental and every power goes through ``fmap`` and ``power``, which
-call the scalar functions entry by entry.  An entry of an array result is
-therefore bitwise what CPython computes on that entry's floats.
+IEEE-exact like float arithmetic, and every power and transcendental goes
+through ``power`` or ``fmap``, so an entry of an array result is bitwise
+what CPython computes on that entry's floats:
+
+- a power runs as one C loop, ``np.float_power``, which calls the same
+  C-library ``pow`` as CPython's float ``**`` (numpy has no SIMD version of
+  it); ``np.power`` is not used, because ``np.power(x, 2.0)`` is ``x * x``;
+- a square root runs as ``np.sqrt``, correctly rounded like ``math.sqrt``;
+- exp, log, sinh, cosh, sin and cos call the ``math`` function entry by
+  entry: numpy's SIMD exp, log, sinh and cosh differ from libm in the last
+  bit at about 4.6 %, 0.15 %, 23 % and 19 % of entries on an AVX-512 host,
+  and numpy does not promise that its sin and cos call libm.
+
+Where a C loop's result has an entry that is not finite, the scalar
+function runs entry by entry instead, so the values, the first exception
+and its message are those of the scalar loop (CPython raises where libm
+returns inf or NaN: overflow, 0.0 to a negative power, a negative base to a
+fractional power, the square root of a negative number).
 
 ``JET_SOURCE`` and ``UNARY_SOURCE`` state the rules once, as Python source:
 a power is written ``_pow(a, p)``, a guard ``if _any(test): raise ...`` and
@@ -66,18 +79,39 @@ def _repr(x) -> str:
     return repr(x.item() if isinstance(x, ndarray) and x.size == 1 else x)
 
 
+def _per_entry(fn, x: ndarray) -> ndarray:
+    """fn called on each entry of a 1-D array, as a fresh float array."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _c_loop(ufunc, fn, x: ndarray, *args) -> ndarray:
+    """ufunc(x, *args), or fn entry by entry where that is not finite.
+
+    ufunc computes fn bit for bit wherever fn's result is finite, and is
+    inf or NaN wherever fn raises, so the result is the scalar loop's."""
+    with np.errstate(all="ignore"):
+        out = ufunc(x, *args)
+    if np.isfinite(out).all():
+        return out
+    return _per_entry(fn, x)
+
+
 def fmap(fn, x):
-    """fn(x) on a float; fn mapped over the entries of a 1-D array."""
-    if isinstance(x, ndarray):
-        return np.fromiter(map(fn, x.tolist()), float, x.size)
-    return fn(x)
+    """fn(x) on a float; fn mapped over the entries of a 1-D array, the
+    square root as ``np.sqrt``, which gives ``math.sqrt``'s bits."""
+    if not isinstance(x, ndarray):
+        return fn(x)
+    if fn is math.sqrt:
+        return _c_loop(np.sqrt, fn, x)
+    return _per_entry(fn, x)
 
 
 def power(x, p):
-    """x ** p by CPython's float power, entry by entry on an array."""
-    if isinstance(x, ndarray):
-        return np.fromiter((a ** p for a in x.tolist()), float, x.size)
-    return x ** p
+    """x ** p by CPython's float power; on an array, the same C-library
+    ``pow`` in one loop over the entries."""
+    if not isinstance(x, ndarray):
+        return x ** p
+    return _c_loop(np.float_power, lambda a: a ** p, x, p)
 
 
 def _part(x):
@@ -323,9 +357,9 @@ UNARY_SOURCE = {
 }
 
 
-# The namespace a rule runs in: the ``math`` functions mapped entry by
-# entry, CPython's float power entry by entry, and a guard that fires when
-# its test holds at any entry.
+# The namespace a rule runs in: the ``math`` functions and CPython's float
+# power mapped over the entries (``fmap`` and ``power``), and a guard that
+# fires when its test holds at any entry.
 ARRAY_NAMESPACE = {
     "math": SimpleNamespace(**{name: functools.partial(fmap, getattr(math, name))
                                for name in UNARY_SOURCE}),

@@ -5,7 +5,13 @@ in an explicit chart, differentiates the coefficient functions with 5-point
 fourth-order stencils, assembles Christoffel symbols and their derivatives
 from those, and produces Ricci, sectional and Hessian data in the adapted
 orthonormal frame.  No exact-jet machinery is shared with the primary route:
-only plain float evaluation of profile functions is reused.
+only plain evaluation of profile values is reused, with ``jets.power`` and
+``jets.fmap`` for float powers and ``math`` functions on arrays.  A chart
+function takes the chart coordinates ``x`` with coordinate i in ``x[i]``:
+either one point (a vector) or a stack of points (row i holds coordinate i
+of each point), so a stencil is evaluated with one array call of each
+profile.  An entry of a stack's result is bitwise the value at that point
+alone.
 
 Curvature sign convention: on the round unit sphere the sectional output is
 +1 and the orthonormal Ricci is +(n-1) on the diagonal.
@@ -25,6 +31,7 @@ from .geometry import (
     SpaceForm,
     WarpedMetric,
 )
+from .jets import fmap, power
 
 DEFAULT_STEP = 1e-2
 
@@ -35,18 +42,18 @@ _ANGLE_DEFAULTS = (0.9, 1.3, 0.7)
 def _space_form_psi(c: float):
     if c > 0.0:
         rc = math.sqrt(c)
-        return lambda s: math.sin(rc * s) / rc
+        return lambda s: fmap(math.sin, rc * s) / rc
     if c < 0.0:
         rc = math.sqrt(-c)
-        return lambda s: math.sinh(rc * s) / rc
+        return lambda s: fmap(math.sinh, rc * s) / rc
     return lambda s: s
 
 
 def _realize_fiber(fiber):
     """Chart data for a fiber: (names, coefficient functions, has probe axis).
 
-    Coefficient functions take the fiber coordinate vector and return the
-    diagonal metric entries of the fiber metric itself.
+    Coefficient functions take the fiber coordinates (a vector or a stack)
+    and return the diagonal metric entries of the fiber metric itself.
     """
     if isinstance(fiber, EinsteinFiber):
         if fiber.dim not in (2, 3):
@@ -60,19 +67,19 @@ def _realize_fiber(fiber):
         psi = _space_form_psi(c)
         if d == 2:
             return (("s", "w0"), (lambda sv: 1.0,
-                                  lambda sv: psi(sv[0]) ** 2), True)
+                                  lambda sv: power(psi(sv[0]), 2)), True)
         if d == 3:
             return (("s", "w0", "w1"),
                     (lambda sv: 1.0,
-                     lambda sv: psi(sv[0]) ** 2,
-                     lambda sv: (psi(sv[0]) * math.sin(sv[1])) ** 2), True)
+                     lambda sv: power(psi(sv[0]), 2),
+                     lambda sv: power(psi(sv[0]) * fmap(math.sin, sv[1]), 2)), True)
         raise UnsupportedError(f"no chart realization for a {d}-dimensional space form")
     if isinstance(fiber, NestedFiber):
         inner_names, inner_fns, _ = _realize_fiber(fiber.metric.fiber)
         psi_prof = fiber.metric.phi
 
         def lift(fn):
-            return lambda sv: psi_prof.value(sv[0]) ** 2 * fn(sv[1:])
+            return lambda sv: power(psi_prof.value(sv[0]), 2) * fn(sv[1:])
 
         return (("s",) + tuple("n" + nm for nm in inner_names),
                 (lambda sv: 1.0,) + tuple(lift(fn) for fn in inner_fns), True)
@@ -93,7 +100,7 @@ class CoordinateChart:
         phi = metric.phi
 
         def warp(fn):
-            return lambda x: phi.value(x[0]) ** 2 * fn(x[1:])
+            return lambda x: power(phi.value(x[0]), 2) * fn(x[1:])
 
         self.names = ("t",) + fib_names
         self.coeffs = (lambda x: 1.0,) + tuple(warp(fn) for fn in fib_fns)
@@ -129,27 +136,38 @@ class CoordinateChart:
 # ---------------------------------------------------------------------------
 # stencils
 
-def _shift(x, a, k, h):
-    y = np.array(x, dtype=float)
-    y[a] += k * h
-    return y
+_D1_STEPS = (-2, -1, 1, 2)
+
+
+def _values(fn, x, shifts, h):
+    """fn at the points x + k * h e_a, for each tuple of (a, k) pairs in
+    shifts, as floats from one call of fn on the stack of the points."""
+    pts = np.repeat(np.asarray(x, dtype=float)[:, None], len(shifts), axis=1)
+    for j, shift in enumerate(shifts):
+        for a, k in shift:
+            pts[a, j] += k * h
+    return np.broadcast_to(fn(pts), len(shifts)).tolist()
+
+
+def _d1_sum(f, h):
+    fm2, fm1, fp1, fp2 = f
+    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
 
 
 def _d1(fn, x, a, h):
-    return (fn(_shift(x, a, -2, h)) - 8.0 * fn(_shift(x, a, -1, h))
-            + 8.0 * fn(_shift(x, a, 1, h)) - fn(_shift(x, a, 2, h))) / (12.0 * h)
+    return _d1_sum(_values(fn, x, [((a, k),) for k in _D1_STEPS], h), h)
 
 
 def _d2(fn, x, a, h):
-    return (-fn(_shift(x, a, 2, h)) + 16.0 * fn(_shift(x, a, 1, h)) - 30.0 * fn(x)
-            + 16.0 * fn(_shift(x, a, -1, h)) - fn(_shift(x, a, -2, h))) / (12.0 * h * h)
+    fp2, fp1, f0, fm1, fm2 = _values(
+        fn, x, [((a, 2),), ((a, 1),), (), ((a, -1),), ((a, -2),)], h)
+    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
 
 
 def _d1d1(fn, x, a, b, h):
-    def g(y):
-        return _d1(fn, y, a, h)
-
-    return _d1(g, x, b, h)
+    """d_b d_a fn: the _d1 along b of the _d1 along a, a != b."""
+    f = _values(fn, x, [((b, kb), (a, ka)) for kb in _D1_STEPS for ka in _D1_STEPS], h)
+    return _d1_sum([_d1_sum(f[i:i + 4], h) for i in range(0, 16, 4)], h)
 
 
 def _derivative_tables(chart: CoordinateChart, x: np.ndarray, h: float):
@@ -268,9 +286,11 @@ def hessian_fd(chart: CoordinateChart, func, x: np.ndarray,
                h: float = DEFAULT_STEP):
     """(orthonormal Hessian, laplacian, |grad|^2, gradient) of a scalar.
 
-    func takes the chart coordinate vector and returns a float.
+    func takes the chart coordinate vector and returns a float; it is
+    called once per stencil point.
     """
     n = chart.n
+    func = _per_point(func)
     g, dg, _ = _derivative_tables(chart, x, h)
     gamma = _christoffel(g, dg)
     df = np.array([_d1(func, x, a, h) for a in range(n)])
@@ -284,6 +304,11 @@ def hessian_fd(chart: CoordinateChart, func, x: np.ndarray,
     lap = float(np.trace(hess_on))
     grad_sq = float(np.sum((df / root) ** 2))
     return hess_on, lap, grad_sq, df / root
+
+
+def _per_point(func):
+    """A chart function of a stack of points from one of a single point."""
+    return lambda pts: [func(x) for x in pts.T]
 
 
 def weyl_norm_fd(chart: CoordinateChart, x: np.ndarray, p_axes: np.ndarray,
@@ -307,14 +332,15 @@ def weyl_norm_fd(chart: CoordinateChart, x: np.ndarray, p_axes: np.ndarray,
 
 
 def density_chart_function(chart: CoordinateChart, density, m: float):
-    """Chart-coordinate callable for f = -m log v of a supported density."""
+    """Chart function (of a point or a stack) for f = -m log v of a
+    supported density."""
     from .weighted import RadialDensity, SplitDensity
 
     if isinstance(density, RadialDensity):
         v = density.v
 
         def f_radial(x):
-            return -m * math.log(v.value(x[0]))
+            return -m * fmap(math.log, v.value(x[0]))
 
         return f_radial
     if isinstance(density, SplitDensity):
@@ -323,7 +349,7 @@ def density_chart_function(chart: CoordinateChart, density, m: float):
         phi, v_n, al = chart.metric.phi, density.v_n, density.alpha
 
         def f_split(x):
-            return -m * math.log(phi.value(x[0]) * v_n.value(x[1]) + al.value(x[0]))
+            return -m * fmap(math.log, phi.value(x[0]) * v_n.value(x[1]) + al.value(x[0]))
 
         return f_split
     raise UnsupportedError(f"no chart realization for density {density!r}")
