@@ -454,10 +454,14 @@ def skew_sphere_density(m: float = 2.0, lam: float = 0.5, fiber_amp: float = 0.2
     if (density.v_bijet(metric, window).value <= 0.0).any():
         raise AdmissibilityError(
             "density is not positive on the sphere; increase kappa or shrink amplitudes")
+    _require(kappa * kappa < math.inf,
+             f"kappa = {kappa!r} is too large: kappa^2 overflows")
     mu = fiber_amp ** 2 + 2.0 * lam * base_amp ** 2 - kappa ** 2 / (2.0 * lam)
     params = SmmsParams(3, m, mu)
     inst = Instance(metric, density, params, complete=True, compact=True)
     _require(pair_nu > 1.0, "pair parameter nu must exceed 1 for positivity")
+    _require(pair_nu * pair_nu < math.inf,
+             f"pair_nu = {pair_nu!r} is too large: pair_nu^2 overflows")
     u = Profile1D.from_string(f"({pair_nu!r} - cos({w!r}*t))/{2.0 * lam!r}", iv, var="t")
     pair = PairData(u, nu=float(pair_nu),
                     lam_hat=(pair_nu ** 2 - 1.0) / (4.0 * lam))
@@ -490,6 +494,8 @@ def constant_density(n: int = 4, m: float = 2.0, lam: float = 0.5,
     _require(n >= 2, "need dimension n >= 2")
     _require(m > 0.0, "weight must be positive")
     _require(a > 0.0, "density level must be positive")
+    _require(a * a > 0.0,
+             f"density level a = {a!r} is too small: a^2 underflows to 0")
     if lam > 0.0:
         w = math.sqrt(2.0 * lam)
         iv = Interval(0.0, math.pi / w)

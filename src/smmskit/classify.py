@@ -41,13 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContradictionError
-from .geometry import WarpedMetric
-from .weighted import (
-    Instance,
-    WeightedReport,
-    einstein_residuals,
-    sample_points,
-)
+from .geometry import PointSpec, WarpedMetric
+from .weighted import (Instance, WeightedReport, einstein_residuals,
+                       sample_points, tau_consistency_residual)
 
 LOCAL_BRANCHES = ("Trivial", "Einstein", "QuasiEinstein", "Indeterminate")
 GLOBAL_BRANCHES = ("ExpQuasiEinstein", "ExpEinstein", "SpaceForm",
@@ -56,12 +52,15 @@ GLOBAL_BRANCHES = ("ExpQuasiEinstein", "ExpEinstein", "SpaceForm",
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Gates used by the classifier (sup norms over the sample grid)."""
+    """Every gate of a certificate (sup norms over the sample grid)."""
 
     residual: float = 1e-8       # tensor residual gates
     kappa: float = 1e-9          # scale constancy and vanishing gate
-    constancy: float = 1e-9      # density spread gate, relative to its level
+    value: float = 1e-6          # expected-vs-measured scalar comparisons
+    mu: float = 1e-6             # solved characteristic constant
+    conformal: float = 1e-7      # transformation-law residuals
     sectional: float = 1e-8      # space-form gate on sectional curvature
+    constancy: float = 1e-9      # density spread gate, relative to its level
 
 
 # gate on warping_rate_spread for the exponential branches
@@ -115,8 +114,9 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
         "modified_schouten_residual": (details["residual_P"], thr.residual),
         "scale_spread": (kappa_spread, thr.kappa),
     }
-    # not (val <= gate): a NaN is a violation, and the dominant one
-    violated = {name: val / gate if val == val else math.inf
+    # not (val <= gate): a NaN is a violation, and the dominant one, as is
+    # any violation of a zero gate
+    violated = {name: val / gate if val == val and gate > 0.0 else math.inf
                 for name, (val, gate) in gates.items() if not (val <= gate)}
     if violated:
         details["dominant_violation"] = max(violated, key=violated.get)
@@ -170,6 +170,73 @@ def classify(instance: Instance, lam: float, k: int = 400,
     """Sample the instance and classify its local and global structure."""
     pts = sample_points(instance.metric, instance.density, k, margin=margin)
     report = einstein_residuals(instance.metric, instance.density,
-                                instance.params, lam, pts,
-                                with_diagnostics=True)
+                                instance.params, lam, pts)
     return classify_report(instance, lam, report, thresholds=thresholds)
+
+
+class Checks:
+    """Gate rows in the order they were added."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, name: str, value, gate, passed: bool, note: str = ""):
+        self.rows.append({"name": name, "value": value, "gate": gate,
+                          "passed": bool(passed), "note": note})
+
+    def bound(self, name: str, value: float, gate: float, note: str = ""):
+        self.add(name, value, gate, value <= gate, note)
+
+    def close(self, name: str, value: float, expected: float, gate: float):
+        self.add(name, abs(value - expected), gate,
+                 abs(value - expected) <= gate,
+                 f"measured {value!r}, expected {expected!r}")
+
+    def equal(self, name: str, value, expected):
+        self.add(name, value, expected, value == expected,
+                 f"got {value!r}, expected {expected!r}")
+
+    @property
+    def passed(self) -> bool:
+        return all(r["passed"] for r in self.rows)
+
+
+@dataclass
+class Certificate:
+    """One representative certified on one grid: the kernel pass with
+    diagnostics, solve_mu's (mean, spread) from it (None at m = 1), the gate
+    rows every representative answers, and the classification.  Flags that
+    contradict the data give the global branch "ContradictionError", with
+    the message as details["contradiction"].
+    """
+
+    report: WeightedReport
+    tau_residual: float
+    mu: tuple | None
+    checks: Checks
+    verdict: Classification
+
+
+def certify(instance: Instance, lam: float, points: PointSpec,
+            tol: Thresholds) -> Certificate:
+    """Certify instance as weighted Einstein at lam on points: one kernel
+    pass, its gates, the solved constant and the classification."""
+    rep = einstein_residuals(instance.metric, instance.density,
+                             instance.params, lam, points)
+    tau_res = tau_consistency_residual(rep)
+    checks = Checks()
+    checks.bound("modified_schouten_residual", rep.residual_P, tol.residual)
+    checks.bound("scale_spread", rep.kappa_spread, tol.kappa)
+    checks.bound("tau_consistency_residual", tau_res, tol.residual,
+                 note="weighted scalar curvature disagrees with the trace "
+                      "identity; a wrong characteristic constant mu shows up here")
+    mu = rep.mu
+    if mu is not None:
+        checks.bound("mu_spread", mu[1], tol.mu)
+        checks.close("mu_consistency", mu[0], instance.params.mu, tol.mu)
+    try:
+        verdict = classify_report(instance, lam, rep, thresholds=tol)
+    except ContradictionError as exc:
+        verdict = Classification(exc.verdict.local, "ContradictionError", lam,
+                                 {**exc.verdict.details, "contradiction": str(exc)})
+    return Certificate(rep, tau_res, mu, checks, verdict)

@@ -12,13 +12,15 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one check failed (the report
 is still written) or stdout was closed before the output was written, 2 the
-config could not be parsed or validated.
+config could not be parsed or validated, or a number in it took the
+arithmetic out of the float range.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -28,30 +30,18 @@ import sys
 import numpy as np
 
 from . import catalog
-from .classify import Thresholds, classify_report
+from .classify import Checks, Thresholds, certify
 from .conformal import apply_conformal, conformal_law_residuals, involution_residual
-from .errors import ContradictionError, SmmsError
+from .errors import SmmsError
 from .geometry import PointSpec
 from .profiles import DEFAULT_CAP, Profile1D, sample_grid
-from .weighted import (
-    Instance,
-    _mean,
-    _per_point,
-    einstein_residuals,
-    point_fields,
-    sample_points,
-    tau_consistency_residual,
-)
+from .weighted import Instance, _mean, _per_point, point_fields, sample_points
 
-DEFAULT_TOLERANCES = {
-    "residual": 1e-8,      # sup tensor residuals
-    "kappa": 1e-9,         # scale spread and vanishing
-    "value": 1e-6,         # expected-vs-measured scalar comparisons
-    "mu": 1e-6,            # solved characteristic constant
-    "conformal": 1e-7,     # transformation-law residuals
-    "sectional": 1e-8,     # space-form gate
-    "constancy": 1e-9,     # density spread gate
-}
+# the gates as a plain dict, for readers outside the package
+DEFAULT_TOLERANCES = dataclasses.asdict(Thresholds())
+
+# the largest grid a command samples
+MAX_GRID_POINTS = 10**6
 
 
 class ConfigError(Exception):
@@ -98,6 +88,8 @@ def _section(cfg: dict, key: str) -> dict:
 def _grid_size(k: int) -> int:
     if k < 2:
         raise ConfigError(f"grid size must be at least 2, got {k}")
+    if k > MAX_GRID_POINTS:
+        raise ConfigError(f"grid size must be at most {MAX_GRID_POINTS}, got {k}")
     return k
 
 
@@ -122,17 +114,17 @@ def _instance_from_config(cfg: dict) -> Instance:
     return inst
 
 
-def _tolerances(cfg: dict) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
+def _tolerances(cfg: dict) -> Thresholds:
     extra = _section(cfg, "tolerances")
-    unknown = set(extra) - set(tol)
+    unknown = set(extra) - {f.name for f in dataclasses.fields(Thresholds)}
     if unknown:
         raise ConfigError(f"unknown tolerances: {', '.join(sorted(unknown))}")
+    tol = {}
     for key, val in extra.items():
         tol[key] = float(_number(val, f"tolerances.{key}"))
         if tol[key] < 0.0:
             raise ConfigError(f"tolerances.{key} must not be negative, got {val!r}")
-    return tol
+    return Thresholds(**tol)
 
 
 def _expectations(cfg: dict) -> dict:
@@ -186,41 +178,15 @@ def _estimate_lambda(instance: Instance, pts: PointSpec) -> float:
 # ---------------------------------------------------------------------------
 # checks
 
-class Checks:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, name: str, value, gate, passed: bool, note: str = ""):
-        self.rows.append({"name": name, "value": value, "gate": gate,
-                          "passed": bool(passed), "note": note})
-
-    def bound(self, name: str, value: float, gate: float, note: str = ""):
-        self.add(name, value, gate, value <= gate, note)
-
-    def close(self, name: str, value: float, expected: float, gate: float,
-              note: str = ""):
-        self.add(name, abs(value - expected), gate,
-                 abs(value - expected) <= gate,
-                 note or f"measured {value!r}, expected {expected!r}")
-
-    def equal(self, name: str, value, expected, note: str = ""):
-        self.add(name, value, expected, value == expected,
-                 note or f"got {value!r}, expected {expected!r}")
-
-    @property
-    def passed(self) -> bool:
-        return all(r["passed"] for r in self.rows)
-
-    def print(self, stream=None):
-        stream = stream if stream is not None else sys.stdout
-        for r in self.rows:
-            flag = "PASS" if r["passed"] else "FAIL"
-            if isinstance(r["value"], float) and isinstance(r["gate"], float):
-                body = f"{r['value']:.3e} vs gate {r['gate']:.3e}"
-            else:
-                body = f"{r['value']!r} vs {r['gate']!r}"
-            note = f"  ({r['note']})" if r["note"] and not r["passed"] else ""
-            print(f"{flag}  {r['name']:34s} {body}{note}", file=stream)
+def _print_checks(checks: Checks):
+    for r in checks.rows:
+        flag = "PASS" if r["passed"] else "FAIL"
+        if isinstance(r["value"], float) and isinstance(r["gate"], float):
+            body = f"{r['value']:.3e} vs gate {r['gate']:.3e}"
+        else:
+            body = f"{r['value']!r} vs {r['gate']!r}"
+        note = f"  ({r['note']})" if r["note"] and not r["passed"] else ""
+        print(f"{flag}  {r['name']:34s} {body}{note}")
 
 
 def _write_report(path: str | None, report: dict):
@@ -242,17 +208,16 @@ def _write_csv(path: str, rep):
                              rep.tau_f.tolist()))
 
 
-def _transformed_residuals(result, lam_hat: float, k: int, margin: float,
-                           cap: float):
-    """Transformed residuals at the predicted scale, with their report summary."""
+def _certify_image(result, lam_hat: float, k: int, margin: float, cap: float,
+                   tol: Thresholds):
+    """The transformed instance's certificate at lam_hat, with its summary."""
     hat = result.instance
     hat_pts = sample_points(hat.metric, hat.density, k, margin=margin, cap=cap)
-    hat_rep = einstein_residuals(hat.metric, hat.density, hat.params, lam_hat,
-                                 hat_pts, with_diagnostics=False)
-    return hat_rep, {"lambda_hat": lam_hat,
-                     "residual_P": hat_rep.residual_P,
-                     "kappa_mean": hat_rep.kappa_mean,
-                     "kappa_spread": hat_rep.kappa_spread}
+    cert = certify(hat, lam_hat, hat_pts, tol)
+    return cert, {"lambda_hat": lam_hat,
+                  "residual_P": cert.report.residual_P,
+                  "kappa_mean": cert.report.kappa_mean,
+                  "kappa_spread": cert.report.kappa_spread}
 
 
 # ---------------------------------------------------------------------------
@@ -269,60 +234,30 @@ def _cmd_verify(args) -> int:
     lam_known = "lambda" in expect
     lam = float(expect["lambda"]) if lam_known else _estimate_lambda(inst, pts)
 
-    rep = einstein_residuals(inst.metric, inst.density, inst.params, lam, pts,
-                             with_diagnostics=True)
-    tau_res = tau_consistency_residual(rep)
-
-    checks = Checks()
-    checks.bound("modified_schouten_residual", rep.residual_P, tol["residual"])
-    checks.bound("scale_spread", rep.kappa_spread, tol["kappa"])
-    checks.bound("tau_consistency_residual", tau_res, tol["residual"],
-                 note="weighted scalar curvature disagrees with the trace "
-                      "identity; a wrong characteristic constant mu shows up here")
-
-    mu_solved = None
-    if inst.params.m != 1.0:
-        mu_mean, mu_spread = rep.mu
-        mu_solved = {"mean": mu_mean, "spread": mu_spread}
-        checks.bound("mu_spread", mu_spread, tol["mu"])
-        checks.close("mu_consistency", mu_mean, inst.params.mu, tol["mu"])
-
+    cert = certify(inst, lam, pts, tol)
+    rep, checks, verdict = cert.report, cert.checks, cert.verdict
     if "kappa" in expect:
         checks.close("kappa_expected", rep.kappa_mean, float(expect["kappa"]),
-                     tol["value"])
-    if "mu" in expect and mu_solved is not None:
-        checks.close("mu_expected", mu_solved["mean"], float(expect["mu"]),
-                     tol["mu"])
-
-    thresholds = Thresholds(residual=tol["residual"], kappa=tol["kappa"],
-                            constancy=tol["constancy"],
-                            sectional=tol["sectional"])
-    contradiction = None
-    try:
-        cls = classify_report(inst, lam, rep, thresholds=thresholds)
-        local_branch, global_branch = cls.local, cls.global_branch
-        details = cls.details
-    except ContradictionError as exc:
-        contradiction = str(exc)
-        local_branch, global_branch = exc.verdict.local, "ContradictionError"
-        details = {**exc.verdict.details, "contradiction": contradiction}
+                     tol.value)
+    if "mu" in expect and cert.mu is not None:
+        checks.close("mu_expected", cert.mu[0], float(expect["mu"]), tol.mu)
     if "branch_local" in expect:
-        checks.equal("branch_local", local_branch, str(expect["branch_local"]))
+        checks.equal("branch_local", verdict.local, str(expect["branch_local"]))
     if "branch_global" in expect:
-        checks.equal("branch_global", global_branch,
+        checks.equal("branch_global", verdict.global_branch,
                      str(expect["branch_global"]))
 
     hat_summary = None
     if "lambda_hat" in expect:
         result = apply_conformal(inst, _conformal_factor(cfg, inst))
-        hat_rep, hat_summary = _transformed_residuals(
-            result, float(expect["lambda_hat"]), k, margin, cap)
-        checks.bound("transformed_schouten_residual", hat_rep.residual_P,
-                     tol["residual"],
+        hat, hat_summary = _certify_image(result, float(expect["lambda_hat"]),
+                                          k, margin, cap, tol)
+        checks.bound("transformed_schouten_residual", hat.report.residual_P,
+                     tol.residual,
                      note="the conformally transformed instance misses its "
                           "predicted constant")
-        checks.bound("transformed_scale_spread", hat_rep.kappa_spread,
-                     tol["kappa"])
+        checks.bound("transformed_scale_spread", hat.report.kappa_spread,
+                     tol.kappa)
 
     report = {
         "schema": 1,
@@ -335,27 +270,31 @@ def _cmd_verify(args) -> int:
             "modified_schouten": rep.residual_P,
             "quasi_einstein": rep.residual_QE,
             "einstein": rep.residual_Einstein,
-            "tau_consistency": tau_res,
+            "tau_consistency": cert.tau_residual,
             "sectional": rep.sec_residual,
             "fiber_ricci_flat": rep.fiber_flat_residual,
             "fiber_quasi_einstein": rep.fiber_be_residual,
         },
         "kappa": {"mean": rep.kappa_mean, "spread": rep.kappa_spread,
                   "expected": expect.get("kappa")},
-        "mu": {"declared": inst.params.mu, "solved": mu_solved,
+        "mu": {"declared": inst.params.mu,
+               "solved": None if cert.mu is None
+               else {"mean": cert.mu[0], "spread": cert.mu[1]},
                "expected": expect.get("mu")},
         "density_spread": rep.v_spread,
-        "classification": {"local": local_branch, "global": global_branch,
-                           "details": {key: val for key, val in details.items()
+        "classification": {"local": verdict.local,
+                           "global": verdict.global_branch,
+                           "details": {key: val for key, val
+                                       in verdict.details.items()
                                        if not isinstance(val, dict)}},
         "conformal": hat_summary,
         "checks": checks.rows,
         "passed": checks.passed,
     }
-    if contradiction:
-        report["classification"]["contradiction"] = contradiction
+    if "contradiction" in verdict.details:
+        report["classification"]["contradiction"] = verdict.details["contradiction"]
 
-    checks.print()
+    _print_checks(checks)
     print(f"VERDICT: {'pass' if checks.passed else 'fail'} "
           f"({len(pts)} points, lambda = {lam!r})")
     _write_report(args.out, report)
@@ -384,15 +323,15 @@ def _cmd_conformal(args) -> int:
 
     checks = Checks()
     for name, val in laws.items():
-        checks.bound(f"law_{name}", val, tol["conformal"])
-    checks.bound("involution", inv, tol["conformal"])
+        checks.bound(f"law_{name}", val, tol.conformal)
+    checks.bound("involution", inv, tol.conformal)
 
     hat_summary = None
     if "lambda_hat" in expect:
-        hat_rep, hat_summary = _transformed_residuals(
-            result, float(expect["lambda_hat"]), k, margin, cap)
-        checks.bound("transformed_schouten_residual", hat_rep.residual_P,
-                     tol["residual"])
+        hat, hat_summary = _certify_image(result, float(expect["lambda_hat"]),
+                                          k, margin, cap, tol)
+        checks.bound("transformed_schouten_residual", hat.report.residual_P,
+                     tol.residual)
 
     report = {
         "schema": 1,
@@ -404,7 +343,7 @@ def _cmd_conformal(args) -> int:
         "checks": checks.rows,
         "passed": checks.passed,
     }
-    checks.print()
+    _print_checks(checks)
     print(f"VERDICT: {'pass' if checks.passed else 'fail'}")
     _write_report(args.out, report)
     return 0 if checks.passed else 1
@@ -455,33 +394,33 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_table(args) -> int:
     k = _grid_size(400 if args.points is None else args.points)
-    gate = DEFAULT_TOLERANCES["residual"]
+    tol = Thresholds()
     rows = []
     ok = True
     for sign, lam in (("positive", 0.5), ("zero", 0.0), ("negative", -0.5)):
         bundle = catalog.make("warping_density", lam=lam)
         inst = bundle.instance
         pts = sample_points(inst.metric, inst.density, k, margin=0.05)
-        rep = einstein_residuals(inst.metric, inst.density, inst.params,
-                                 bundle.lam, pts, with_diagnostics=False)
-        mu_mean, mu_spread = rep.mu
-        hat_rep, _ = _transformed_residuals(apply_conformal(inst, bundle.pair.u),
-                                            bundle.pair.lam_hat, k, 0.05, DEFAULT_CAP)
+        base = certify(inst, bundle.lam, pts, tol)
+        hat, _ = _certify_image(apply_conformal(inst, bundle.pair.u),
+                                bundle.pair.lam_hat, k, 0.05, DEFAULT_CAP, tol)
+        mu_mean, mu_spread = base.mu
         row = {
             "sign": sign,
             "lambda": bundle.lam,
             "mu_declared": inst.params.mu,
             "mu_solved": mu_mean,
             "mu_spread": mu_spread,
-            "kappa_spread": rep.kappa_spread,
-            "residual_QE": rep.residual_QE,
+            "kappa_spread": base.report.kappa_spread,
+            "residual_QE": base.report.residual_QE,
             "lambda_hat": bundle.pair.lam_hat,
-            "residual_hat": hat_rep.residual_P,
+            "residual_hat": hat.report.residual_P,
         }
         rows.append(row)
-        ok = ok and (rep.residual_QE <= gate and mu_spread <= gate
-                     and abs(mu_mean - inst.params.mu) <= DEFAULT_TOLERANCES["mu"]
-                     and hat_rep.residual_P <= gate)
+        ok = ok and (row["residual_QE"] <= tol.residual
+                     and mu_spread <= tol.residual
+                     and abs(mu_mean - inst.params.mu) <= tol.mu
+                     and row["residual_hat"] <= tol.residual)
     header = (f"{'sign':9s} {'lambda':>8s} {'mu decl':>10s} {'mu solved':>12s} "
               f"{'QE resid':>10s} {'kap sprd':>10s} {'lam_hat':>9s} {'hat resid':>10s}")
     print(header)
@@ -554,6 +493,10 @@ def main(argv=None) -> int:
         return rc
     except (ConfigError, SmmsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a parameter took a float out of its range
+        print(f"error: arithmetic out of the float range "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader went away; send what is still buffered to devnull so

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, CSV and failure naming."""
 
+import dataclasses
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import smmskit.conformal as conformal
 import smmskit.odes as odes
 import smmskit.weighted as weighted
 from conftest import poison_ricci_at
+from smmskit.classify import Thresholds
 from smmskit.profiles import Interval, sample_grid
 from smmskit.weighted import sample_points
 
@@ -353,6 +355,103 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
     assert err == ""
 
 
+# (case id, commands, family, parameter overrides, a fragment of the error
+# line): each number takes the arithmetic of a command out of the float range
+# (smms conformal on the first one fails its NaN law rows closed, exit 1)
+OUT_OF_RANGE = [
+    ("power_overflows", ["verify"], "weighted_sphere", {"m": 1e155},
+     "arithmetic out of the float range (OverflowError: "),
+    ("level_squared_underflows", ["verify", "conformal"], "constant_density",
+     {"a": 1e-300}, "density level a = 1e-300 is too small"),
+    ("kappa_squared_overflows", ["verify", "conformal"], "skew_sphere_density",
+     {"kappa": 1e160}, "kappa = 1e+160 is too large"),
+    ("nu_squared_overflows", ["verify", "conformal"], "skew_sphere_density",
+     {"pair_nu": 1e160}, "pair_nu = 1e+160 is too large"),
+]
+
+
+@pytest.mark.parametrize("case,commands,family,overrides,message", OUT_OF_RANGE,
+                         ids=[c[0] for c in OUT_OF_RANGE])
+def test_numbers_out_of_the_float_range_exit_two(tmp_path, capsys, case, commands,
+                                                 family, overrides, message):
+    cfg = cat.make(family).config(k=16)
+    cfg["parameters"].update(overrides)
+    for command in commands:
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2, case
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+        assert message in err, (case, err)
+
+
+@pytest.mark.parametrize("k", [10**30, 10**6 + 1])
+@pytest.mark.parametrize("where", ["verify grid.k", "verify --points",
+                                   "conformal grid.k", "conformal --points",
+                                   "table --points", "catalog --points"])
+def test_grid_above_the_bound_exits_two(tmp_path, capsys, monkeypatch, where, k):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid above the bound was sampled")
+
+    monkeypatch.setattr(cli, "sample_points", no_grid)
+    monkeypatch.setattr(cli, "sample_grid", no_grid)
+    command, how = where.split()
+    if command == "table":
+        argv = ["table", "--points", str(k)]
+    elif command == "catalog":
+        argv = ["catalog", "make", "weighted_sphere", "--points", str(k)]
+    else:
+        cfg = cat.make("weighted_sphere").config(k=16)
+        if how == "grid.k":
+            cfg["grid"]["k"] = k
+        argv = [command, "--config", write_config(tmp_path, cfg)]
+        if how == "--points":
+            argv += ["--points", str(k)]
+    assert cli.main(argv) == 2
+    assert (capsys.readouterr().err
+            == f"error: grid size must be at most 1000000, got {k}\n")
+
+
+def test_default_tolerances_are_the_thresholds():
+    assert cli.DEFAULT_TOLERANCES == dataclasses.asdict(Thresholds())
+
+
+# (tolerance, override, command, the check row the override fails on the
+# weighted_sphere config, which passes it at the defaults)
+TOLERANCE_FLIPS = [
+    ("residual", 0.0, "verify", "modified_schouten_residual"),
+    ("kappa", 0.0, "verify", "scale_spread"),
+    ("value", 0.0, "verify", "kappa_expected"),
+    ("mu", 0.0, "verify", "mu_spread"),
+    ("conformal", 0.0, "conformal", "law_ricci"),
+    ("sectional", 0.0, "verify", "branch_global"),   # SpaceForm is lost
+    ("constancy", 1e9, "verify", "branch_local"),    # Einstein reads as Trivial
+]
+
+
+def test_every_tolerance_has_a_flip():
+    assert [case[0] for case in TOLERANCE_FLIPS] == list(cli.DEFAULT_TOLERANCES)
+
+
+@pytest.mark.parametrize("key,value,command,row", TOLERANCE_FLIPS,
+                         ids=[c[0] for c in TOLERANCE_FLIPS])
+def test_tolerance_override_reaches_its_gate(tmp_path, key, value, command, row):
+    cfg = cat.make("weighted_sphere").config(k=16)
+    rep_path = tmp_path / "rep.json"
+
+    def outcome():
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                       "--out", str(rep_path)])
+        rows = json.loads(rep_path.read_text())["checks"]
+        return rc, {r["name"]: r for r in rows}
+
+    rc, rows = outcome()
+    assert rc == 0 and rows[row]["passed"]
+    cfg["tolerances"] = {key: value}
+    rc, rows = outcome()
+    assert rc == 1 and not rows[row]["passed"]
+    if isinstance(rows[row]["gate"], float):
+        assert rows[row]["gate"] == value
+
+
 def test_table_rejects_degenerate_grid(capsys):
     assert cli.main(["table", "--points", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -493,6 +592,16 @@ def test_table_runs_the_kernel_once_per_representative(monkeypatch):
     calls = _count_kernel_passes(monkeypatch)
     assert cli.main(["table", "--points", "64"]) == 0
     assert len(calls) == 6  # three signs, each a base and a transformed pass
+
+
+@pytest.mark.parametrize("name", [n for n in cat.available()
+                                  if cat.make(n).pair is not None])
+def test_conformal_runs_the_kernel_twice(tmp_path, monkeypatch, name):
+    # one pass at the law points, one on the transformed instance
+    path = write_config(tmp_path, cat.make(name).config(k=16))
+    calls = _count_kernel_passes(monkeypatch)
+    assert cli.main(["conformal", "--config", path]) == 0
+    assert len(calls) == 2
 
 
 def _without_conformal(tmp_path, **expect):

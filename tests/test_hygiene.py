@@ -194,3 +194,18 @@ def test_block_layout_is_decided_once():
                         and not name.endswith(".blocks")):
                     params.append(f"{module}:{fn.lineno} {name}({arg.arg})")
     assert params == []
+
+
+def test_one_certification_route():
+    # classify.certify is the one route from a grid to a verdict: the command
+    # line renders certificates and runs no kernel pass, gate or classifier
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"einstein_residuals", "tau_consistency_residual",
+                       "classify_report", "ContradictionError"} == set()
+    defined = {name for name, _ in _functions(tree)}
+    assert "_transformed_residuals" not in defined
+    skipping = [path.name for path in sorted(SRC.glob("*.py"))
+                if "with_diagnostics=False" in path.read_text(encoding="utf-8")]
+    assert skipping == []
