@@ -43,7 +43,7 @@ from .weighted import (
     weyl_norm,
 )
 from .conformal import ConformalMap, TransformResult, apply_conformal
-from .classify import Classification, Thresholds, classify
+from .classify import Certificate, Classification, Thresholds, certify
 from . import catalog
 
 __version__ = "0.1.0"
@@ -59,7 +59,7 @@ __all__ = [
     "WeightedReport", "einstein_residuals", "sample_points", "solve_mu",
     "tau_consistency_residual", "weyl_norm",
     "ConformalMap", "TransformResult", "apply_conformal",
-    "Classification", "Thresholds", "classify",
+    "Certificate", "Classification", "Thresholds", "certify",
     "catalog",
     "__version__",
 ]

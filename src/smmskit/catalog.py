@@ -135,11 +135,7 @@ def weighted_sphere(n: int = 4, m: float = 2.0, lam: float = 0.5,
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 1.0))
     params = SmmsParams(n, m, 2.0 * lam * (b * b - a * a))
     inst = Instance(metric, RadialDensity(v), params, complete=True, compact=True)
-    pair = PairData(
-        Profile1D.from_string(v.to_string(), iv, var="t"),
-        nu=2.0 * lam * a,
-        lam_hat=lam * (a * a - b * b),
-    )
+    pair = PairData(v, nu=2.0 * lam * a, lam_hat=lam * (a * a - b * b))
     local = "Trivial" if b == 0.0 else "Einstein"
     return FamilyBundle(
         "weighted_sphere", inst, lam=lam, kappa=2.0 * lam * a,
@@ -168,10 +164,7 @@ def weighted_euclidean(n: int = 4, m: float = 2.0, a: float = 1.0,
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 1.0))
     params = SmmsParams(n, m, -4.0 * a * b)
     inst = Instance(metric, RadialDensity(v), params, complete=True, compact=False)
-    pair = PairData(
-        Profile1D.from_string(v.to_string(), iv, var="t"),
-        nu=2.0 * b, lam_hat=2.0 * a * b,
-    )
+    pair = PairData(v, nu=2.0 * b, lam_hat=2.0 * a * b)
     local = "Trivial" if b == 0.0 else "Einstein"
     return FamilyBundle(
         "weighted_euclidean", inst, lam=0.0, kappa=2.0 * b,
@@ -203,10 +196,7 @@ def weighted_hyperbolic(n: int = 4, m: float = 2.0, lam: float = -0.5,
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 1.0))
     params = SmmsParams(n, m, 2.0 * lam * (b * b - a * a))
     inst = Instance(metric, RadialDensity(v), params, complete=True, compact=False)
-    pair = PairData(
-        Profile1D.from_string(v.to_string(), iv, var="t"),
-        nu=2.0 * lam * a, lam_hat=lam * (a * a - b * b),
-    )
+    pair = PairData(v, nu=2.0 * lam * a, lam_hat=lam * (a * a - b * b))
     local = "Trivial" if b == 0.0 else "Einstein"
     return FamilyBundle(
         "weighted_hyperbolic", inst, lam=lam, kappa=2.0 * lam * a,
@@ -521,8 +511,7 @@ def constant_density(n: int = 4, m: float = 2.0, lam: float = 0.5,
     kappa_eff = ((m + n) * lam_eff - j) * a / m
     pair = None
     if canonical:
-        pair = PairData(Profile1D.constant(a, iv, var="t"),
-                        nu=2.0 * lam * a, lam_hat=lam * a * a)
+        pair = PairData(density.v, nu=2.0 * lam * a, lam_hat=lam * a * a)
     if canonical:
         branch_global = "SpaceForm"
     elif lam > 0.0:

@@ -1,4 +1,10 @@
-"""Structure classification of verified instances.
+"""Certificates and structure classification of weighted Einstein instances.
+
+``certify`` is the one route from a grid to a verdict: one kernel pass at
+the declared lam, or at the lam it estimates from that pass, the gate rows
+of ``Thresholds``, the solved constant mu, the classification below, and
+one row per declared expectation.  Each representative of a conformal class
+(an instance and its image) gets its own certificate.
 
 Local branches (pointwise structure once the modified Schouten tensor
 equals lam g with a constant scale):
@@ -43,7 +49,7 @@ import numpy as np
 from .errors import ContradictionError
 from .geometry import PointSpec, WarpedMetric
 from .weighted import (Instance, WeightedReport, einstein_residuals,
-                       sample_points, tau_consistency_residual)
+                       tau_consistency_residual)
 
 LOCAL_BRANCHES = ("Trivial", "Einstein", "QuasiEinstein", "Indeterminate")
 GLOBAL_BRANCHES = ("ExpQuasiEinstein", "ExpEinstein", "SpaceForm",
@@ -164,16 +170,6 @@ def classify_report(instance: Instance, lam: float, report: WeightedReport,
     return verdict
 
 
-def classify(instance: Instance, lam: float, k: int = 400,
-             margin: float = 0.05,
-             thresholds: Thresholds | None = None) -> Classification:
-    """Sample the instance and classify its local and global structure."""
-    pts = sample_points(instance.metric, instance.density, k, margin=margin)
-    report = einstein_residuals(instance.metric, instance.density,
-                                instance.params, lam, pts)
-    return classify_report(instance, lam, report, thresholds=thresholds)
-
-
 class Checks:
     """Gate rows in the order they were added."""
 
@@ -204,10 +200,10 @@ class Checks:
 @dataclass
 class Certificate:
     """One representative certified on one grid: the kernel pass with
-    diagnostics, solve_mu's (mean, spread) from it (None at m = 1), the gate
-    rows every representative answers, and the classification.  Flags that
-    contradict the data give the global branch "ContradictionError", with
-    the message as details["contradiction"].
+    diagnostics (its lam the declared or the estimated one), solve_mu's
+    (mean, spread) from it (None at m = 1), the gate rows and the
+    classification.  Flags that contradict the data give the global branch
+    "ContradictionError", with the message as details["contradiction"].
     """
 
     report: WeightedReport
@@ -217,12 +213,17 @@ class Certificate:
     verdict: Classification
 
 
-def certify(instance: Instance, lam: float, points: PointSpec,
-            tol: Thresholds) -> Certificate:
-    """Certify instance as weighted Einstein at lam on points: one kernel
-    pass, its gates, the solved constant and the classification."""
-    rep = einstein_residuals(instance.metric, instance.density,
-                             instance.params, lam, points)
+def certify(instance: Instance, points: PointSpec, tol: Thresholds,
+            expect: dict) -> Certificate:
+    """Certify instance as weighted Einstein on points: one kernel pass at
+    expect["lambda"] (estimated from the pass when it is absent), its five
+    gates, the solved constant, the classification, and one row per
+    expectation among "kappa", "mu", "branch_local" and "branch_global"
+    (mu_expected only where mu is solved); other keys are not read."""
+    lam = expect.get("lambda")
+    rep = einstein_residuals(instance.metric, instance.density, instance.params,
+                             None if lam is None else float(lam), points)
+    lam = rep.lam
     tau_res = tau_consistency_residual(rep)
     checks = Checks()
     checks.bound("modified_schouten_residual", rep.residual_P, tol.residual)
@@ -239,4 +240,14 @@ def certify(instance: Instance, lam: float, points: PointSpec,
     except ContradictionError as exc:
         verdict = Classification(exc.verdict.local, "ContradictionError", lam,
                                  {**exc.verdict.details, "contradiction": str(exc)})
+    if "kappa" in expect:
+        checks.close("kappa_expected", rep.kappa_mean, float(expect["kappa"]),
+                     tol.value)
+    if "mu" in expect and mu is not None:
+        checks.close("mu_expected", mu[0], float(expect["mu"]), tol.mu)
+    if "branch_local" in expect:
+        checks.equal("branch_local", verdict.local, expect["branch_local"])
+    if "branch_global" in expect:
+        checks.equal("branch_global", verdict.global_branch,
+                     expect["branch_global"])
     return Certificate(rep, tau_res, mu, checks, verdict)

@@ -100,8 +100,8 @@ def quad(fn, a, b):
     """
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     pid, budget, done = np.arange(lo.size), np.full(lo.size, 200), []
-    mid = 0.5 * (lo + hi)
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
+        mid = 0.5 * (lo + hi)
         whole, left, right = _rule(fn, np.concatenate((lo, lo, mid)),
                                    np.concatenate((hi, mid, hi))).reshape(3, -1)
         while True:
@@ -352,11 +352,10 @@ class ReparamProfile(Profile):
     of num and u there are composed with it.  ``value`` takes no jets.
     """
 
-    def __init__(self, cmap: ConformalMap, num=None, name: str = ""):
+    def __init__(self, cmap: ConformalMap, num=None):
         self.cmap = cmap
         self.num = num
         self.domain = cmap.image_interval()
-        self.name = name or "reparam"
         self._last = [None, None]  # last array value and jet, see _last_array
 
     def _compute(self, q: ndarray, which: int) -> tuple:
@@ -391,9 +390,11 @@ class ReparamProfile(Profile):
 
 @dataclass
 class TransformResult:
+    """The transformed instance and the coordinate map; the factor u is the
+    map's own (cmap.u)."""
+
     instance: Instance
     cmap: ConformalMap
-    u: object
 
 
 def apply_conformal(instance: Instance, u, t_ref: float | None = None,
@@ -408,24 +409,24 @@ def apply_conformal(instance: Instance, u, t_ref: float | None = None,
     metric = instance.metric
     cmap = ConformalMap(u, metric.interval, t_ref=t_ref, image=image)
     image = cmap.image_interval()
-    phi_hat = ReparamProfile(cmap, num=metric.phi, name="phi_hat")
+    phi_hat = ReparamProfile(cmap, num=metric.phi)
     metric_hat = WarpedMetric(image, phi_hat, metric.fiber)
     dens = instance.density
     if isinstance(dens, SplitDensity):
-        alpha_hat = ReparamProfile(cmap, num=dens.alpha, name="alpha_hat")
+        alpha_hat = ReparamProfile(cmap, num=dens.alpha)
         dens_hat: DensitySpec = SplitDensity(dens.v_n, alpha_hat)
     elif isinstance(dens, RadialDensity):
-        dens_hat = RadialDensity(ReparamProfile(cmap, num=dens.v, name="v_hat"))
+        dens_hat = RadialDensity(ReparamProfile(cmap, num=dens.v))
     else:
         raise UnsupportedError(f"no conformal rule for density {dens!r}")
     inst = Instance(metric_hat, dens_hat, instance.params,
                     complete=instance.complete, compact=instance.compact)
-    return TransformResult(inst, cmap, u)
+    return TransformResult(inst, cmap)
 
 
 def inverse_factor(result: TransformResult) -> ReparamProfile:
     """The factor that undoes the change: 1/u carried to the image frame."""
-    return ReparamProfile(result.cmap, name="u_inverse")
+    return ReparamProfile(result.cmap)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +443,7 @@ def _symmetric_product(structure, a_t, a_s, b_t, b_s, phi):
                          a_t * gs_b + gs_a * b_t)
 
 
-def conformal_law_residuals(instance: Instance, u, result: TransformResult,
+def conformal_law_residuals(instance: Instance, result: TransformResult,
                             ts) -> dict:
     """Sup residuals of the conformal transformation laws over base points.
 
@@ -460,7 +461,7 @@ def conformal_law_residuals(instance: Instance, u, result: TransformResult,
     """
     metric, dens, params = instance.metric, instance.density, instance.params
     n, m = params.n, params.m
-    hat = result.instance
+    hat, u = result.instance, result.cmap.u
     ts = np.asarray(ts, dtype=float)
     ss = None
     if metric.split(dens.s_active(metric)):

@@ -439,17 +439,6 @@ def hessian_split(metric: WarpedMetric, v_n, alpha, point: PointSpec) -> Tensor2
     return Tensor2Blocks(structure, h_tt, (h_s, h_orth), 0.0)
 
 
-def laplacian(metric: WarpedMetric, w, point: PointSpec) -> float:
-    """Laplacian of a radial function w(t)."""
-    return hessian_radial(metric, w, point).trace()
-
-
-def grad_norm_sq(metric: WarpedMetric, w, point: PointSpec) -> float:
-    """Squared gradient norm of a radial function w(t)."""
-    metric.interval.require(point.t)
-    return power(w.jet(point.t).d1, 2)
-
-
 # ---------------------------------------------------------------------------
 # sectional curvature blocks (for constant-curvature checks and Weyl norms)
 

@@ -79,8 +79,6 @@ def _require_positive(v, point: PointSpec):
 class DensitySpec:
     """Base class for the supported closed density forms."""
 
-    kind = "?"
-
     def s_active(self, metric: WarpedMetric) -> bool:
         """Whether v depends on the fiber coordinate s."""
         raise NotImplementedError
@@ -95,8 +93,6 @@ class DensitySpec:
 
 class RadialDensity(DensitySpec):
     """v depends on the base coordinate t alone."""
-
-    kind = "radial"
 
     def __init__(self, v):
         self.v = v
@@ -116,8 +112,6 @@ class RadialDensity(DensitySpec):
 
 class SplitDensity(DensitySpec):
     """v = phi(t) * v_N(s) + alpha(t) along a fiber probe coordinate."""
-
-    kind = "split"
 
     def __init__(self, v_n, alpha):
         self.v_n = v_n
@@ -437,7 +431,7 @@ def _fiber_diagnostics(metric: WarpedMetric, density: DensitySpec,
 
 
 def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
-                       params: SmmsParams, lam: float, points: PointSpec,
+                       params: SmmsParams, lam: float | None, points: PointSpec,
                        with_diagnostics: bool = True) -> WeightedReport:
     """Evaluate the weighted Einstein residuals over a grid of points.
 
@@ -447,7 +441,9 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
     scale comes from the trace identity J = (m+n) lam - m kappa / v, so
     kappa = ((m+n) lam - J) v / m; its constancy certifies the instance.
     The kernel runs once on the whole grid; the report keeps one array per
-    field.
+    field.  lam None estimates lam from that pass as the mean of tr P_f^m / n
+    over every (k // 64)-th of the k points (every point when k < 128), the
+    report's lam.
     """
     n, m = params.n, params.m
     k = len(points)
@@ -455,6 +451,8 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
         pf = point_fields(metric, density, params, points)
         be = pf.be
+        if lam is None:
+            lam = _mean(_per_point(pf.p.trace() / n, k)[::max(1, k // 64)])
         if with_diagnostics:
             try:
                 sec_dev = sectional_residual(metric, points, 2.0 * lam)

@@ -9,7 +9,6 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 
 import smmskit.catalog as cat
 from conftest import (
@@ -18,9 +17,8 @@ from conftest import (
     jet_vs_finite_difference,
     random_warped_metric,
 )
-from smmskit.classify import classify
+from smmskit.classify import Thresholds, certify
 from smmskit.conformal import apply_conformal, conformal_law_residuals
-from smmskit.errors import ContradictionError
 from smmskit.geometry import PointSpec, ricci
 from smmskit.odes import (
     ObataSolution,
@@ -113,7 +111,7 @@ def test_criterion_03_conformal_transformation_laws_hold():
         u = draw_positive_factor(rng, iv)
         res = apply_conformal(bundle.instance, u)
         ts = interior_points(iv, 9)
-        laws = conformal_law_residuals(bundle.instance, u, res, ts)
+        laws = conformal_law_residuals(bundle.instance, res, ts)
         for key in ("ricci", "modified_ricci", "schouten"):
             assert laws[key] < 1e-7, (bundle.name, key)
         worst = max(worst, max(laws[k] for k in
@@ -289,7 +287,8 @@ def test_criterion_07_compact_positive_instances_collapse_to_space_forms():
         rep = einstein_residuals(hat.metric, hat.density, hat.params,
                                  target, pts, with_diagnostics=False)
         assert rep.v_spread < 1e-10
-        verdict = classify(hat, target, k=160)
+        verdict = certify(hat, sample_points(hat.metric, hat.density, 160),
+                          Thresholds(), {"lambda": target}).verdict
         assert verdict.global_branch == "SpaceForm"
         assert verdict.local == "Trivial"
         worst_spread = max(worst_spread, rep.v_spread)
@@ -298,8 +297,9 @@ def test_criterion_07_compact_positive_instances_collapse_to_space_forms():
     for name in ("weighted_hyperbolic", "weighted_euclidean"):
         bundle = cat.make(name)
         forged = dataclasses.replace(bundle.instance, compact=True)
-        with pytest.raises(ContradictionError):
-            classify(forged, bundle.lam, k=64)
+        verdict = certify(forged, sample_points(forged.metric, forged.density, 64),
+                          Thresholds(), {"lambda": bundle.lam}).verdict
+        assert verdict.global_branch == "ContradictionError"
     print(f"criterion 07: worst image density spread {worst_spread:.2e}, "
           f"scale error {worst_scale:.2e} over 20 draws")
 

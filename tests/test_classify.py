@@ -8,8 +8,7 @@ import pytest
 
 import smmskit.catalog as cat
 from conftest import poison_ricci_at
-from smmskit.classify import EXPONENTIAL_SPREAD, Thresholds, classify, classify_report
-from smmskit.errors import ContradictionError
+from smmskit.classify import EXPONENTIAL_SPREAD, Thresholds, certify, classify_report
 from smmskit.weighted import einstein_residuals, sample_points, solve_mu
 
 # (family, overrides, expected local branch, expected global branch)
@@ -42,7 +41,8 @@ def test_branch_matrix(name, overrides, local, global_branch):
     b = cat.make(name, **overrides)
     assert b.branch_local == local
     assert b.branch_global == global_branch
-    c = classify(b.instance, b.lam, k=64)
+    pts = sample_points(b.instance.metric, b.instance.density, 64)
+    c = certify(b.instance, pts, Thresholds(), {"lambda": b.lam}).verdict
     assert c.local == local
     assert c.global_branch == global_branch
     assert c.lam == b.lam
@@ -51,21 +51,25 @@ def test_branch_matrix(name, overrides, local, global_branch):
 def test_compact_flag_with_nonpositive_scale_contradicts():
     b = cat.make("weighted_hyperbolic")
     forged = dataclasses.replace(b.instance, compact=True)
-    with pytest.raises(ContradictionError):
-        classify(forged, b.lam, k=48)
+    pts = sample_points(forged.metric, forged.density, 48)
+    c = certify(forged, pts, Thresholds(), {"lambda": b.lam}).verdict
+    assert c.global_branch == "ContradictionError"
     b0 = cat.make("weighted_euclidean")
     forged0 = dataclasses.replace(b0.instance, compact=True)
-    with pytest.raises(ContradictionError):
-        classify(forged0, 0.0, k=48)
+    pts0 = sample_points(forged0.metric, forged0.density, 48)
+    c0 = certify(forged0, pts0, Thresholds(), {"lambda": 0.0}).verdict
+    assert c0.global_branch == "ContradictionError"
 
 
 def test_noncanonical_constant_density_contradiction_and_unclassified():
     b = cat.make("constant_density", mu=0.4)
     assert b.branch_global == "ContradictionError"
-    with pytest.raises(ContradictionError):
-        classify(b.instance, b.lam, k=48)
+    pts = sample_points(b.instance.metric, b.instance.density, 48)
+    c = certify(b.instance, pts, Thresholds(), {"lambda": b.lam}).verdict
+    assert c.global_branch == "ContradictionError"
     b2 = cat.make("constant_density", lam=0.0, mu=0.8)
-    c = classify(b2.instance, b2.lam, k=48)
+    pts2 = sample_points(b2.instance.metric, b2.instance.density, 48)
+    c = certify(b2.instance, pts2, Thresholds(), {"lambda": b2.lam}).verdict
     assert c.local == "Trivial"
     assert c.global_branch == "Unclassified"
 
@@ -74,7 +78,8 @@ def test_violated_preconditions_are_indeterminate():
     b = cat.make("weighted_sphere")
     bad_params = dataclasses.replace(b.instance.params, mu=b.instance.params.mu + 1.0)
     forged = dataclasses.replace(b.instance, params=bad_params)
-    c = classify(forged, b.lam, k=48)
+    pts = sample_points(forged.metric, forged.density, 48)
+    c = certify(forged, pts, Thresholds(), {"lambda": b.lam}).verdict
     assert c.local == "Indeterminate"
     assert c.global_branch == "NotApplicable"
     assert "dominant_violation" in c.details
@@ -82,7 +87,8 @@ def test_violated_preconditions_are_indeterminate():
 
 def test_wrong_scale_is_indeterminate():
     b = cat.make("weighted_sphere")
-    c = classify(b.instance, b.lam + 0.2, k=48)
+    pts = sample_points(b.instance.metric, b.instance.density, 48)
+    c = certify(b.instance, pts, Thresholds(), {"lambda": b.lam + 0.2}).verdict
     assert c.local == "Indeterminate"
 
 
@@ -90,7 +96,8 @@ def test_threshold_override_changes_verdict():
     b = cat.make("weighted_sphere")
     strict = Thresholds(residual=1e-30, kappa=1e-30, constancy=1e-30,
                         sectional=1e-30)
-    c = classify(b.instance, b.lam, k=48, thresholds=strict)
+    pts = sample_points(b.instance.metric, b.instance.density, 48)
+    c = certify(b.instance, pts, strict, {"lambda": b.lam}).verdict
     assert c.local == "Indeterminate"
 
 
@@ -102,7 +109,8 @@ def test_circle_fiber_needs_exponential_warping(name, global_branch, exponential
     # at n = 2 the fiber is a circle, flat whatever the warping, so only the
     # constancy of phi'/phi tells the exponential branches from a space form
     b = cat.make(name, n=2)
-    c = classify(b.instance, b.lam, k=200)
+    pts = sample_points(b.instance.metric, b.instance.density, 200)
+    c = certify(b.instance, pts, Thresholds(), {"lambda": b.lam}).verdict
     assert (c.local, c.global_branch) == ("Einstein", global_branch)
     assert c.global_branch == b.branch_global
     spread = c.details["warping_rate_spread"]

@@ -13,7 +13,6 @@ import pytest
 
 import smmskit.catalog as cat
 import smmskit.cli as cli
-import smmskit.conformal as conformal
 import smmskit.odes as odes
 import smmskit.weighted as weighted
 from conftest import poison_ricci_at
@@ -287,6 +286,49 @@ def test_malformed_config_exits_two(tmp_path, capsys, command, case, edit, extra
     assert cli.main([command, "--config", path, *extra]) == 2, case
     err = capsys.readouterr().err
     assert err.startswith("error: "), (case, err)
+
+
+# (case id, config edit, a fragment of the error line): values that used to
+# pass unread, so a config that holds them exited 0 or reported a failed row
+UNREAD_VALUES = [
+    ("nan_in_conformal_nu", _set("conformal.nu", math.nan), "NaN is not a JSON number"),
+    ("infinity_in_family_flags", _set("flags.complete", math.inf),
+     "Infinity is not a JSON number"),
+    ("minus_infinity_in_branch", _set("expectations.branch_global", -math.inf),
+     "-Infinity is not a JSON number"),
+    ("branch_local_not_a_branch", _set("expectations.branch_local", 5),
+     "expectations.branch_local must be one of Trivial, Einstein"),
+    ("branch_global_misspelt", _set("expectations.branch_global", "SpaceFrom"),
+     "expectations.branch_global must be one of"),
+    ("family_flags_not_its_own", _set("flags.compact", False),
+     "flags must be the family's own, {\"complete\": true, \"compact\": true}"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "conformal"])
+@pytest.mark.parametrize("case,edit,message", UNREAD_VALUES,
+                         ids=[c[0] for c in UNREAD_VALUES])
+def test_unread_config_values_exit_two(tmp_path, capsys, command, case, edit, message):
+    cfg = cat.make("weighted_sphere").config(k=16)
+    edit(cfg)
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2, case
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    assert message in err, (case, err)
+
+
+@pytest.mark.parametrize("text", [
+    b'{"schema": 1, "family": "weighted_sphere"\xff}',       # not UTF-8
+    b'{"schema": 1, "grid": {"k": ' + b"1" * 5000 + b"}}",  # too long to read
+    b"[" * 100_000,                                           # too deep
+], ids=["bad_utf8", "long_integer", "deep_nesting"])
+def test_unreadable_json_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(path)!r} is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 # (case id, family, bad parameter overrides, a fragment of the error line;
@@ -573,8 +615,9 @@ def _count_kernel_passes(monkeypatch) -> list:
         calls.append(args)
         return real(*args)
 
-    for module in (weighted, cli, conformal):
-        monkeypatch.setattr(module, "point_fields", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("smmskit.") and getattr(module, "point_fields", None) is real:
+            monkeypatch.setattr(module, "point_fields", counted)
     return calls
 
 
@@ -602,6 +645,21 @@ def test_conformal_runs_the_kernel_twice(tmp_path, monkeypatch, name):
     calls = _count_kernel_passes(monkeypatch)
     assert cli.main(["conformal", "--config", path]) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", cat.available())
+def test_estimated_lambda_comes_from_the_certified_pass(tmp_path, monkeypatch, name):
+    # without a declared lambda the scale is read off the base pass itself:
+    # still one pass per representative
+    cfg = cat.make(name).config(k=16)
+    del cfg["expectations"]["lambda"]
+    calls = _count_kernel_passes(monkeypatch)
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) in (0, 1)
+    assert len(calls) == 2
+    del cfg["conformal"], cfg["expectations"]["lambda_hat"]
+    calls.clear()
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) in (0, 1)
+    assert len(calls) == 1
 
 
 def _without_conformal(tmp_path, **expect):

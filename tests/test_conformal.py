@@ -91,7 +91,7 @@ def test_constant_factor_laws_hold():
     u = Profile1D.constant(1.7, inst.metric.interval, var="t")
     res = apply_conformal(inst, u)
     ts = [0.5, 1.2, 2.5]
-    laws = conformal_law_residuals(inst, u, res, ts)
+    laws = conformal_law_residuals(inst, res, ts)
     assert max(laws.values()) < 1e-10
 
 
@@ -106,7 +106,7 @@ def test_transformation_laws_random_factors():
         lo, hi = max(iv.lo, -10.0), min(iv.hi, 10.0)
         ts = [float(x) for x in np.linspace(lo + 0.1 * (hi - lo),
                                             hi - 0.1 * (hi - lo), 5)]
-        laws = conformal_law_residuals(inst, u, res, ts)
+        laws = conformal_law_residuals(inst, res, ts)
         assert set(laws) >= {"ricci", "modified_ricci", "schouten", "scalar"}
         assert max(laws.values()) < 1e-7, name
 
@@ -477,7 +477,7 @@ def test_nan_law_deviation_fails_closed(monkeypatch, tmp_path):
     b = cat.make("weighted_sphere")
     inst = b.instance
     u = quad_factor_on(inst.metric.interval)
-    laws = conformal_law_residuals(inst, u, apply_conformal(inst, u),
+    laws = conformal_law_residuals(inst, apply_conformal(inst, u),
                                    [0.4, 0.9, 1.4, 1.9, 2.4])
     assert math.isnan(laws["ricci"])
 

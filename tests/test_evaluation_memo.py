@@ -454,9 +454,9 @@ def test_estimated_lambda_is_the_scalar_loop(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     seen = []
-    real = cli._estimate_lambda
-    monkeypatch.setattr(cli, "_estimate_lambda",
-                        lambda inst, pts: seen.append((inst, pts)) or real(inst, pts))
+    real = cli.certify
+    monkeypatch.setattr(cli, "certify", lambda inst, pts, tol, expect:
+                        seen.append((inst, pts)) or real(inst, pts, tol, expect))
     out = tmp_path / "rep.json"
     cli.main(["verify", "--config", str(path), "--out", str(out)])
     rep = json.loads(out.read_text())

@@ -13,14 +13,14 @@ from smmskit.geometry import (
     PointSpec,
     SpaceForm,
     WarpedMetric,
-    grad_norm_sq,
+    field_components,
     hessian_radial,
     hessian_split,
-    laplacian,
     ricci,
     sectional_blocks,
     sectional_residual,
 )
+from smmskit.jets import BiJet2
 from smmskit.profiles import Interval, Profile1D
 
 
@@ -94,19 +94,24 @@ def test_hessian_radial_frozen():
     h = hessian_radial(m, w, PointSpec(math.pi / 4))
     assert h.tt == pytest.approx(-math.cos(math.pi / 4), abs=1e-12)
     assert h.blocks[0] == pytest.approx(-math.cos(math.pi / 4), abs=1e-12)
-    assert grad_norm_sq(m, w, PointSpec(math.pi / 4)) == pytest.approx(0.5, abs=1e-12)
+    pt = PointSpec(math.pi / 4)
+    grad_sq = field_components(m, BiJet2.lift_t(w.jet(pt.t)), pt).grad_sq
+    assert grad_sq == pytest.approx(0.5, abs=1e-12)
 
 
 def test_laplacian_frozen_cases():
     m = unit_sphere()
     w = Profile1D.from_string("cos(t)", m.interval)
     for t in (0.7, 1.1, 2.0):
-        assert laplacian(m, w, PointSpec(t)) == pytest.approx(-3.0 * math.cos(t),
-                                                              abs=1e-10)
+        assert hessian_radial(m, w, PointSpec(t)).trace() == pytest.approx(
+            -3.0 * math.cos(t), abs=1e-10)
     flat = flat_space()
     radial = Profile1D.from_string("t", flat.interval)
-    assert laplacian(flat, radial, PointSpec(2.0)) == pytest.approx(1.0, abs=1e-12)
-    assert grad_norm_sq(flat, radial, PointSpec(2.0)) == pytest.approx(1.0, abs=1e-12)
+    pt = PointSpec(2.0)
+    fc = field_components(flat, BiJet2.lift_t(radial.jet(pt.t)), pt)
+    assert hessian_radial(flat, radial, pt).trace() == pytest.approx(1.0, abs=1e-12)
+    assert fc.laplacian == pytest.approx(1.0, abs=1e-12)
+    assert fc.grad_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def test_constant_field_has_zero_derivatives():
@@ -114,8 +119,9 @@ def test_constant_field_has_zero_derivatives():
     w = Profile1D.from_string("4.2", m.interval)
     h = hessian_radial(m, w, PointSpec(1.0))
     assert h.tt == 0.0 and all(b == 0.0 for b in h.blocks)
-    assert laplacian(m, w, PointSpec(1.0)) == 0.0
-    assert grad_norm_sq(m, w, PointSpec(1.0)) == 0.0
+    assert h.trace() == 0.0
+    pt = PointSpec(1.0)
+    assert field_components(m, BiJet2.lift_t(w.jet(pt.t)), pt).grad_sq == 0.0
 
 
 def skew_structure(lam=0.5, amp=1.0, b=1.0, kappa=2.0):

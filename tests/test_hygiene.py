@@ -209,3 +209,19 @@ def test_one_certification_route():
     skipping = [path.name for path in sorted(SRC.glob("*.py"))
                 if "with_diagnostics=False" in path.read_text(encoding="utf-8")]
     assert skipping == []
+
+
+def test_no_kernel_pass_outside_certify():
+    # certify estimates lambda from its own kernel pass and writes the
+    # expectation rows; the command line only samples grids and renders
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    from_weighted = {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "weighted"
+                     for alias in node.names}
+    assert from_weighted <= {"Instance", "sample_points"}
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "point_fields" not in names | from_weighted
+    assert "_estimate_lambda" not in {name for name, _ in _functions(tree)}
+    classify = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    assert "classify" not in {name for name, _ in _functions(classify)}

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import random_warped_metric
 from smmskit.errors import UnsupportedError
+from smmskit.jets import BiJet2
 from smmskit.geometry import (
     EinsteinFiber,
     PointSpec,
     SpaceForm,
     WarpedMetric,
-    grad_norm_sq,
+    field_components,
     hessian_radial,
-    laplacian,
     ricci,
     sectional_blocks,
 )
@@ -84,8 +84,9 @@ def test_oracle_hessian_matches_exact_route():
     h = hessian_radial(m, w, pt)
     pred = np.diag([h.tt] + [h.blocks[0]] * 2)
     assert np.max(np.abs(hess - pred)) < 1e-6
-    assert lap == pytest.approx(laplacian(m, w, pt), abs=1e-6)
-    assert grad_sq == pytest.approx(grad_norm_sq(m, w, pt), abs=1e-8)
+    assert lap == pytest.approx(h.trace(), abs=1e-6)
+    fc = field_components(m, BiJet2.lift_t(w.jet(pt.t)), pt)
+    assert grad_sq == pytest.approx(fc.grad_sq, abs=1e-8)
 
 
 def test_weyl_norm_block_route_matches_oracle():
