@@ -130,8 +130,8 @@ def weighted_sphere(n: int = 4, m: float = 2.0, lam: float = 0.5,
     _require(a > abs(b), "density a + b cos needs a > |b| to stay positive")
     w = math.sqrt(2.0 * lam)
     iv = Interval(0.0, math.pi / w)
-    phi = Profile1D.from_string(f"sin({w!r}*t)/{w!r}", iv, var="t")
-    v = Profile1D.from_string(f"{a!r} + {b!r}*cos({w!r}*t)", iv, var="t")
+    phi = Profile1D.from_template("sin({0}*t)/{0}", (w,), iv, var="t")
+    v = Profile1D.from_template("{0} + {1}*cos({2}*t)", (a, b, w), iv, var="t")
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 1.0))
     params = SmmsParams(n, m, 2.0 * lam * (b * b - a * a))
     inst = Instance(metric, RadialDensity(v), params, complete=True, compact=True)
@@ -160,7 +160,7 @@ def weighted_euclidean(n: int = 4, m: float = 2.0, a: float = 1.0,
     _require(b >= 0.0, "density needs b >= 0 to stay positive at infinity")
     iv = Interval(0.0, math.inf)
     phi = Profile1D.from_string("t", iv, var="t")
-    v = Profile1D.from_string(f"{a!r} + {b!r}*t^2", iv, var="t")
+    v = Profile1D.from_template("{0} + {1}*t^2", (a, b), iv, var="t")
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 1.0))
     params = SmmsParams(n, m, -4.0 * a * b)
     inst = Instance(metric, RadialDensity(v), params, complete=True, compact=False)
@@ -191,8 +191,8 @@ def weighted_hyperbolic(n: int = 4, m: float = 2.0, lam: float = -0.5,
              "density a + b cosh needs a, b >= 0 and a + b > 0")
     w = math.sqrt(-2.0 * lam)
     iv = Interval(0.0, 4.0 / w)
-    phi = Profile1D.from_string(f"sinh({w!r}*t)/{w!r}", iv, var="t")
-    v = Profile1D.from_string(f"{a!r} + {b!r}*cosh({w!r}*t)", iv, var="t")
+    phi = Profile1D.from_template("sinh({0}*t)/{0}", (w,), iv, var="t")
+    v = Profile1D.from_template("{0} + {1}*cosh({2}*t)", (a, b, w), iv, var="t")
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 1.0))
     params = SmmsParams(n, m, 2.0 * lam * (b * b - a * a))
     inst = Instance(metric, RadialDensity(v), params, complete=True, compact=False)
@@ -225,30 +225,30 @@ def warping_density(n: int = 4, m: float = 3.0, lam: float = 0.5,
     if lam > 0.0:
         w = math.sqrt(2.0 * lam)
         iv = Interval(0.0, math.pi / w)
-        phi = Profile1D.from_string(f"{c!r}*sin({w!r}*t)", iv, var="t")
+        phi = Profile1D.from_template("{0}*sin({1}*t)", (c, w), iv, var="t")
         cc = 2.0 * lam * c * c
         k = (c / w + 1.0) if pair_k is None else float(pair_k)
         _require(k > c / w, "pair offset must exceed c/w for positivity")
-        u = Profile1D.from_string(f"{k!r} - {c / w!r}*cos({w!r}*t)", iv, var="t")
+        u = Profile1D.from_template("{0} - {1}*cos({2}*t)", (k, c / w, w), iv, var="t")
         nu = 2.0 * lam * k
         lam_hat = lam * k * k - c * c / 2.0
     elif lam == 0.0:
         iv = Interval(0.0, math.inf)
-        phi = Profile1D.from_string(f"{c!r}*t", iv, var="t")
+        phi = Profile1D.from_template("{0}*t", (c,), iv, var="t")
         cc = c * c
         k = 1.0 if pair_k is None else float(pair_k)
         _require(k > 0.0, "pair offset must be positive")
-        u = Profile1D.from_string(f"{0.5 * c!r}*t^2 + {k!r}", iv, var="t")
+        u = Profile1D.from_template("{0}*t^2 + {1}", (0.5 * c, k), iv, var="t")
         nu = c
         lam_hat = c * k
     else:
         w = math.sqrt(-2.0 * lam)
         iv = Interval(0.0, 4.0 / w)
-        phi = Profile1D.from_string(f"{c!r}*sinh({w!r}*t)", iv, var="t")
+        phi = Profile1D.from_template("{0}*sinh({1}*t)", (c, w), iv, var="t")
         cc = -2.0 * lam * c * c
         k = 1.0 if pair_k is None else float(pair_k)
         _require(k > -c / w, "pair offset must exceed -c/w for positivity")
-        u = Profile1D.from_string(f"{c / w!r}*cosh({w!r}*t) + {k!r}", iv, var="t")
+        u = Profile1D.from_template("{0}*cosh({1}*t) + {2}", (c / w, w, k), iv, var="t")
         nu = 2.0 * lam * k
         lam_hat = lam * k * k + c * c / 2.0
     beta = (n + m - 2.0) * cc
@@ -291,8 +291,8 @@ def exponential_warped(n: int = 4, m: float = 2.0, lam: float = -0.5,
         _require(t_min < hi, "no positive-density window for this kappa")
         lo = max(lo, t_min + 0.02 * (hi - t_min))
     iv = Interval(lo, hi)
-    phi = Profile1D.from_string(f"{a!r}*exp({w!r}*t)", iv, var="t")
-    v = Profile1D.from_string(f"{kappa / (2.0 * lam)!r} + {b!r}*exp({w!r}*t)", iv, var="t")
+    phi = Profile1D.from_template("{0}*exp({1}*t)", (a, w), iv, var="t")
+    v = Profile1D.from_template("{0} + {1}*exp({2}*t)", (kappa / (2.0 * lam), b, w), iv, var="t")
     _positive_density(v, "density")
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 0.0))
     params = SmmsParams(n, m, -kappa * kappa / (2.0 * lam))
@@ -301,7 +301,7 @@ def exponential_warped(n: int = 4, m: float = 2.0, lam: float = -0.5,
     inst = Instance(metric, RadialDensity(v), params, complete=complete, compact=False)
     d = float(pair_shift)
     _require(d >= 0.0, "pair shift must be nonnegative")
-    u = Profile1D.from_string(f"{a / w!r}*exp({w!r}*t) + {d!r}", iv, var="t")
+    u = Profile1D.from_template("{0}*exp({1}*t) + {2}", (a / w, w, d), iv, var="t")
     pair = PairData(u, nu=2.0 * lam * d, lam_hat=lam * d * d)
     if not complete:
         branch_global = "NotApplicable"
@@ -355,14 +355,14 @@ def neck_warped(m: float = 3.0, lam: float = -0.5, a: float = 1.0,
     )
     inner = WarpedMetric(om_win.domain, omp_win, SpaceForm(1, 0.0))
     iv = Interval(-4.0 / w, 4.0 / w)
-    phi = Profile1D.from_string(f"{a!r}*exp({w!r}*t)", iv, var="t")
+    phi = Profile1D.from_template("{0}*exp({1}*t)", (a, w), iv, var="t")
     metric = WarpedMetric(iv, phi, NestedFiber(inner))
     density = SplitDensity(om_win, Profile1D.constant(0.0, iv, var="t"))
     params = SmmsParams(3, m, 1.0)
     inst = Instance(metric, density, params, complete=True, compact=False)
     d = float(pair_shift)
     _require(d >= 0.0, "pair shift must be nonnegative")
-    u = Profile1D.from_string(f"{a / w!r}*exp({w!r}*t) + {d!r}", iv, var="t")
+    u = Profile1D.from_template("{0}*exp({1}*t) + {2}", (a / w, w, d), iv, var="t")
     pair = PairData(u, nu=2.0 * lam * d, lam_hat=lam * d * d)
     return FamilyBundle(
         "neck_warped", inst, lam=lam, kappa=0.0,
@@ -395,12 +395,12 @@ def cone_product(n: int = 4, m: float = 2.0, scale: float = 1.0,
     cone = WarpedMetric(iv_r, r, EinsteinFiber(n - 2, beta_e))
     iv = Interval(-5.0, 5.0)
     metric = WarpedMetric(iv, Profile1D.constant(1.0, iv, var="t"), NestedFiber(cone))
-    v_n = Profile1D.from_string(f"{scale!r}*s", iv_r, var="s")
+    v_n = Profile1D.from_template("{0}*s", (scale,), iv_r, var="s")
     density = SplitDensity(v_n, Profile1D.constant(0.0, iv, var="t"))
     params = SmmsParams(n, m, scale * scale * beta_e / (m - 1.0))
     inst = Instance(metric, density, params, complete=False, compact=False)
     sa, sb = float(pair_slope), float(pair_shift)
-    u = Profile1D.from_string(f"{sa!r}*t + {sb!r}", iv, var="t")
+    u = Profile1D.from_template("{0}*t + {1}", (sa, sb), iv, var="t")
     _positive_density(u, "pair factor")
     pair = PairData(u, nu=0.0, lam_hat=-sa * sa / 2.0)
     return FamilyBundle(
@@ -431,13 +431,13 @@ def skew_sphere_density(m: float = 2.0, lam: float = 0.5, fiber_amp: float = 0.2
              "fiber amplitude must be nonzero (use weighted_sphere for axial densities)")
     w = math.sqrt(2.0 * lam)
     iv = Interval(0.0, math.pi / w)
-    phi = Profile1D.from_string(f"sin({w!r}*t)/{w!r}", iv, var="t")
+    phi = Profile1D.from_template("sin({0}*t)/{0}", (w,), iv, var="t")
     iv_s = Interval(0.0, math.pi)
-    v_n = Profile1D.from_string(f"{fiber_amp!r}*cos(s)", iv_s, var="s")
+    v_n = Profile1D.from_template("{0}*cos(s)", (fiber_amp,), iv_s, var="s")
     fiber = EinsteinFiber(2, 1.0, obata=FiberObataData(v_n, xi=0.0, c=1.0))
     metric = WarpedMetric(iv, phi, fiber)
-    alpha = Profile1D.from_string(
-        f"{base_amp!r}*cos({w!r}*t) + {kappa / (2.0 * lam)!r}", iv, var="t")
+    alpha = Profile1D.from_template("{0}*cos({1}*t) + {2}",
+                                    (base_amp, w, kappa / (2.0 * lam)), iv, var="t")
     density = SplitDensity(v_n, alpha)
     # sampled positivity of the combined density over the product window
     window = metric.grid(400, margin=0.01, s_active=True)
@@ -452,7 +452,7 @@ def skew_sphere_density(m: float = 2.0, lam: float = 0.5, fiber_amp: float = 0.2
     _require(pair_nu > 1.0, "pair parameter nu must exceed 1 for positivity")
     _require(pair_nu * pair_nu < math.inf,
              f"pair_nu = {pair_nu!r} is too large: pair_nu^2 overflows")
-    u = Profile1D.from_string(f"({pair_nu!r} - cos({w!r}*t))/{2.0 * lam!r}", iv, var="t")
+    u = Profile1D.from_template("({0} - cos({1}*t))/{2}", (pair_nu, w, 2.0 * lam), iv, var="t")
     pair = PairData(u, nu=float(pair_nu),
                     lam_hat=(pair_nu ** 2 - 1.0) / (4.0 * lam))
     return FamilyBundle(
@@ -489,14 +489,14 @@ def constant_density(n: int = 4, m: float = 2.0, lam: float = 0.5,
     if lam > 0.0:
         w = math.sqrt(2.0 * lam)
         iv = Interval(0.0, math.pi / w)
-        phi = Profile1D.from_string(f"sin({w!r}*t)/{w!r}", iv, var="t")
+        phi = Profile1D.from_template("sin({0}*t)/{0}", (w,), iv, var="t")
     elif lam == 0.0:
         iv = Interval(0.0, math.inf)
         phi = Profile1D.from_string("t", iv, var="t")
     else:
         w = math.sqrt(-2.0 * lam)
         iv = Interval(0.0, 4.0 / w)
-        phi = Profile1D.from_string(f"sinh({w!r}*t)/{w!r}", iv, var="t")
+        phi = Profile1D.from_template("sinh({0}*t)/{0}", (w,), iv, var="t")
     metric = WarpedMetric(iv, phi, SpaceForm(n - 1, 1.0))
     density = RadialDensity(Profile1D.constant(a, iv, var="t"))
     canonical = mu is None or mu == -2.0 * lam * a * a

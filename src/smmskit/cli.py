@@ -102,6 +102,9 @@ def _grid_size(k: int) -> int:
 
 def _instance_from_config(cfg: dict) -> Instance:
     flags = _section(cfg, "flags")
+    unknown = set(flags) - {"complete", "compact"}
+    if unknown:
+        raise ConfigError(f"unknown flags: {', '.join(sorted(unknown))}")
     for key, val in flags.items():
         if not isinstance(val, bool):
             raise ConfigError(f"flags.{key} must be true or false, got {val!r}")
@@ -115,6 +118,8 @@ def _instance_from_config(cfg: dict) -> Instance:
         return inst
     if not isinstance(cfg["custom"], dict):
         raise ConfigError("\"custom\" must be an object")
+    if "parameters" in cfg:
+        raise ConfigError("\"parameters\" are a catalog family's; a custom config takes none")
     try:
         inst = catalog.custom_instance(cfg["custom"],
                                        complete=flags.get("complete", False),
@@ -173,10 +178,24 @@ def _grid_args(cfg: dict, args) -> tuple:
     return k, margin, cap
 
 
-def _conformal_factor(cfg: dict, inst: Instance):
+def _conformal_section(cfg: dict) -> dict | None:
+    """The conformal section, None when there is none: an object with a
+    string "u" and optionally a finite number "nu"; any other key is an
+    error."""
+    if "conformal" not in cfg:
+        return None
     section = cfg["conformal"]
     if not isinstance(section, dict) or not isinstance(section.get("u"), str):
         raise ConfigError("\"conformal\" must be an object with a string \"u\"")
+    unknown = set(section) - {"u", "nu"}
+    if unknown:
+        raise ConfigError(f"unknown conformal keys: {', '.join(sorted(unknown))}")
+    if "nu" in section:
+        _number(section["nu"], "conformal.nu")
+    return section
+
+
+def _conformal_factor(section: dict, inst: Instance):
     return Profile1D.from_string(section["u"], inst.metric.interval, var="t")
 
 
@@ -234,6 +253,7 @@ def _cmd_verify(args) -> int:
     tol = _tolerances(cfg)
     k, margin, cap = _grid_args(cfg, args)
     expect = _expectations(cfg)
+    section = _conformal_section(cfg)
 
     pts = sample_points(inst.metric, inst.density, k, margin=margin, cap=cap)
     cert = certify(inst, pts, tol, expect)
@@ -241,7 +261,7 @@ def _cmd_verify(args) -> int:
 
     hat_summary = None
     if "lambda_hat" in expect:
-        result = apply_conformal(inst, _conformal_factor(cfg, inst))
+        result = apply_conformal(inst, _conformal_factor(section, inst))
         hat, hat_summary = _certify_image(result, float(expect["lambda_hat"]),
                                           k, margin, cap, tol)
         checks.bound("transformed_schouten_residual", hat.report.residual_P,
@@ -304,9 +324,10 @@ def _cmd_conformal(args) -> int:
     tol = _tolerances(cfg)
     k, margin, cap = _grid_args(cfg, args)
     expect = _expectations(cfg)
-    if "conformal" not in cfg:
+    section = _conformal_section(cfg)
+    if section is None:
         raise ConfigError("conformal verification needs a \"conformal\" section")
-    u = _conformal_factor(cfg, inst)
+    u = _conformal_factor(section, inst)
 
     result = apply_conformal(inst, u)
     ts = sample_grid(inst.metric.interval, max(8, min(k, 64)), margin=margin, cap=cap)

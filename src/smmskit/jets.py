@@ -18,10 +18,16 @@ what CPython computes on that entry's floats:
   C-library ``pow`` as CPython's float ``**`` (numpy has no SIMD version of
   it); ``np.power`` is not used, because ``np.power(x, 2.0)`` is ``x * x``;
 - a square root runs as ``np.sqrt``, correctly rounded like ``math.sqrt``;
-- exp, log, sinh, cosh, sin and cos call the ``math`` function entry by
-  entry: numpy's SIMD exp, log, sinh and cosh differ from libm in the last
-  bit at about 4.6 %, 0.15 %, 23 % and 19 % of entries on an AVX-512 host,
-  and numpy does not promise that its sin and cos call libm.
+- sin and cos run as ``np.sin`` and ``np.cos``, which on numpy 2.4 give the
+  C library's bits: no entry differed among 1.46 million (magnitudes up to
+  1e300, subnormals, points near multiples of pi, strided and offset views)
+  at the AVX-512 dispatch, nor with ``NPY_DISABLE_CPU_FEATURES`` turning
+  off AVX-512 (``X86_V4``, ``AVX512_ICL``, ``AVX512_SPR``) or AVX2 as well
+  (1.46 million again at each);
+  ``tests/test_array_routes.py`` checks this at both dispatches;
+- exp, log, sinh and cosh call the ``math`` function entry by entry:
+  numpy's SIMD versions differ from libm in the last bit at about 4.6 %,
+  0.01-0.2 %, 26 % and 22-24 % of entries on an AVX-512 host.
 
 Where a C loop's result has an entry that is not finite, the scalar
 function runs entry by entry instead, so the values, the first exception
@@ -96,13 +102,19 @@ def _c_loop(ufunc, fn, x: ndarray, *args) -> ndarray:
     return _per_entry(fn, x)
 
 
+# The math functions whose numpy ufunc gives their bits (see the module
+# docstring); every other one runs entry by entry.
+_UFUNCS = {math.sqrt: np.sqrt, math.sin: np.sin, math.cos: np.cos}
+
+
 def fmap(fn, x):
-    """fn(x) on a float; fn mapped over the entries of a 1-D array, the
-    square root as ``np.sqrt``, which gives ``math.sqrt``'s bits."""
+    """fn(x) on a float; fn mapped over the entries of a 1-D array, as one
+    C loop where ``_UFUNCS`` has a ufunc for fn."""
     if not isinstance(x, ndarray):
         return fn(x)
-    if fn is math.sqrt:
-        return _c_loop(np.sqrt, fn, x)
+    ufunc = _UFUNCS.get(fn)
+    if ufunc is not None:
+        return _c_loop(ufunc, fn, x)
     return _per_entry(fn, x)
 
 
@@ -342,18 +354,21 @@ class BiJet2:
 
 
 # Each unary rule as Python source in the argument value ``x``: a guard (or
-# None), then the outer function u and its derivatives du and ddu.  UNARY below
-# and the compiled jets of ``profiles`` are both generated from this table.
+# None), then the outer function u and its derivatives du and ddu, assigned
+# in that order, so a later one reads an earlier one by name and each libm
+# function runs once per rule (a negation is exact, so ``-u`` is the bits of
+# ``-math.sin(x)``).  UNARY below and the compiled jets of ``profiles`` are
+# both generated from this table.
 _POSITIVE = "if _any({x} <= 0.0): raise EvalError('argument must be positive, got ' + _repr({x}))"
 _EXP_OVERFLOW = "if _any({x} > 700.0): raise EvalError('exp overflow')"
 UNARY_SOURCE = {
-    "exp": (_EXP_OVERFLOW, "math.exp({x})", "math.exp({x})", "math.exp({x})"),
+    "exp": (_EXP_OVERFLOW, "math.exp({x})", "u", "u"),
     "log": (_POSITIVE, "math.log({x})", "1.0 / {x}", "-1.0 / _pow({x}, 2)"),
-    "sin": (None, "math.sin({x})", "math.cos({x})", "-math.sin({x})"),
-    "cos": (None, "math.cos({x})", "-math.sin({x})", "-math.cos({x})"),
-    "sinh": (_EXP_OVERFLOW, "math.sinh({x})", "math.cosh({x})", "math.sinh({x})"),
-    "cosh": (_EXP_OVERFLOW, "math.cosh({x})", "math.sinh({x})", "math.cosh({x})"),
-    "sqrt": (_POSITIVE, "math.sqrt({x})", "0.5 / math.sqrt({x})", "-0.25 / _pow({x}, 1.5)"),
+    "sin": (None, "math.sin({x})", "math.cos({x})", "-u"),
+    "cos": (None, "math.cos({x})", "-math.sin({x})", "-u"),
+    "sinh": (_EXP_OVERFLOW, "math.sinh({x})", "math.cosh({x})", "u"),
+    "cosh": (_EXP_OVERFLOW, "math.cosh({x})", "math.sinh({x})", "u"),
+    "sqrt": (_POSITIVE, "math.sqrt({x})", "0.5 / u", "-0.25 / _pow({x}, 1.5)"),
 }
 
 
@@ -376,7 +391,8 @@ def _unary(name, guard, *outer):
            "    x = j.value"]
     if guard is not None:
         src.append("    " + guard.format(x="x"))
-    src.append(f"    return j.chain({', '.join(e.format(x='x') for e in outer)})")
+    src += [f"    {name} = {expr.format(x='x')}" for name, expr in zip(("u", "du", "ddu"), outer)]
+    src.append("    return j.chain(u, du, ddu)")
     namespace = {**ARRAY_NAMESPACE, "Jet2": Jet2, "__name__": __name__}
     exec("\n".join(src), namespace)
     return namespace[name]

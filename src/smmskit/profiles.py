@@ -21,12 +21,12 @@ of ``ast`` nodes that :func:`parse_expression` gets from Python's
 ``ast.parse`` and checks against the grammar, compiled at construction into
 straight-line Python functions for the value and for the exact jet (the
 rules of :mod:`smmskit.jets`, with the guards of the tree in tree order):
-one source text per tree, whose code is compiled once per process
-(``_code``) and run in ``jets.ARRAY_NAMESPACE``; the RK4 trajectory
-``odes.OdeProfile`` with its derivative view, which adds ``restricted``;
-and the quotient ``conformal.ReparamProfile`` by a conformal map's own
-factor, pulled back through the map.  A separate central-difference
-routine provides an independent derivative oracle.
+one source text per tree shape (``_source``), whose code is compiled once
+per process (``_code``) and run in ``jets.ARRAY_NAMESPACE`` with the tree's
+constants; the RK4 trajectory ``odes.OdeProfile`` with its derivative view,
+which adds ``restricted``; and the quotient ``conformal.ReparamProfile`` by
+a conformal map's own factor, pulled back through the map.  A separate
+central-difference routine provides an independent derivative oracle.
 """
 
 from __future__ import annotations
@@ -188,6 +188,41 @@ def _checked(node: ast.expr, src: str, depth: int) -> ast.expr:
     raise EvalError(f"unexpected {reprlib.repr(part)} in expression")
 
 
+_PLACEHOLDER = re.compile(r"\{(\d+)\}")  # in a template's text
+_PLACEHOLDER_NAME = re.compile(r"_\d+")   # in its tree
+
+
+@functools.lru_cache(maxsize=64)
+def _template(template: str) -> ast.expr:
+    """The tree of a template, each placeholder ``{i}`` parsed as the name
+    ``_i``.  A placeholder may not be the base of a power: there the minus
+    of a negative value would bind looser than the power."""
+    tree = parse_expression(_PLACEHOLDER.sub(r"_\1", template))
+    for node in ast.walk(tree):
+        if (type(node) is ast.BinOp and type(node.op) is ast.Pow
+                and type(node.left) is ast.Name and _PLACEHOLDER_NAME.fullmatch(node.left.id)):
+            raise ValueError(f"placeholder {node.left.id} is the base of a power in {template!r}")
+    return tree
+
+
+def _filled(node: ast.expr, values: tuple) -> ast.expr:
+    """The template tree with each name ``_i`` replaced by values[i] as
+    ``parse_expression`` reads ``repr(values[i])`` there: a value whose
+    sign bit is set as the negation of its magnitude."""
+    kind = type(node)
+    if kind is ast.Name and _PLACEHOLDER_NAME.fullmatch(node.id):
+        v = values[int(node.id[1:])]
+        return ast.UnaryOp(ast.USub(), ast.Constant(-v)) if math.copysign(1.0, v) < 0.0 \
+            else ast.Constant(v)
+    if kind is ast.UnaryOp:
+        return ast.UnaryOp(node.op, _filled(node.operand, values))
+    if kind is ast.Call:
+        return ast.Call(node.func, [_filled(node.args[0], values)], [])
+    if kind is ast.BinOp:
+        return ast.BinOp(_filled(node.left, values), node.op, _filled(node.right, values))
+    return node  # a constant or the variable, never changed after parsing
+
+
 def _free_var(node: ast.expr):
     """The one variable a tree names, or None; two raise EvalError."""
     kind = type(node)
@@ -236,8 +271,6 @@ def _to_str(node: ast.expr, prec: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # compiling a tree to straight-line code
 
-_JET_OPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
-
 # The value of each node kind as statements on arrays, in the form
 # of ``jets.JET_SOURCE``: ``a`` and ``b`` name the operands, ``r`` the result,
 # ``p`` a constant exponent and ``fn`` a function.
@@ -268,28 +301,54 @@ VALUE_SOURCE = {
 }
 
 
-class _Emitter:
-    """Straight-line statements for one tree, one temporary per result.
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 
-    The tree holds the ``ast`` node kinds that ``parse_expression`` keeps:
-    ``Constant`` (a float), ``Name`` (the variable), ``UnaryOp`` (``-``),
-    ``BinOp`` (``+ - * / **``) and ``Call`` (a name of ``jets.UNARY``, one
-    argument).  Constants are read by index from the tuple ``_c`` and the
-    free variable is the parameter ``x``, so no input text reaches the
-    source; function names come from the parser's whitelist.  Children are
-    emitted left to right before their parent, so the guards fire in
-    tree-walk order.  The statements come from the one set of rule tables
-    (``VALUE_SOURCE``, ``jets.JET_SOURCE``, ``jets.UNARY_SOURCE``).
+
+def _shape(node: ast.expr, consts: list):
+    """The tree's shape, with its constants appended to consts in tree order.
+
+    The shape is what the emitted source depends on, as nested tuples: a
+    constant is ``"c"``, the variable ``"x"`` (whatever its name), and a
+    node ``("neg", a)``, ``("call", fn, a)`` or ``(op, a, b)`` with op a
+    name of ``_BINARY``.  Trees that differ only in their constants or the
+    name of their variable have one shape.
+    """
+    kind = type(node)
+    if kind is ast.Constant:
+        consts.append(node.value)
+        return "c"
+    if kind is ast.Name:
+        return "x"
+    if kind is ast.UnaryOp:
+        return ("neg", _shape(node.operand, consts))
+    if kind is ast.Call:
+        return ("call", node.func.id, _shape(node.args[0], consts))
+    return (_BINARY[type(node.op)], _shape(node.left, consts), _shape(node.right, consts))
+
+
+class _Emitter:
+    """Straight-line statements for one shape (``_shape``), one temporary
+    per result.
+
+    A shape holds the node kinds that ``parse_expression`` keeps: constants,
+    the variable, negation, ``+ - * / **`` and a call of a name of
+    ``jets.UNARY`` on one argument.  The i-th constant in tree order is read
+    as ``_c[i]`` and the free variable is the parameter ``x``, so no input
+    text reaches the source; function names come from the parser's
+    whitelist.  Children are emitted left to right before their parent, so
+    the guards fire in tree-walk order.  The statements come from the one
+    set of rule tables (``VALUE_SOURCE``, ``jets.JET_SOURCE``,
+    ``jets.UNARY_SOURCE``).
     """
 
     def __init__(self):
         self.lines = []
-        self.consts = []
+        self.n_consts = 0
         self.n = 0
 
-    def const(self, c: float) -> str:
-        self.consts.append(c)
-        return f"_c[{len(self.consts) - 1}]"
+    def const(self) -> str:
+        self.n_consts += 1
+        return f"_c[{self.n_consts - 1}]"
 
     def temp(self) -> str:
         self.n += 1
@@ -298,53 +357,52 @@ class _Emitter:
     def emit(self, kind: str, **names):
         self.lines += [line.format(**names) for line in VALUE_SOURCE[kind]]
 
-    def value_of(self, node: ast.expr) -> str:
+    def value_of(self, shape) -> str:
         """Name of the tree's value, with the guards of the tree walk."""
-        kind = type(node)
-        if kind is ast.Constant:
-            return self.const(node.value)
-        if kind is ast.Name:
+        if shape == "c":
+            return self.const()
+        if shape == "x":
             return "x"
         out = self.temp()
-        if kind is ast.UnaryOp:
-            self.emit("neg", r=out, a=self.value_of(node.operand))
-        elif kind is ast.Call:
-            fn, a = node.func.id, self.value_of(node.args[0])
+        op = shape[0]
+        if op == "neg":
+            self.emit("neg", r=out, a=self.value_of(shape[1]))
+        elif op == "call":
+            fn, a = shape[1], self.value_of(shape[2])
             if fn in ("log", "sqrt"):
                 self.emit("positive", a=a, fn=fn)
             elif fn in ("exp", "sinh", "cosh"):
                 self.emit("overflow", a=a, fn=fn)
             self.emit("call", r=out, a=a, fn=fn)
-        elif type(node.op) is ast.Pow and type(node.right) is ast.Constant:
-            b = self.value_of(node.left)
-            self.emit("pow", r=out, a=b, p=self.const(node.right.value))
-        elif type(node.op) is ast.Pow:
-            b, e = self.value_of(node.left), self.value_of(node.right)
+        elif op == "pow" and shape[2] == "c":
+            b = self.value_of(shape[1])
+            self.emit("pow", r=out, a=b, p=self.const())
+        elif op == "pow":
+            b, e = self.value_of(shape[1]), self.value_of(shape[2])
             self.emit("general_pow", r=out, a=b, b=e)
         else:
-            a, b = self.value_of(node.left), self.value_of(node.right)
-            self.emit(_JET_OPS[type(node.op)], r=out, a=a, b=b)
+            a, b = self.value_of(shape[1]), self.value_of(shape[2])
+            self.emit(op, r=out, a=a, b=b)
         return out
 
-    def jet_of(self, node: ast.expr) -> tuple:
+    def jet_of(self, shape) -> tuple:
         """Names of the tree's (value, d1, d2), by the rules of ``Jet2``."""
-        kind = type(node)
-        if kind is ast.Constant:
-            return (self.const(node.value), "0.0", "0.0")
-        if kind is ast.Name:
+        if shape == "c":
+            return (self.const(), "0.0", "0.0")
+        if shape == "x":
             return ("x", "1.0", "0.0")
-        if kind is ast.UnaryOp:
-            return self.rule("neg", self.jet_of(node.operand))
-        if kind is ast.Call:
-            return self.unary(node.func.id, self.jet_of(node.args[0]))
-        if type(node.op) is ast.Pow and type(node.right) is ast.Constant:
-            return self.rule("pow", self.jet_of(node.left), p=self.const(node.right.value))
-        if type(node.op) is ast.Pow:
+        op = shape[0]
+        if op == "neg":
+            return self.rule("neg", self.jet_of(shape[1]))
+        if op == "call":
+            return self.unary(shape[1], self.jet_of(shape[2]))
+        if op == "pow" and shape[2] == "c":
+            return self.rule("pow", self.jet_of(shape[1]), p=self.const())
+        if op == "pow":
             # Jet2.__pow__ with a jet exponent: exp(e * log b)
-            b, e = self.jet_of(node.left), self.jet_of(node.right)
+            b, e = self.jet_of(shape[1]), self.jet_of(shape[2])
             return self.unary("exp", self.rule("mul", e, self.unary("log", b)))
-        a, b = self.jet_of(node.left), self.jet_of(node.right)
-        return self.rule(_JET_OPS[type(node.op)], a, b)
+        return self.rule(op, self.jet_of(shape[1]), self.jet_of(shape[2]))
 
     def unary(self, fn: str, a: tuple) -> tuple:
         guard, *outer = UNARY_SOURCE[fn]
@@ -363,36 +421,35 @@ class _Emitter:
 
 
 @functools.lru_cache(maxsize=512)
-def _code(src: str):
-    """compile(src) for the emitted source of _source, once per text.
+def _source(shape) -> str:
+    """The source text that defines ``value(x)`` and ``jet(x) -> (v, d1,
+    d2)`` for every tree of one shape, emitted once per shape; both read
+    the tree's constants as ``_c``."""
+    em = _Emitter()
+    result = em.value_of(shape)
+    src = ["def value(x):", *(f"    {s}" for s in em.lines), f"    return {result}"]
+    em.lines, em.n_consts = [], 0
+    result = em.jet_of(shape)
+    src += ["def jet(x):", *(f"    {s}" for s in em.lines),
+            f"    return ({', '.join(result)})"]
+    return "\n".join(src)
 
-    The source names constants only as ``_c[i]``, so it depends on the
-    tree's shape alone: every profile of one shape shares one code object.
-    """
+
+@functools.lru_cache(maxsize=512)
+def _code(src: str):
+    """compile(src) for a source text of _source, once per text: every
+    profile of one shape shares one code object."""
     return compile(src, "<profile>", "exec")
 
 
-def _source(node: ast.expr) -> tuple:
-    """``(src, consts)``: the source text that defines ``value(x)`` and
-    ``jet(x) -> (v, d1, d2)`` for a tree of ``ast`` nodes (as
-    ``parse_expression`` returns it), and the constants it reads as ``_c``."""
-    em = _Emitter()
-    result = em.value_of(node)
-    src = ["def value(x):", *(f"    {s}" for s in em.lines), f"    return {result}"]
-    em.lines = []
-    result = em.jet_of(node)
-    src += ["def jet(x):", *(f"    {s}" for s in em.lines),
-            f"    return ({', '.join(result)})"]
-    return "\n".join(src), tuple(em.consts)
-
-
 def _compile(node: ast.expr) -> tuple:
-    """``(value, jet)`` of a tree as Python functions of a 1-D array x: its
-    one source text, compiled once (``_code``) and run with this tree's
-    constants in ``jets.ARRAY_NAMESPACE``.  A part that does not depend on
-    x stays a float."""
-    src, consts = _source(node)
-    namespace = {**ARRAY_NAMESPACE, "_c": consts}
+    """``(value, jet)`` of a tree as Python functions of a 1-D array x: the
+    one source text of its shape, compiled once (``_code``) and run with
+    this tree's constants in ``jets.ARRAY_NAMESPACE``.  A part that does
+    not depend on x stays a float."""
+    consts = []
+    src = _source(_shape(node, consts))
+    namespace = {**ARRAY_NAMESPACE, "_c": tuple(consts)}
     exec(_code(src), namespace)
     return namespace["value"], namespace["jet"]
 
@@ -504,6 +561,17 @@ class Profile1D(Profile):
     def from_string(cls, text: str, domain: Interval,
                     var: str | None = None) -> "Profile1D":
         return cls(parse_expression(text), domain, var=var)
+
+    @classmethod
+    def from_template(cls, template: str, values: tuple, domain: Interval,
+                      var: str | None = None) -> "Profile1D":
+        """``from_string(template.format(*map(repr, values)), ...)``: the same
+        tree, text and errors.  When every value is a finite float the
+        template is parsed once per process (``_template``) and the values
+        put in its tree; otherwise the formatted text is parsed."""
+        if all(type(v) is float and math.isfinite(v) for v in values):
+            return cls(_filled(_template(template), values), domain, var=var)
+        return cls.from_string(template.format(*map(repr, values)), domain, var=var)
 
     @classmethod
     def constant(cls, c: float, domain: Interval, var: str = "t") -> "Profile1D":

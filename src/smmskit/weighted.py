@@ -46,7 +46,9 @@ class SmmsParams:
     """Dimension n, weight parameter m > 0 and characteristic constant mu.
 
     For m = 1 the constant mu never enters any formula; it is stored but
-    inert, and outputs are bitwise independent of it.
+    inert, and outputs are bitwise independent of it.  A weight whose
+    m (m - 1) overflows leaves every weighted scalar curvature outside the
+    float range, so it raises OverflowError here, before any evaluation.
     """
 
     n: int
@@ -58,6 +60,9 @@ class SmmsParams:
             raise FormError("need dimension n >= 2")
         if not self.m > 0.0:
             raise FormError("weight parameter m must be positive")
+        if math.isinf(self.m * (self.m - 1.0)):  # the mu term of tau_f
+            raise OverflowError(f"weight parameter m = {self.m!r} is too large: "
+                                f"m (m - 1) overflows")
 
 
 def _require_positive(v, point: PointSpec):
@@ -289,6 +294,10 @@ def _mu_stats(params: SmmsParams, lam: float, be_tt, tau_f0, v, k: int) -> tuple
 def _per_point(x, k: int) -> np.ndarray:
     """A grid quantity as a read-only view of k floats: x is an array over
     the grid or a float that holds at every point."""
+    if isinstance(x, np.ndarray) and x.shape == (k,) and x.dtype == np.float64:
+        view = x.view()
+        view.flags.writeable = False
+        return view
     return np.broadcast_to(np.asarray(x, dtype=float), (k,))
 
 

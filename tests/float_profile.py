@@ -3,8 +3,8 @@
 ``FLOAT_NAMESPACE`` binds every name of the rule texts of ``smmskit.jets``
 and ``smmskit.profiles`` to plain CPython: the real ``math``, the float
 power ``operator.pow``, ``bool`` and ``repr``.  ``FloatProfile`` runs the
-source text that ``profiles._source`` emits for a tree in that namespace,
-wrapped as a float evaluation of ``Profile1D`` is specified: a domain
+source text that ``profiles._source`` emits for a tree's shape in that
+namespace, wrapped as a float evaluation of ``Profile1D`` is specified: a domain
 check, the compiled call, and errors that name t.  The parity tests compare
 ``Profile1D`` on arrays with it bit for bit.  Nothing here is a code path
 of the package.
@@ -15,7 +15,7 @@ import operator
 
 from smmskit.errors import EvalError
 from smmskit.jets import Jet2, _check
-from smmskit.profiles import _code, _source
+from smmskit.profiles import _code, _shape, _source
 
 FLOAT_NAMESPACE = {"math": math, "EvalError": EvalError, "_check": _check,
                    "_pow": operator.pow, "_any": bool, "_repr": repr}
@@ -25,8 +25,9 @@ class FloatProfile:
     """value(t) and jet(t) of a Profile1D's tree on one float."""
 
     def __init__(self, prof):
-        src, consts = _source(prof.node)
-        namespace = {**FLOAT_NAMESPACE, "_c": consts}
+        consts = []
+        src = _source(_shape(prof.node, consts))
+        namespace = {**FLOAT_NAMESPACE, "_c": tuple(consts)}
         exec(_code(src), namespace)
         self.domain = prof.domain
         self._value, self._jet = namespace["value"], namespace["jet"]

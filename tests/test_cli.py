@@ -302,6 +302,11 @@ UNREAD_VALUES = [
      "expectations.branch_global must be one of"),
     ("family_flags_not_its_own", _set("flags.compact", False),
      "flags must be the family's own, {\"complete\": true, \"compact\": true}"),
+    ("family_flag_misspelt", _set("flags.compactt", True), "unknown flags: compactt"),
+    ("conformal_nu_not_a_number", _set("conformal.nu", "banana"),
+     "conformal.nu must be a finite number, got 'banana'"),
+    ("conformal_key_unknown", _set("conformal.uu", "2 + cos(t)"),
+     "unknown conformal keys: uu"),
 ]
 
 
@@ -315,6 +320,61 @@ def test_unread_config_values_exit_two(tmp_path, capsys, command, case, edit, me
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
     assert message in err, (case, err)
+
+
+def _round_sphere_custom(**top) -> dict:
+    """A custom round-sphere config that verifies, with extra top-level keys."""
+    return {
+        "schema": 1,
+        "custom": {
+            "interval": [0.0, math.pi],
+            "warping": "sin(t)",
+            "fiber": {"kind": "space_form", "dim": 2, "curvature": 1.0},
+            "density": {"kind": "radial", "v": "2 + cos(t)"},
+            "n": 3, "m": 2.0, "mu": -3.0,
+        },
+        "grid": {"k": 16},
+        "expectations": {"lambda": 0.5},
+        "conformal": {"u": "2 + cos(t)"},
+        **top,
+    }
+
+
+# (case id, top-level keys of the custom config, a fragment of the error line)
+UNREAD_CUSTOM_VALUES = [
+    ("flag_misspelt", {"flags": {"complete": True, "compactt": True}},
+     "unknown flags: compactt"),
+    ("flags_unknown", {"flags": {"closed": True, "orientable": False}},
+     "unknown flags: closed, orientable"),
+    ("parameters", {"parameters": {"x": [1, 2]}},
+     "\"parameters\" are a catalog family's; a custom config takes none"),
+    ("conformal_nu_banana", {"conformal": {"u": "2 + cos(t)", "nu": "banana"}},
+     "conformal.nu must be a finite number, got 'banana'"),
+    ("conformal_nu_bool", {"conformal": {"u": "2 + cos(t)", "nu": True}},
+     "conformal.nu must be a finite number, got True"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "conformal"])
+@pytest.mark.parametrize("case,top,message", UNREAD_CUSTOM_VALUES,
+                         ids=[c[0] for c in UNREAD_CUSTOM_VALUES])
+def test_unread_custom_config_values_exit_two(tmp_path, capsys, command, case, top,
+                                              message):
+    good = write_config(tmp_path, _round_sphere_custom(), name="good.json")
+    assert cli.main([command, "--config", good]) == 0  # the edit alone fails it
+    capsys.readouterr()
+    path = write_config(tmp_path, _round_sphere_custom(**top))
+    assert cli.main([command, "--config", path]) == 2, case
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    assert message in err, (case, err)
+
+
+def test_custom_flags_and_a_finite_nu_still_pass(tmp_path):
+    cfg = _round_sphere_custom(flags={"complete": True, "compact": True},
+                               conformal={"u": "2 + cos(t)", "nu": 1.5})
+    for command in ("verify", "conformal"):
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
 
 
 @pytest.mark.parametrize("text", [
@@ -399,10 +459,10 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
 
 # (case id, commands, family, parameter overrides, a fragment of the error
 # line): each number takes the arithmetic of a command out of the float range
-# (smms conformal on the first one fails its NaN law rows closed, exit 1)
 OUT_OF_RANGE = [
-    ("power_overflows", ["verify"], "weighted_sphere", {"m": 1e155},
-     "arithmetic out of the float range (OverflowError: "),
+    ("power_overflows", ["verify", "conformal"], "weighted_sphere", {"m": 1e155},
+     "arithmetic out of the float range (OverflowError: weight parameter m = 1e+155"
+     " is too large: m (m - 1) overflows)"),
     ("level_squared_underflows", ["verify", "conformal"], "constant_density",
      {"a": 1e-300}, "density level a = 1e-300 is too small"),
     ("kappa_squared_overflows", ["verify", "conformal"], "skew_sphere_density",

@@ -5,11 +5,13 @@ import ast
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smmskit.catalog as cat
+import smmskit.profiles as profiles
 from smmskit.conformal import ConformalMap, ReparamProfile
 from smmskit.errors import DomainError, EvalError, PositivityError
 from smmskit.jets import UNARY, Jet2
@@ -488,3 +490,66 @@ def test_reparam_profile_matches_scalar_evaluation_bitwise():
     ts = np.linspace(prof.domain.lo, prof.domain.hi, 23)[1:-1]
     assert _same_as_loop(prof.jet, ts)
     assert _same_as_loop(prof.value, ts)
+
+
+# ---------------------------------------------------------------------------
+# catalog templates: parsed once, the tree of the formatted text
+
+def _catalog_templates() -> list:
+    """The first argument of every ``from_template`` call in catalog.py."""
+    tree = ast.parse(Path(cat.__file__).read_text(encoding="utf-8"))
+    return sorted({node.args[0].value for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+                   == "from_template"})
+
+
+TEMPLATE_VALUES = [0.7071067811865476, -0.5, 0.0, -0.0, 5e-324, -1e-05, 1e300, 2.5e-7,
+                   1.0, 3]
+
+
+def _outcome(build):
+    try:
+        prof = build()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return ast.dump(prof.node), prof.to_string(), prof._var
+
+
+@pytest.mark.parametrize("template", _catalog_templates())
+def test_template_profiles_are_the_formatted_texts(template):
+    rng = random.Random(template)
+    count = 1 + max(int(i) for i in re.findall(r"\{(\d+)\}", template))
+    var = "s" if re.search(r"\bs\b", template) else "t"
+    cases = [tuple(rng.choice(TEMPLATE_VALUES) for _ in range(count)) for _ in range(25)]
+    cases += [(math.inf,) * count, (math.nan,) * count, (-math.inf,) + (1.0,) * (count - 1)]
+    for values in cases:
+        text = template.format(*map(repr, values))
+        assert (_outcome(lambda: Profile1D.from_template(template, values, IV, var=var))
+                == _outcome(lambda: Profile1D.from_string(text, IV, var=var))), text
+
+
+def test_a_template_is_parsed_once_and_each_profile_keeps_its_constants(monkeypatch):
+    parsed = []
+    real = profiles.parse_expression
+
+    def counted(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(profiles, "parse_expression", counted)
+    template = "{0} + {1}*cos({2}*t) - {0}*t"  # a template no other test builds
+    a = Profile1D.from_template(template, (1.2, -0.5, 0.75), IV, var="t")
+    b = Profile1D.from_template(template, (2.0, 0.5, 1.5), IV, var="t")
+    assert parsed == ["_0 + _1*cos(_2*t) - _0*t"]
+    assert a.to_string() == "1.2 + (-0.5) * cos(0.75 * t) - 1.2 * t"
+    assert b.to_string() == "2.0 + 0.5 * cos(1.5 * t) - 2.0 * t"
+    assert a.value(1.0) == 1.2 + -0.5 * math.cos(0.75) - 1.2
+    assert b.value(1.0) == 2.0 + 0.5 * math.cos(1.5) - 2.0
+    Profile1D.from_template(template, (1.0, 2, 3.0), IV, var="t")  # an int: the text
+    assert parsed[1:] == ["1.0 + 2*cos(3.0*t) - 1.0*t"]
+
+
+def test_template_placeholder_as_a_power_base_is_refused():
+    # "-0.5^2" is -(0.5^2), not the square of a negative value
+    with pytest.raises(ValueError, match="base of a power"):
+        Profile1D.from_template("{0}^2 + t", (0.5,), IV, var="t")
