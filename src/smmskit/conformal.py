@@ -9,8 +9,9 @@ characteristic constant is unchanged.
 Residual identities on the transformed instance are autonomous pointwise
 checks, so quadrature error in the coordinate map only moves the sample
 points and never degrades the residuals themselves.  Law checks compare the
-directly computed transformed tensors against independent closed formulas
-assembled entirely in the original frame.
+directly computed transformed tensors against closed formulas assembled
+entirely in the original frame from the jets of v and u; like the kernel,
+they differentiate v alone and take tau_f from ``weighted_scalar``.
 
 The coordinate map and the reparameterized profiles evaluate 1-D arrays,
 like every profile, and a float as the one-entry array
@@ -44,8 +45,8 @@ from .weighted import (
     RadialDensity,
     SplitDensity,
     _sup,
-    f_bijet,
     point_fields,
+    weighted_scalar,
 )
 
 # The 10-point Gauss-Legendre rule on [-1, 1]: the reprs of
@@ -432,15 +433,12 @@ def inverse_factor(result: TransformResult) -> ReparamProfile:
 # ---------------------------------------------------------------------------
 # transformation-law checks in the original frame
 
-def _symmetric_product(structure, a_t, a_s, b_t, b_s, phi):
-    """Components of da (x) db + db (x) da against g-unit vectors."""
-    if len(structure) == 1:
-        return Tensor2Blocks(structure, 2.0 * a_t * b_t, (0.0,), 0.0)
-    gs_a = a_s / phi
-    gs_b = b_s / phi
-    blocks = (2.0 * gs_a * gs_b,) + tuple(0.0 for _ in structure[1:])
-    return Tensor2Blocks(structure, 2.0 * a_t * b_t, blocks,
-                         a_t * gs_b + gs_a * b_t)
+def _symmetric_product(structure, a_t, b_t, b_s, phi):
+    """Components of da (x) db + db (x) da against g-unit vectors, for a
+    function a of t alone."""
+    mixed = 0.0 if len(structure) == 1 else a_t * (b_s / phi)
+    return Tensor2Blocks(structure, 2.0 * a_t * b_t,
+                         tuple(0.0 for _ in structure), mixed)
 
 
 def conformal_law_residuals(instance: Instance, result: TransformResult,
@@ -454,7 +452,9 @@ def conformal_law_residuals(instance: Instance, result: TransformResult,
       ricci:     Ric^ = Ric + (n-2) Hes(u)/u + (L(u)/u - (n-1)|du|^2/u^2) g
       modified:  Ric^_f = Ric^ - m Hes^(v^)/v^ with
                  Hes^(h) = Hes(h) + (du (x) dh + dh (x) du)/u - <du, dh> g / u
-      schouten:  P^ from the two above plus the scalar trace conversions
+      scalar:    tau^_f from ``weighted_scalar`` with the g^-frame traces
+                 u^2 tr Ric^, u^2 tr Hes^(v^), u^2 |dv^|^2 and v^
+      schouten:  P^ from the modified Ricci law and the scalar one
 
     Both sides are evaluated on all points at once, as one grid point in
     each frame; the sups are taken point by point in the order of ts.
@@ -470,7 +470,8 @@ def conformal_law_residuals(instance: Instance, result: TransformResult,
     pt_hat = PointSpec(result.cmap.forward(ts), ss)
     with np.errstate(all="ignore"):  # as on floats: inf and NaN fail the sups
         uj = u.jet(pt.t)
-        uv, du, ddu = uj.value, uj.d1, uj.d2
+        uv, du = uj.value, uj.d1
+        u2 = power(uv, 2)  # the frame conversion: tr of g^ = u^2 tr of g
 
         # original-frame ingredients
         rho = ricci(metric, pt)
@@ -484,45 +485,30 @@ def conformal_law_residuals(instance: Instance, result: TransformResult,
 
         # transformed-frame direct values, converted to the original frame
         direct = point_fields(hat.metric, hat.density, params, pt_hat)
-        ricci_dev = direct.rho.scale_shift(1.0 / power(uv, 2)) \
+        ricci_dev = direct.rho.scale_shift(1.0 / u2) \
                               .combine(law_rho, 1.0, -1.0).sup_dev(0.0)
 
         # law: modified Ricci via the transformed Hessian of v^ = v/u
-        vb = dens.v_bijet(metric, pt)
-        ub = BiJet2.lift_t(uj)
-        vhat_b = vb / ub
+        vhat_b = dens.v_bijet(metric, pt) / BiJet2.lift_t(uj)
         vhat = vhat_b.value
         fc = field_components(metric, vhat_b, pt)
-        sym = _symmetric_product(rho.structure, du, 0.0, vhat_b.dt, vhat_b.ds, phi_val)
+        sym = _symmetric_product(rho.structure, du, vhat_b.dt, vhat_b.ds, phi_val)
         inner = du * vhat_b.dt
         hes_hat_v = fc.hess.combine(sym, 1.0, 1.0 / uv) \
                            .scale_shift(1.0, -inner / uv)
         law_be = law_rho.combine(hes_hat_v, 1.0, -m / vhat)
-        modified = direct.be.scale_shift(1.0 / power(uv, 2)) \
+        modified = direct.be.scale_shift(1.0 / u2) \
                             .combine(law_be, 1.0, -1.0).sup_dev(0.0)
 
-        # law: weighted scalar and Schouten
-        fb = f_bijet(vb, m, pt)
-        fhat_t = fb.dt + m * du / uv
-        fhat_s = fb.ds
-        fch = field_components(metric, BiJet2(0.0, fhat_t, fhat_s,
-                                              fb.dtt + m * (ddu * uv - du * du)
-                                              / power(uv, 2),
-                                              fb.dts, fb.dss), pt)
-        tau_hat = power(uv, 2) * law_rho.trace()
-        grad_fhat = power(uv, 2) * (power(fhat_t, 2)
-                                    + (power(fhat_s / phi_val, 2) if ss is not None else 0.0))
-        lap_hat_f = power(uv, 2) * (fch.laplacian - (n - 2.0) / uv
-                                    * (du * fhat_t))
-        tau_f_hat = tau_hat + 2.0 * lap_hat_f - ((m + 1.0) / m) * grad_fhat
-        if m != 1.0:
-            tau_f_hat = tau_f_hat + m * (m - 1.0) * params.mu * power(uv / vb.value, 2)
+        # law: weighted scalar and Schouten, from the g^-frame traces
+        _, tau_f_hat = weighted_scalar(u2 * law_rho.trace(), u2 * hes_hat_v.trace(),
+                                       u2 * fc.grad_sq, vhat, params)
         scalar = abs(direct.tau_f - tau_f_hat)
 
         j_hat = tau_f_hat / (2.0 * (n + m - 1.0))
         law_p = law_be.scale_shift(1.0 / (n + m - 2.0),
-                                   -j_hat / (power(uv, 2) * (n + m - 2.0)))
-        schouten = direct.p.scale_shift(1.0 / power(uv, 2)) \
+                                   -j_hat / (u2 * (n + m - 2.0)))
+        schouten = direct.p.scale_shift(1.0 / u2) \
                            .combine(law_p, 1.0, -1.0).sup_dev(0.0)
     return {"ricci": _sup(ricci_dev), "modified_ricci": _sup(modified),
             "schouten": _sup(schouten), "scalar": _sup(scalar)}

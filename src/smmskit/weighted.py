@@ -1,19 +1,21 @@
 """Weighted curvature tensors of a smooth metric measure space.
 
 An instance is (M, g, f, m, mu) with density v = exp(-f/m) > 0.  One
-kernel, ``point_fields``, evaluates every weighted field from exact jets in
-one pass over a point or a whole grid (1-D coordinate arrays, as
-``sample_points`` returns them), bitwise equal to a loop over the points.
-It reads v's jets once and keeps tau_f0, the weighted scalar curvature
-before its mu term, so a report solves mu from the pass it certifies
-(``WeightedReport.mu``, the floats of ``solve_mu``).  The report keeps one
-array per field; its sups and means run in grid order and equal the builtin
-max and a left-to-right sum bit for bit.  The f-form of ``bakry_emery``
-(rho + Hes_f - df (x) df / m) cross-checks the kernel's modified Ricci
-tensor rho - m Hes_v / v.  Every tensor comes in the block layout of the
-point it is evaluated at (``WarpedMetric.layout``); ``sample_points`` gives
-a grid the fiber coordinate s exactly when the density needs it or the
-fiber is a warped product.
+kernel, ``point_fields``, evaluates every weighted field from the exact
+jets of v alone, with no log, in one pass over a point or a whole grid (1-D
+coordinate arrays, as ``sample_points`` returns them), bitwise equal to a
+loop over the points.  tau_f^m is written once, in v-form
+(``weighted_scalar``, which the conformal scalar law calls too).  The
+kernel keeps tau_f0 (tau_f before its mu term), so a report solves mu
+from the pass it certifies (``WeightedReport.mu``, the floats of
+``solve_mu``).  The report keeps one array per field; its sups and means
+run in grid order and equal the builtin max and a left-to-right sum bit
+for bit.  The f-form of ``bakry_emery`` (rho + Hes_f - df (x) df / m, from
+the jets of f = -m log v) is the independent cross-check of the kernel.
+Every tensor comes in the block layout of the point it is evaluated at
+(``WarpedMetric.layout``); ``sample_points`` gives a grid the fiber
+coordinate s exactly when the density needs it or the fiber is a warped
+product.
 """
 
 from __future__ import annotations
@@ -159,8 +161,8 @@ class Instance:
 # pointwise weighted tensors
 
 def f_bijet(v: BiJet2, m: float, point: PointSpec) -> BiJet2:
-    """Coordinate jets of f = -m log v from v's jets at a point (the
-    chain-rule route); v must be positive there."""
+    """Coordinate jets of f = -m log v from v's jets at a point, for the
+    f-form cross-check; v must be positive there."""
     _require_positive(v.value, point)
     return -m * UNARY["log"](v)
 
@@ -193,25 +195,34 @@ class PointFields:
     v: float
 
 
+def weighted_scalar(tau, lap_v, grad_v_sq, v, params: SmmsParams) -> tuple:
+    """(tau_f0, tau_f) from tau, L(v), |dv|^2 and v in one frame:
+    tau_f0 = tau - 2m L(v)/v - m(m-1) |dv|^2/v^2 (tau + 2 L(f) - (m+1)/m |df|^2
+    at f = -m log v) and tau_f = tau_f0 + m(m-1) mu/v^2 when m != 1."""
+    m = params.m
+    tau_f0 = tau - 2.0 * m * lap_v / v - m * (m - 1.0) * grad_v_sq / (v * v)
+    tau_f = tau_f0
+    if m != 1.0:  # a branch, not a zero term: at m = 1 mu never enters
+        tau_f = tau_f0 + m * (m - 1.0) * params.mu / (v * v)
+    return tau_f0, tau_f
+
+
 def point_fields(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
                  point: PointSpec) -> PointFields:
-    """Every weighted field at a point (or a grid point), each computed once.
+    """Every weighted field at a point (or a grid point), each computed once
+    from v's jets.
 
-    rho_f^m = rho - m Hes_v / v, tau_f^m = tau + 2 L(f) - (m+1)/m |df|^2
-    (+ m (m-1) mu / v^2 when m != 1), J = tau_f^m / (2 (n+m-1)) and
-    P = (rho_f^m - J g) / (n+m-2).
+    rho_f^m = rho - m Hes_v / v, tau_f^m from ``weighted_scalar``,
+    J = tau_f^m / (2 (n+m-1)) and P = (rho_f^m - J g) / (n+m-2).
     """
     n, m = params.n, params.m
     rho = ricci(metric, point)
     vb = density.v_bijet(metric, point)
-    fb = f_bijet(vb, m, point)
     v = vb.value
+    _require_positive(v, point)
     be = rho.combine(density.hessian_v(metric, point), 1.0, -m / v)
-    fc = field_components(metric, fb, point)
-    tau_f0 = rho.trace() + 2.0 * fc.laplacian - ((m + 1.0) / m) * fc.grad_sq
-    tau_f = tau_f0
-    if m != 1.0:  # a branch, not a zero term: at m = 1 mu never enters
-        tau_f = tau_f0 + m * (m - 1.0) * params.mu / (v * v)
+    fc = field_components(metric, vb, point)
+    tau_f0, tau_f = weighted_scalar(rho.trace(), fc.laplacian, fc.grad_sq, v, params)
     j = tau_f / (2.0 * (n + m - 1.0))
     p = be.scale_shift(1.0 / (n + m - 2.0), -j / (n + m - 2.0))
     return PointFields(rho, be, tau_f0, tau_f, j, p, v)
