@@ -6,8 +6,8 @@ jets of v alone, with no log, in one pass over a point or a whole grid (1-D
 coordinate arrays, as ``sample_points`` returns them), bitwise equal to a
 loop over the points.  tau_f^m is written once, in v-form
 (``weighted_scalar``, which the conformal scalar law calls too).  The
-kernel keeps tau_f0 (tau_f before its mu term), so a report solves mu
-from the pass it certifies (``WeightedReport.mu``, the floats of
+kernel keeps tau_f0 (tau_f before its mu term) and |dv|^2, so a report
+solves mu from the pass it certifies (``WeightedReport.mu``, the floats of
 ``solve_mu``).  The report keeps one array per field; its sups and means
 run in grid order and equal the builtin max and a left-to-right sum bit
 for bit.  The f-form of ``bakry_emery`` (rho + Hes_f - df (x) df / m, from
@@ -182,8 +182,9 @@ class PointFields:
 
     rho is the Ricci tensor, be the modified Ricci tensor rho_f^m, tau_f the
     weighted scalar curvature tau_f^m (tau_f0 without its mu term), j and p
-    the weighted Schouten scalar J_f^m and tensor P_f^m, and v the density
-    value.  At a grid point each number is an array over the grid.
+    the weighted Schouten scalar J_f^m and tensor P_f^m, v the density value
+    and grad_v_sq its squared gradient.  At a grid point each number is an
+    array over the grid.
     """
 
     rho: Tensor2Blocks
@@ -193,6 +194,7 @@ class PointFields:
     j: float
     p: Tensor2Blocks
     v: float
+    grad_v_sq: float
 
 
 def weighted_scalar(tau, lap_v, grad_v_sq, v, params: SmmsParams) -> tuple:
@@ -225,7 +227,7 @@ def point_fields(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     tau_f0, tau_f = weighted_scalar(rho.trace(), fc.laplacian, fc.grad_sq, v, params)
     j = tau_f / (2.0 * (n + m - 1.0))
     p = be.scale_shift(1.0 / (n + m - 2.0), -j / (n + m - 2.0))
-    return PointFields(rho, be, tau_f0, tau_f, j, p, v)
+    return PointFields(rho, be, tau_f0, tau_f, j, p, v, fc.grad_sq)
 
 
 def bakry_emery(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
@@ -285,17 +287,39 @@ def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
         raise UnsupportedError("mu does not enter the m = 1 equations")
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
         pf = point_fields(metric, density, params, points)
-    return _mu_stats(params, lam, pf.be.tt, pf.tau_f0, pf.v, len(points))
+    return _mu_stats(params, lam, pf.be.tt, pf.tau_f0, pf.v, pf.grad_v_sq, len(points))
 
 
-def _mu_stats(params: SmmsParams, lam: float, be_tt, tau_f0, v, k: int) -> tuple:
+# |X0| <= _X0_ZERO v^2 at every point certifies X0 = 0 (see _mu_stats)
+_X0_ZERO = 1e-10
+
+
+def _mu_stats(params: SmmsParams, lam: float, be_tt, tau_f0, v, grad_v_sq,
+              k: int) -> tuple:
     """(mean, spread) over k points of the mu that solves the trace identity
-    at P_f^m = lam g, from the kernel's be.tt, tau_f0 and v there."""
+    at P_f^m = lam g, from the kernel's fields there.
+
+    With J = be.tt - (n+m-2) lam and kappa = ((m+n) lam - J) v / m, the
+    solution (2 (n+m-1) J - tau_f0) v^2 / (m (m-1)) is Y + X0 / (m-1), where
+    Y = 2 lam v^2 - 2 kappa v + |dv|^2 and
+    X0 = (2n (be.tt - (n-1) lam) - tau_f0) v^2 / m - (m-1) |dv|^2, which is
+    v (L(v) + n (2 lam v - kappa)) where rho_f^m is a multiple of g.  Where
+    X0 is certified zero on the grid, mu is Y, with no division by m (m-1)
+    (near m = 1 it magnifies rounding by 1/|m-1|); elsewhere mu is the
+    quotient.  X0 reads every component through tau_f0, so a NaN takes the
+    quotient, which keeps it.  Neither route reads the declared mu.
+    """
     n, m = params.n, params.m
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
         j_target = be_tt - (n + m - 2.0) * lam
-        vals = _per_point((2.0 * (n + m - 1.0) * j_target - tau_f0) * v * v
-                          / (m * (m - 1.0)), k)
+        x0 = (2.0 * n * (be_tt - (n - 1.0) * lam) - tau_f0) * v * v / m \
+            - (m - 1.0) * grad_v_sq
+        if np.all(abs(x0) <= _X0_ZERO * v * v):
+            kappa = ((m + n) * lam - j_target) * v / m
+            vals = 2.0 * lam * v * v - 2.0 * kappa * v + grad_v_sq
+        else:
+            vals = (2.0 * (n + m - 1.0) * j_target - tau_f0) * v * v / (m * (m - 1.0))
+        vals = _per_point(vals, k)
     return _mean(vals), _spread(vals)
 
 
@@ -363,6 +387,7 @@ class WeightedReport:
     j_f: np.ndarray
     kappa: np.ndarray
     v: np.ndarray
+    grad_v_sq: np.ndarray
     sec_dev: np.ndarray | None = None
     fiber_flat_dev: np.ndarray | None = None
     fiber_be_dev: np.ndarray | None = None
@@ -396,8 +421,8 @@ class WeightedReport:
         """solve_mu's (mean, spread) on this grid; None at m = 1."""
         if self.params.m == 1.0:
             return None
-        return _mu_stats(self.params, self.lam, self.be_tt, self.tau_f0,
-                         self.v, len(self.points))
+        return _mu_stats(self.params, self.lam, self.be_tt, self.tau_f0, self.v,
+                         self.grad_v_sq, len(self.points))
 
     @property
     def sec_residual(self) -> float | None:
@@ -492,6 +517,7 @@ def einstein_residuals(metric: WarpedMetric, density: DensitySpec,
             j_f=_per_point(pf.j, k),
             kappa=_per_point(((m + n) * lam - pf.j) * pf.v / m, k),
             v=_per_point(pf.v, k),
+            grad_v_sq=_per_point(pf.grad_v_sq, k),
             sec_dev=None if sec_dev is None else _per_point(sec_dev, k),
             fiber_flat_dev=None if flat_dev is None else _per_point(flat_dev, k),
             fiber_be_dev=None if be_dev is None else _per_point(be_dev, k),

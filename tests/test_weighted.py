@@ -363,14 +363,23 @@ def _pointwise_tau(params, lam, ref):
 
 
 def _pointwise_mu(inst, lam, pts):
+    """solve_mu as a float loop over scalar kernel calls at mu = 0: the
+    first integral Y when X0 vanishes at every point, else the quotient."""
     n, m = inst.params.n, inst.params.m
     base = SmmsParams(n, m, 0.0)
-    vals = []
+    zero, ys, quotients = [], [], []
     for p in each_point(pts):
         pf = point_fields(inst.metric, inst.density, base, p)
+        v = pf.v
         j_target = pf.be.tt - (n + m - 2.0) * lam
-        vals.append((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * pf.v * pf.v
-                    / (m * (m - 1.0)))
+        x0 = ((2.0 * n * (pf.be.tt - (n - 1.0) * lam) - pf.tau_f) * v * v / m
+              - (m - 1.0) * pf.grad_v_sq)
+        zero.append(abs(x0) <= 1e-10 * v * v)
+        kappa = ((m + n) * lam - j_target) * v / m
+        ys.append(2.0 * lam * v * v - 2.0 * kappa * v + pf.grad_v_sq)
+        quotients.append((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * v * v
+                         / (m * (m - 1.0)))
+    vals = ys if all(zero) else quotients
     return left_to_right_mean(vals), max(vals) - min(vals)
 
 
@@ -415,6 +424,64 @@ def test_grid_kernel_matches_pointwise_loop_bitwise(name):
         assert repr(got) == repr(_pointwise_mu(inst, b.lam, pts))
         # the report solves mu from its own pass, at the declared mu
         assert repr(rep.mu) == repr(got)
+
+
+# base-sweep draws near m = 1 (bench seed, round) that failed mu_spread while
+# solve_mu divided by m (m - 1) on every instance (ROADMAP item 7)
+NEAR_M_ONE_DRAWS = {
+    "16/915": dict(n=5, m=0.9999799914353976, lam=-1.145881296590321,
+                   a=0.6856161795385494, b=1.2278426441115393),
+    "17/1946": dict(n=3, m=1.0000023684234693, lam=-0.6915637123283853,
+                    a=0.9937525304306141, b=1.0400399315394564),
+    "20/2707": dict(n=4, m=1.0000010320260642, lam=-0.8548662836235221,
+                    a=0.29468369747523704, b=1.1982869116016839),
+    "37/3391": dict(n=5, m=0.9999899875434599, lam=-0.8332371202438072,
+                    a=0.9781658885648086, b=1.0269942071052462),
+    "27/4776": dict(n=3, m=0.999995214119829, lam=-1.1466664957603658,
+                    a=1.4448873311428916, b=0.7890359167506056),
+    "317/4233": dict(n=4, m=1.000008878334303, lam=-1.0866532255769294,
+                     a=0.9902714968264441, b=1.2171257839819605),
+    "3012/4258": dict(n=3, m=1.0000030046385053, lam=-0.6057823749801766,
+                      a=0.48900879169764283, b=0.8811102117321821),
+    "3015/3891": dict(n=4, m=0.9999976833628099, lam=-0.9079576534506966,
+                      a=0.22389174074264495, b=0.9653038344226306),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(NEAR_M_ONE_DRAWS))
+def test_mu_near_m_one_passes_its_gates(draw):
+    # base-sweep's operation at k = 500: the solved mu is the first integral
+    # Y, whose spread stays at rounding where the quotient's reached 1e-5
+    b = cat.make("weighted_hyperbolic", **NEAR_M_ONE_DRAWS[draw])
+    inst = b.instance
+    pts = sample_points(inst.metric, inst.density, 500)
+    rep = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts)
+    mean, spread = rep.mu
+    assert spread <= 1e-11 and abs(mean - inst.params.mu) <= 1e-11
+    assert repr(solve_mu(inst.metric, inst.density, inst.params, b.lam, pts)) \
+        == repr(rep.mu)
+
+
+@pytest.mark.parametrize("name", cat.available())
+def test_mu_first_integral_agrees_with_the_quotient(name):
+    # away from m = 1 both routes are well conditioned: where X0 vanishes the
+    # first integral Y is the quotient to rounding, elsewhere mu is the quotient
+    b = cat.make(name)
+    inst = b.instance
+    n, m = inst.params.n, inst.params.m
+    pts = sample_points(inst.metric, inst.density, 64)
+    rep = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts)
+    j_target = rep.be_tt - (n + m - 2.0) * b.lam
+    quotient = ((2.0 * (n + m - 1.0) * j_target - rep.tau_f0) * rep.v * rep.v
+                / (m * (m - 1.0)))
+    mean, spread = rep.mu
+    if name in ("cone_product", "warping_density", "neck_warped"):  # X0 = O(1)
+        assert (mean, spread) == (left_to_right_mean(list(quotient)),
+                                  float(quotient.max() - quotient.min()))
+    else:
+        assert abs(mean - left_to_right_mean(list(quotient))) <= 1e-11
+        assert spread <= 1e-11
+    assert abs(mean - inst.params.mu) <= 1e-9
 
 
 @pytest.mark.parametrize("target, part", [
