@@ -485,6 +485,20 @@ def test_numbers_out_of_the_float_range_exit_two(tmp_path, capsys, case, command
         assert message in err, (case, err)
 
 
+@pytest.mark.parametrize("family,overrides", [
+    ("cone_product", {"scale": 1e-200}), ("neck_warped", {"a": 1e-200})])
+def test_tiny_parameter_gets_one_exit_code(tmp_path, capsys, family, overrides):
+    # both commands run the same v-form arithmetic, so both fail the same
+    # gates (exit 1); the conformal scalar law once squared u/v in the scalar
+    # power fallback and exited 2 on an OverflowError
+    cfg = cat.make(family).config(k=16)
+    cfg["parameters"].update(overrides)
+    path = write_config(tmp_path, cfg)
+    codes = [cli.main([command, "--config", path]) for command in ("verify", "conformal")]
+    assert codes == [1, 1]
+    assert "error:" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", [10**30, 10**6 + 1])
 @pytest.mark.parametrize("where", ["verify grid.k", "verify --points",
                                    "conformal grid.k", "conformal --points",
