@@ -225,3 +225,63 @@ def test_no_kernel_pass_outside_certify():
     assert "_estimate_lambda" not in {name for name, _ in _functions(tree)}
     classify = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
     assert "classify" not in {name for name, _ in _functions(classify)}
+
+
+def _callers(name: str) -> set:
+    """module:function of every function under src/ that calls name."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qual, fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == name):
+                    found.add(f"{path.name}:{qual}")
+    return found
+
+
+def test_one_density_route():
+    # the certified route differentiates v alone: the jets of f = -m log v
+    # serve only the f-form cross-check, and tau_f (with its mu term) is
+    # written once, in weighted.weighted_scalar, which the kernel and the
+    # conformal scalar law call (the catalog's closed forms per family and
+    # the finite-difference oracle are independent routes)
+    assert _callers("f_bijet") == {"weighted.py:bakry_emery"}
+    assert _callers("weighted_scalar") == {"weighted.py:point_fields",
+                                           "conformal.py:conformal_law_residuals"}
+    writers, mu_terms = set(), set()
+    for path in sorted(set(SRC.glob("*.py")) - {SRC / "catalog.py", SRC / "oracle.py"}):
+        for qual, fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+                        and any(isinstance(t, ast.Name) and t.id.startswith("tau_f")
+                                for t in node.targets)):
+                    writers.add(f"{path.name}:{qual}")
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+                        isinstance(side, ast.Attribute) and side.attr == "mu"
+                        for side in (node.left, node.right)):
+                    mu_terms.add(f"{path.name}:{qual}")
+    assert writers == {"weighted.py:weighted_scalar"}
+    assert mu_terms == {"weighted.py:weighted_scalar"}
+
+
+def test_base_pass_takes_no_log_entry_by_entry(monkeypatch):
+    import math
+
+    import smmskit.catalog as cat
+    from smmskit import jets
+    from smmskit.weighted import einstein_residuals, sample_points
+
+    mapped = []
+    per_entry = jets._per_entry
+
+    def spy(fn, x):
+        mapped.append(fn)
+        return per_entry(fn, x)
+
+    monkeypatch.setattr(jets, "_per_entry", spy)
+    b = cat.make("weighted_sphere", m=2.5)
+    inst = b.instance
+    pts = sample_points(inst.metric, inst.density, 64)
+    rep = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts)
+    assert rep.mu is not None
+    assert math.log not in mapped

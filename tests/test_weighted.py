@@ -10,6 +10,7 @@ import smmskit.catalog as cat
 import smmskit.weighted as weighted
 from conftest import left_to_right_mean
 from smmskit.classify import classify_report
+from smmskit.conformal import apply_conformal
 from smmskit.errors import DomainError, UnsupportedError
 from smmskit.geometry import (
     FiberDesc,
@@ -17,6 +18,8 @@ from smmskit.geometry import (
     SpaceForm,
     Tensor2Blocks,
     WarpedMetric,
+    field_components,
+    ricci,
     sectional_residual,
 )
 from smmskit.profiles import Interval, Profile1D
@@ -26,6 +29,7 @@ from smmskit.weighted import (
     _fiber_diagnostics,
     bakry_emery,
     einstein_residuals,
+    f_bijet,
     point_fields,
     sample_points,
     solve_mu,
@@ -68,15 +72,25 @@ def test_sphere_example_frozen_values():
 
 
 def test_bakry_emery_density_and_exponent_routes_agree():
-    b = sphere_example()
-    inst = b.instance
-    for t in (0.4, 1.1, 2.3):
-        a = point_fields(inst.metric, inst.density, inst.params, PointSpec(t)).be
-        c = bakry_emery(inst.metric, inst.density, inst.params, PointSpec(t))
-        assert a.tt == pytest.approx(c.tt, abs=1e-11)
-        for x, y in zip(a.blocks, c.blocks):
-            assert x == pytest.approx(y, abs=1e-11)
-        assert a.mixed == pytest.approx(c.mixed, abs=1e-11)
+    # the f-form from the jets of f = -m log v (bakry_emery, and tau_f0 as
+    # tau + 2 L(f) - (m+1)/m |df|^2) against the kernel's v-form, on a grid of
+    # every catalog family and of its conformal image, to rounding
+    for name in cat.available():
+        b = cat.make(name)
+        for inst in (b.instance, apply_conformal(b.instance, b.pair.u).instance):
+            metric, density, params = inst.metric, inst.density, inst.params
+            m = params.m
+            pts = sample_points(metric, density, 32)
+            pf = point_fields(metric, density, params, pts)
+            be = bakry_emery(metric, density, params, pts)
+            fc = field_components(metric, f_bijet(density.v_bijet(metric, pts), m, pts), pts)
+            tau_f0 = (ricci(metric, pts).trace() + 2.0 * fc.laplacian
+                      - ((m + 1.0) / m) * fc.grad_sq)
+            pairs = [(pf.be.tt, be.tt), (pf.be.mixed, be.mixed), (pf.tau_f0, tau_f0),
+                     *zip(pf.be.blocks, be.blocks)]
+            for v_form, f_form in pairs:
+                v_form = np.broadcast_to(v_form, (len(pts),))
+                assert np.all(abs(v_form - f_form) <= 1e-11 * np.maximum(1.0, abs(v_form))), name
 
 
 def test_exponential_family_radial_identity():
