@@ -15,8 +15,10 @@ To see what a change moves without rewriting anything, run
     PYTHONPATH=src python tests/test_golden.py --check
 
 which regenerates the set into a temporary directory and prints, per file,
-``identical`` or the largest absolute change of a number together with every
-difference that is not a number changing; it exits 1 on any difference.
+``identical`` or where the largest change of a number is (its JSON path, or
+its line and column), its old and new value and its absolute and relative
+size, together with every difference that is not a number changing; it
+exits 1 on any difference.
 """
 
 import contextlib
@@ -95,45 +97,92 @@ NUMBER = re.compile(r"(?<![\w.])(-?(?:(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
                     r"|NaN|Infinity|nan|inf))(?![\w.])")
 
 
-def _line_changes(old: str, new: str):
-    """The absolute changes of the numbers of a line, or None when the line
-    changed otherwise (text, a number's count, or a number that is not
-    finite on either side)."""
+def _line_changes(old: str, new: str, line: int):
+    """The changed numbers of a line as (absolute change, location, old
+    text, new text), or None when the line changed otherwise (text, a
+    number's count, or a number that is not finite on either side)."""
     old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
     if len(old_parts) != len(new_parts) or old_parts[::2] != new_parts[::2]:
         return None
-    changes = []
-    for a, b in zip(old_parts[1::2], new_parts[1::2]):
+    changes, col = [], 1
+    for i in range(1, len(old_parts), 2):
+        col += len(old_parts[i - 1])
+        a, b = old_parts[i], new_parts[i]
         if a != b:
             x, y = float(a), float(b)
             if not (math.isfinite(x) and math.isfinite(y)):
                 return None
-            changes.append(abs(x - y))
+            changes.append((abs(x - y), f"line {line} col {col}", a, b))
+        col += len(a)
     return changes
 
 
+def _json_leaves(tree, path: str = "$"):
+    """(JSON path, value) of every leaf of a parsed document, in order; a
+    list entry with a "name" (a check row) is indexed by its name."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _json_leaves(value, f"{path}.{key}")
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            name = value.get("name") if isinstance(value, dict) else None
+            yield from _json_leaves(value, f"{path}[{i if name is None else name}]")
+    else:
+        yield path, tree
+
+
+def _json_changes(old: str, new: str):
+    """The changed numbers of two JSON documents of the same shape as
+    (absolute change, JSON path, old, new); None unless both parse and
+    have the same paths."""
+    try:
+        old_leaves = list(_json_leaves(json.loads(old)))
+        new_leaves = list(_json_leaves(json.loads(new)))
+    except ValueError:
+        return None
+    if [p for p, _ in old_leaves] != [p for p, _ in new_leaves]:
+        return None
+    return [(abs(x - y), path, repr(x), repr(y))
+            for (path, x), (_, y) in zip(old_leaves, new_leaves)
+            if type(x) is float and type(y) is float and x != y
+            and math.isfinite(x) and math.isfinite(y)]
+
+
 def compare(old: str, new: str) -> tuple:
-    """(largest absolute change of a number, the other differences) between
-    two versions of a golden file, matched line by line."""
+    """(the largest change of a number, the other differences) between two
+    versions of a golden file, matched line by line.  The largest change is
+    (absolute change, location, old text, new text), located by its JSON
+    path when both versions are JSON documents of the same shape and by
+    line and column otherwise; None when no number changed."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
-    largest, other = 0.0, []
+    changes, other = [], []
     matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
     for op, i1, i2, j1, j2 in matcher.get_opcodes():
         if op == "equal":
             continue
         pairs = zip(old_lines[i1:i2], new_lines[j1:j2]) if i2 - i1 == j2 - j1 else ()
         for line, (a, b) in enumerate(pairs, i1 + 1):
-            changes = _line_changes(a, b)
-            if changes is None:
+            found = _line_changes(a, b, line)
+            if found is None:
                 other.append(f"line {line}: {a.strip()!r} -> {b.strip()!r}")
             else:
-                largest = max([largest, *changes])
+                changes += found
         if i2 - i1 != j2 - j1:
             other += [f"line {i + 1} removed: {old_lines[i].strip()!r}"
                       for i in range(i1, i2)]
             other += [f"line {j + 1} added: {new_lines[j].strip()!r}"
                       for j in range(j1, j2)]
+    changes = _json_changes(old, new) or changes
+    largest = max(changes, key=lambda c: c[0]) if changes else None
     return largest, other
+
+
+def describe(largest: tuple) -> str:
+    """One change as 'location: old -> new (abs ..., rel ...)'; the
+    relative size is against the old value."""
+    size, where, a, b = largest
+    rel = size / abs(float(a)) if float(a) != 0.0 else math.inf
+    return f"{where}: {a} -> {b} (abs {size:.3e}, rel {rel:.3e})"
 
 
 def check() -> int:
@@ -155,7 +204,8 @@ def check() -> int:
                 continue
             status = 1
             largest, other = compare(old.decode("utf-8"), new.decode("utf-8"))
-            print(f"{name}: largest absolute numeric change {largest:.3e}")
+            print(f"{name}: " + ("no number changed" if largest is None
+                                 else "largest change at " + describe(largest)))
             for line in other:
                 print(f"  {line}")
     return status
@@ -163,10 +213,15 @@ def check() -> int:
 
 def test_compare_separates_number_changes_from_other_changes():
     old = '{\n  "value": 1.5e-16,\n  "name": "law_ricci",\n  "n": 3\n}\n'
-    assert compare(old, old) == (0.0, [])
-    assert compare(old, old.replace("1.5e-16", "2.5e-16")) == (2.5e-16 - 1.5e-16, [])
+    assert compare(old, old) == (None, [])
+    rows = '{"checks": [{"name": "mu_spread", "value": 2.0}, {"value": 1.0}]}'
+    assert compare(rows, rows.replace("1.0", "1.5"))[0][1] == "$.checks[1].value"
+    assert compare(rows, rows.replace("2.0", "2.5"))[0][1] == "$.checks[mu_spread].value"
+    largest, other = compare(old, old.replace("1.5e-16", "2.5e-16"))
+    assert largest == (2.5e-16 - 1.5e-16, "$.value", "1.5e-16", "2.5e-16") and other == []
+    assert describe(largest) == "$.value: 1.5e-16 -> 2.5e-16 (abs 1.000e-16, rel 6.667e-01)"
     largest, other = compare(old, old.replace("law_ricci", "law_scalar"))
-    assert largest == 0.0 and other == [
+    assert largest is None and other == [
         "line 3: '\"name\": \"law_ricci\",' -> '\"name\": \"law_scalar\",'"]
     _, other = compare(old, old.replace("1.5e-16", "NaN"))
     assert other == ["line 2: '\"value\": 1.5e-16,' -> '\"value\": NaN,'"]
@@ -174,6 +229,10 @@ def test_compare_separates_number_changes_from_other_changes():
     assert other == ["line 4 removed: '\"n\": 3'"]
     # a digit inside a name is text, not a number
     assert compare("tau_f0,1.0\n", "tau_f1,1.0\n")[1] != []
+    # outside JSON a change is located by line and column
+    largest, _ = compare("t,v\n0.5,2.0\n", "t,v\n0.5,2.5\n")
+    assert largest == (0.5, "line 2 col 5", "2.0", "2.5")
+    assert describe(largest) == "line 2 col 5: 2.0 -> 2.5 (abs 5.000e-01, rel 2.500e-01)"
 
 
 if __name__ == "__main__":
