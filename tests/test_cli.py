@@ -551,6 +551,10 @@ def test_every_tolerance_has_a_flip():
                          ids=[c[0] for c in TOLERANCE_FLIPS])
 def test_tolerance_override_reaches_its_gate(tmp_path, key, value, command, row):
     cfg = cat.make("weighted_sphere").config(k=16)
+    if key == "value":
+        # kappa_expected reads exactly 0.0 on this config, which a zero gate
+        # passes; shifted by 1e-9, far below the default gate, it does not
+        cfg["expectations"]["kappa"] += 1e-9
     rep_path = tmp_path / "rep.json"
 
     def outcome():

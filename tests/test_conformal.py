@@ -389,7 +389,9 @@ def test_reparam_value_is_the_jet_value_bitwise(name):
 
 
 # `smms conformal --points 64` law and involution residuals, recorded with the
-# point-by-point evaluation that the array pass replaced
+# point-by-point evaluation that the array pass replaced; the scalar and
+# Schouten laws of skew_sphere_density and neck_warped as they read with
+# tau_f in v-form
 FROZEN_CONFORMAL = {
     "weighted_sphere": ({"ricci": 3.197442310920451e-14,
                          "modified_ricci": 3.197442310920451e-14,
@@ -398,11 +400,11 @@ FROZEN_CONFORMAL = {
     "skew_sphere_density": ({"ricci": 3.552713678800501e-15,
                              "modified_ricci": 5.329070518200751e-15,
                              "schouten": 1.1102230246251565e-15,
-                             "scalar": 1.3500311979441904e-13}, 2.6645352591003757e-15),
+                             "scalar": 1.4210854715202004e-13}, 2.6645352591003757e-15),
     "neck_warped": ({"ricci": 7.105427357601002e-15,
                      "modified_ricci": 1.4210854715202004e-14,
-                     "schouten": 1.882894014538416e-14,
-                     "scalar": 3.5134117837287704e-12}, 1.0658141036401503e-13),
+                     "schouten": 3.846212668390324e-15,
+                     "scalar": 4.029665490179468e-12}, 1.0658141036401503e-13),
 }
 
 
