@@ -280,8 +280,8 @@ def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     """Solve the trace identity for mu assuming P_f^m = lam g.
 
     Returns (mean, spread) of the pointwise solution over the grid, from
-    tau_f0 of one kernel pass at params; a small spread certifies that a
-    single mu makes the instance weighted Einstein (``WeightedReport.mu``).
+    one kernel pass at params (``_mu_stats``); a small spread certifies that
+    a single mu makes the instance weighted Einstein (``WeightedReport.mu``).
     """
     if params.m == 1.0:
         raise UnsupportedError("mu does not enter the m = 1 equations")

@@ -144,7 +144,7 @@ def _json_changes(old: str, new: str):
         return None
     return [(abs(x - y), path, repr(x), repr(y))
             for (path, x), (_, y) in zip(old_leaves, new_leaves)
-            if type(x) is float and type(y) is float and x != y
+            if type(x) in (int, float) and type(y) in (int, float) and x != y
             and math.isfinite(x) and math.isfinite(y)]
 
 
