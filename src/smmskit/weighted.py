@@ -200,11 +200,14 @@ class PointFields:
 def weighted_scalar(tau, lap_v, grad_v_sq, v, params: SmmsParams) -> tuple:
     """(tau_f0, tau_f) from tau, L(v), |dv|^2 and v in one frame:
     tau_f0 = tau - 2m L(v)/v - m(m-1) |dv|^2/v^2 (tau + 2 L(f) - (m+1)/m |df|^2
-    at f = -m log v) and tau_f = tau_f0 + m(m-1) mu/v^2 when m != 1."""
+    at f = -m log v) and tau_f = tau_f0 + m(m-1) mu/v^2."""
     m = params.m
-    tau_f0 = tau - 2.0 * m * lap_v / v - m * (m - 1.0) * grad_v_sq / (v * v)
+    tau_f0 = tau - 2.0 * m * lap_v / v
     tau_f = tau_f0
-    if m != 1.0:  # a branch, not a zero term: at m = 1 mu never enters
+    # a branch, not zero terms: at m = 1 neither |dv|^2 nor mu enters, and
+    # v^2 may underflow or overflow where L(v)/v stays finite
+    if m != 1.0:
+        tau_f0 = tau_f0 - m * (m - 1.0) * grad_v_sq / (v * v)
         tau_f = tau_f0 + m * (m - 1.0) * params.mu / (v * v)
     return tau_f0, tau_f
 
@@ -290,7 +293,8 @@ def solve_mu(metric: WarpedMetric, density: DensitySpec, params: SmmsParams,
     return _mu_stats(params, lam, pf.be.tt, pf.tau_f0, pf.v, pf.grad_v_sq, len(points))
 
 
-# |X0| <= _X0_ZERO v^2 at every point certifies X0 = 0 (see _mu_stats)
+# |X0| <= _X0_ZERO times the size of its terms at every point certifies
+# X0 = 0 (see _mu_stats)
 _X0_ZERO = 1e-10
 
 
@@ -306,15 +310,22 @@ def _mu_stats(params: SmmsParams, lam: float, be_tt, tau_f0, v, grad_v_sq,
     v (L(v) + n (2 lam v - kappa)) where rho_f^m is a multiple of g.  Where
     X0 is certified zero on the grid, mu is Y, with no division by m (m-1)
     (near m = 1 it magnifies rounding by 1/|m-1|); elsewhere mu is the
-    quotient.  X0 reads every component through tau_f0, so a NaN takes the
-    quotient, which keeps it.  Neither route reads the declared mu.
+    quotient.  The certificate measures X0 against the sizes of the terms
+    it is summed from (be.tt and (n-1) lam apart, as they cancel where
+    rho_f^m is a multiple of g), not in absolute curvature units: on a
+    geometry of tiny curvature a nonzero X0 is tiny too, and dropping it
+    would move mu by X0/(m-1).
+    X0 reads every component through tau_f0, so a NaN or an infinity takes
+    the quotient, which keeps it.  Neither route reads the declared mu.
     """
     n, m = params.n, params.m
     with np.errstate(all="ignore"):  # as on floats: inf and NaN, no warning
         j_target = be_tt - (n + m - 2.0) * lam
-        x0 = (2.0 * n * (be_tt - (n - 1.0) * lam) - tau_f0) * v * v / m \
-            - (m - 1.0) * grad_v_sq
-        if np.all(abs(x0) <= _X0_ZERO * v * v):
+        s_be = 2.0 * n * (be_tt - (n - 1.0) * lam)
+        x0 = (s_be - tau_f0) * v * v / m - (m - 1.0) * grad_v_sq
+        terms = (2.0 * n * (abs(be_tt) + (n - 1.0) * abs(lam)) + abs(tau_f0)) * v * v / m \
+            + abs(m - 1.0) * grad_v_sq
+        if np.all(np.isfinite(x0) & (abs(x0) <= _X0_ZERO * terms)):
             kappa = ((m + n) * lam - j_target) * v / m
             vals = 2.0 * lam * v * v - 2.0 * kappa * v + grad_v_sq
         else:

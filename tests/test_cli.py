@@ -499,6 +499,34 @@ def test_tiny_parameter_gets_one_exit_code(tmp_path, capsys, family, overrides):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_mu_gates_on_tiny_curvature(tmp_path):
+    # warping_density at lam = 1e-13 has mu = 5e-5 and a first integral
+    # Y = 2e-5: the solved mu passes both mu gates, and a declared mu equal
+    # to Y fails mu_expected
+    cfg = cat.make("warping_density", lam=1e-13, c=1e4).config(k=64)
+    rows = {}
+    for declared in (cfg["expectations"]["mu"], 2e-5):
+        cfg["expectations"]["mu"] = declared
+        path = write_config(tmp_path, cfg)
+        rep_path = tmp_path / "rep.json"
+        cli.main(["verify", "--config", path, "--out", str(rep_path)])
+        checks = json.loads(rep_path.read_text())["checks"]
+        rows[declared] = {c["name"]: c["passed"] for c in checks
+                          if c["name"] in ("mu_consistency", "mu_expected")}
+    assert rows == {5e-5: {"mu_consistency": True, "mu_expected": True},
+                    2e-5: {"mu_consistency": True, "mu_expected": False}}
+
+
+def test_m_one_density_whose_square_underflows_exits_two(tmp_path, capsys):
+    # the kernel stays finite at m = 1 with v = 1e-200 (its |dv|^2 term sits
+    # under the m != 1 branch); the conformal image's warping then overflows
+    # in its Ricci tensor, so verify exits 2, as it did through the f-form
+    cfg = cat.make("weighted_sphere", m=1.0, a=1e-200, b=1e-201).config(k=16)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["verify", "--config", path]) == 2
+    assert "arithmetic out of the float range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", [10**30, 10**6 + 1])
 @pytest.mark.parametrize("where", ["verify grid.k", "verify --points",
                                    "conformal grid.k", "conformal --points",

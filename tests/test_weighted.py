@@ -378,7 +378,9 @@ def _pointwise_tau(params, lam, ref):
 
 def _pointwise_mu(inst, lam, pts):
     """solve_mu as a float loop over scalar kernel calls at mu = 0: the
-    first integral Y when X0 vanishes at every point, else the quotient."""
+    first integral Y when X0 vanishes at every point against the size of
+    its terms, else the quotient.  The route choice itself is checked by
+    the value tests below."""
     n, m = inst.params.n, inst.params.m
     base = SmmsParams(n, m, 0.0)
     zero, ys, quotients = [], [], []
@@ -386,9 +388,11 @@ def _pointwise_mu(inst, lam, pts):
         pf = point_fields(inst.metric, inst.density, base, p)
         v = pf.v
         j_target = pf.be.tt - (n + m - 2.0) * lam
-        x0 = ((2.0 * n * (pf.be.tt - (n - 1.0) * lam) - pf.tau_f) * v * v / m
-              - (m - 1.0) * pf.grad_v_sq)
-        zero.append(abs(x0) <= 1e-10 * v * v)
+        s_be = 2.0 * n * (pf.be.tt - (n - 1.0) * lam)
+        x0 = (s_be - pf.tau_f) * v * v / m - (m - 1.0) * pf.grad_v_sq
+        terms = ((2.0 * n * (abs(pf.be.tt) + (n - 1.0) * abs(lam)) + abs(pf.tau_f)) * v * v / m
+                 + abs(m - 1.0) * pf.grad_v_sq)
+        zero.append(math.isfinite(x0) and abs(x0) <= weighted._X0_ZERO * terms)
         kappa = ((m + n) * lam - j_target) * v / m
         ys.append(2.0 * lam * v * v - 2.0 * kappa * v + pf.grad_v_sq)
         quotients.append((2.0 * (n + m - 1.0) * j_target - pf.tau_f) * v * v
@@ -476,11 +480,19 @@ def test_mu_near_m_one_passes_its_gates(draw):
         == repr(rep.mu)
 
 
-@pytest.mark.parametrize("name", cat.available())
-def test_mu_first_integral_agrees_with_the_quotient(name):
+# warping_density at lam = 1e-13: X0 and Y are tiny in curvature units, but
+# X0 is as large as its own terms, so mu must stay the quotient (dropping X0
+# once gave Y = 2e-5 against the declared 5e-5 at m = 3)
+_TINY_CURVATURE = [("warping_density", {"lam": 1e-13, "c": 1e4, "m": m}) for m in (3.0, 1.00001)]
+
+
+@pytest.mark.parametrize("name, overrides",
+                         [(name, {}) for name in cat.available()] + _TINY_CURVATURE,
+                         ids=cat.available() + ["warping_density-tiny-m3", "warping_density-tiny-m1"])
+def test_mu_first_integral_agrees_with_the_quotient(name, overrides):
     # away from m = 1 both routes are well conditioned: where X0 vanishes the
     # first integral Y is the quotient to rounding, elsewhere mu is the quotient
-    b = cat.make(name)
+    b = cat.make(name, **overrides)
     inst = b.instance
     n, m = inst.params.n, inst.params.m
     pts = sample_points(inst.metric, inst.density, 64)
@@ -489,13 +501,26 @@ def test_mu_first_integral_agrees_with_the_quotient(name):
     quotient = ((2.0 * (n + m - 1.0) * j_target - rep.tau_f0) * rep.v * rep.v
                 / (m * (m - 1.0)))
     mean, spread = rep.mu
-    if name in ("cone_product", "warping_density", "neck_warped"):  # X0 = O(1)
+    if name in ("cone_product", "warping_density", "neck_warped"):  # X0 != 0
         assert (mean, spread) == (left_to_right_mean(list(quotient)),
                                   float(quotient.max() - quotient.min()))
     else:
         assert abs(mean - left_to_right_mean(list(quotient))) <= 1e-11
         assert spread <= 1e-11
     assert abs(mean - inst.params.mu) <= 1e-9
+
+
+def test_m_one_kernel_stays_finite_where_v_squared_underflows():
+    # at m = 1 neither |dv|^2 nor mu enters tau_f, so a density of 1e-200,
+    # whose square underflows to 0, still gives finite fields
+    b = cat.make("weighted_sphere", m=1.0, a=1e-200, b=1e-201)
+    inst = b.instance
+    pts = sample_points(inst.metric, inst.density, 64)
+    pf = point_fields(inst.metric, inst.density, inst.params, pts)
+    assert np.all(pf.v * pf.v == 0.0)
+    assert np.all(np.isfinite(pf.tau_f)) and np.array_equal(pf.tau_f, pf.tau_f0)
+    rep = einstein_residuals(inst.metric, inst.density, inst.params, b.lam, pts)
+    assert rep.residual_P <= 1e-12
 
 
 @pytest.mark.parametrize("target, part", [
